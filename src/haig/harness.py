@@ -31,7 +31,7 @@ from .errors import BudgetExceededError, PolicyResolutionError
 from .filtering import SWITCH, InterventionRecord, filter_action, perfect_filter
 from .model import GameSpec, _int_index
 from .rng import SplitMix64
-from .solver import ValueSolution, brute_force_value, value_iteration
+from .solver import ValueSolution, brute_force_values, value_iteration
 from .specfile import SpecDocument
 
 FILTER_MODES = ("none", "switch", "least_restrictive", "fallback_only")
@@ -574,8 +574,7 @@ def compare_oracle(
     if horizon is None:
         horizon = sol.iterations
     worst = 0.0
-    for z in range(spec.num_states):
-        reference = brute_force_value(spec, z, horizon, node_budget=node_budget)
+    for z, reference in enumerate(brute_force_values(spec, horizon, node_budget=node_budget)):
         worst = max(worst, abs(reference - float(sol.values[z])))
     tolerance = 0.0 if spec.is_deterministic() else max(1e-7, epsilon * sol.iterations)
     return OracleReport(

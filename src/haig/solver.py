@@ -22,9 +22,30 @@ With genuinely stochastic observations the iteration stops once the
 max-norm residual drops to ``epsilon``; if the sweep budget runs out the
 solution is returned with ``converged=False`` and the final residual.
 
-``brute_force_value`` is an intentionally separate implementation, a
-direct recursion over the game tree used as an oracle in tests.  It shares
-no code with the sweep.
+Sweep layout.  ``value_iteration`` reorders the successor and probability
+tensors once into C-contiguous (B, A, Z, O) arrays (``_sweep_layout``), so
+a sweep is one gather, one product, a sum over the last axis and two
+elementwise reductions over whole (A, Z) and (Z,) slices.  Each
+inadmissible human column holds a copy of the state's last admissible
+column, so the min over human actions needs no mask: a duplicate of an
+admissible entry cannot change a min, and numpy's ``minimum`` keeps its
+second operand on ties, so copies placed after the last admissible entry
+also keep the sign of a zero result as the masked reduction did.  (That
+holds for up to eight actions a side: numpy reduces a longer contiguous
+axis in SIMD lanes, whose order on ties between -0.0 and +0.0 depends on
+the machine.  Such ties need a margin of -0.0.)  O stays the last axis and
+is summed with ``.sum(axis=-1)``, the same reduction as the (Z, A, B, O)
+Q table: an accumulation in any other order differs in the last bit once
+numpy sums eight or more terms pairwise.
+
+For deterministic games the adversary breaks ties between equally bad
+responses by how soon they realize the bad outcome.  ``_attainment_steps``
+finds those step counts with one breadth-first search backwards from the
+states whose margin equals their value.
+
+``brute_force_values`` is an intentionally separate implementation, a
+direct recursion over the game tree used as an oracle in tests and by
+``compare_oracle``.  It shares no code with the sweep.
 """
 
 from __future__ import annotations
@@ -38,7 +59,7 @@ from .model import GameSpec, _int_index
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_SWEEPS_STOCHASTIC = 100_000
-_UNREACHED = np.iinfo(np.int64).max
+_UNREACHED = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +116,11 @@ def value_iteration(
     ell = spec.margins.astype(np.float64, copy=True)
     trans = spec.transitions
     probs = spec.observation_probs
-    mask = spec.bound_mask[:, None, :]  # (Z, 1, B)
     deterministic = spec.is_deterministic()
     if max_iters is None:
         max_iters = spec.num_states + 1 if deterministic else DEFAULT_MAX_SWEEPS_STOCHASTIC
 
+    succ, weight = _sweep_layout(spec)
     values = ell.copy()
     history = [values.copy()] if record_sweeps else None
     iterations = 0
@@ -107,7 +128,7 @@ def value_iteration(
     residual = np.inf
 
     while iterations < max_iters:
-        new_values = _sweep(ell, trans, probs, mask, values)
+        new_values = _sweep(ell, succ, weight, values)
         if not np.all(new_values <= values):
             raise RuntimeError("value sweep increased a state value; backup is corrupt")
         residual = float(np.max(values - new_values))
@@ -121,7 +142,7 @@ def value_iteration(
             break
 
     q_values = _q_table(ell, trans, probs, values)
-    inner = np.where(mask, q_values, np.inf).min(axis=2)
+    inner = np.where(spec.bound_mask[:, None, :], q_values, np.inf).min(axis=2)
     fallback = inner.argmax(axis=1).astype(np.int64)
     adversary = _adversary_table(spec, ell, values, q_values, fallback, deterministic)
     safe = frozenset(int(z) for z in np.flatnonzero(values >= 0.0))
@@ -150,68 +171,79 @@ def _q_table(ell, trans, probs, values) -> np.ndarray:
     return np.minimum(ell[:, None, None], expected)
 
 
-def _sweep(ell, trans, probs, mask, values) -> np.ndarray:
-    q = _q_table(ell, trans, probs, values)
-    return np.where(mask, q, np.inf).min(axis=2).max(axis=1)
+def _sweep_layout(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Successors and observation weights as C-contiguous (B, A, Z, O) arrays.
+
+    Column (b, :, z) of an inadmissible human action b is a copy of column
+    (b_last, :, z), where b_last is the last admissible action at z; see the
+    module docstring for why the last one.
+    """
+    mask = spec.bound_mask
+    nz, nb = mask.shape
+    last = nb - 1 - mask[:, ::-1].argmax(axis=1)
+    cols = np.where(mask, np.arange(nb), last[:, None])  # (Z, B)
+    rows = np.arange(nz)[:, None]
+    # Indexing axes 0 and 2 puts their broadcast (Z, B) shape first: (Z, B, A, O).
+    succ = spec.transitions[rows, :, cols].transpose(1, 2, 0, 3)
+    weight = spec.observation_probs[rows, :, cols].transpose(1, 2, 0, 3)
+    return np.ascontiguousarray(succ), np.ascontiguousarray(weight)
 
 
-def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback) -> np.ndarray:
+def _sweep(ell, succ, weight, values) -> np.ndarray:
+    q = (weight * values[succ]).sum(axis=-1)  # (B, A, Z)
+    np.minimum(ell, q, out=q)
+    return np.maximum.reduce(np.minimum.reduce(q, axis=0), axis=0)
+
+
+def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ) -> np.ndarray:
     """Steps the adversary needs to turn each state's value into a real margin.
 
-    Seeded at states whose margin already equals their value, then relaxed
-    backwards along worst-case responses to the fallback policy.  Finite
-    everywhere for converged deterministic games.
+    Zero at states whose margin already equals their value; elsewhere one
+    more than the least count among the worst-case responses to the
+    fallback action, found by one breadth-first search backwards along
+    those responses.  Finite everywhere for converged deterministic games.
     """
     nz = spec.num_states
-    det_obs = spec.observation_probs.argmax(axis=3)
-    steps = np.where(ell == values, 0, _UNREACHED).astype(np.int64)
-    succ_lists = []
-    for z in range(nz):
-        a = int(fallback[z])
-        best = values[z]
-        succ_lists.append(
-            [
-                int(spec.transitions[z, a, b, det_obs[z, a, b]])
-                for b in spec.action_bound[z]
-                if q_values[z, a, b] == best
-            ]
-        )
-    for _ in range(nz):
-        changed = False
-        for z in range(nz):
-            if steps[z] == 0 or not succ_lists[z]:
-                continue
-            best = min(steps[s] for s in succ_lists[z])
-            if best != _UNREACHED and steps[z] > best + 1:
-                steps[z] = best + 1
-                changed = True
-        if not changed:
-            break
-    return steps
+    rows = np.arange(nz)
+    worst = spec.bound_mask & (q_values[rows, fallback] == values[:, None])  # (Z, B)
+    seeds = ell == values
+    worst[seeds] = False
+    src, col = np.nonzero(worst)
+    dst = det_succ[src, fallback[src], col]
+    order = np.argsort(dst, kind="stable")
+    preds = src[order].tolist()
+    starts = np.searchsorted(dst[order], np.arange(nz + 1)).tolist()
+
+    steps = [0 if seed else _UNREACHED for seed in seeds.tolist()]
+    frontier = np.flatnonzero(seeds).tolist()
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for s in frontier:
+            for z in preds[starts[s]:starts[s + 1]]:
+                if steps[z] == _UNREACHED:
+                    steps[z] = depth
+                    reached.append(z)
+        frontier = reached
+    return np.array(steps, dtype=np.int64)
 
 
 def _adversary_table(spec, ell, values, q_values, fallback, deterministic) -> np.ndarray:
-    nz, na = spec.num_states, spec.num_ai_actions
-    adversary = np.zeros((nz, na), dtype=np.int64)
+    mask = spec.bound_mask[:, None, :]  # (Z, 1, B)
+    masked = np.where(mask, q_values, np.inf)
     if not deterministic:
-        masked = np.where(spec.bound_mask[:, None, :], q_values, np.inf)
         return masked.argmin(axis=2).astype(np.int64)
 
-    steps = _attainment_steps(spec, ell, values, q_values, fallback)
-    det_obs = spec.observation_probs.argmax(axis=3)
-    for z in range(nz):
-        for a in range(na):
-            best_key = None
-            best_b = 0
-            for b in spec.action_bound[z]:
-                succ = int(spec.transitions[z, a, b, det_obs[z, a, b]])
-                tail = 0 if ell[z] <= values[succ] else int(steps[succ])
-                key = (q_values[z, a, b], tail, b)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_b = b
-            adversary[z, a] = best_b
-    return adversary
+    # Lowest (q, tail, b) among admissible responses, in that order.
+    det_obs = spec.observation_probs.argmax(axis=3)[..., None]
+    det_succ = np.take_along_axis(spec.transitions, det_obs, axis=3)[..., 0]  # (Z, A, B)
+    steps = _attainment_steps(spec, ell, values, q_values, fallback, det_succ)
+    tail = np.where(ell[:, None, None] <= values[det_succ], 0, steps[det_succ])
+    best = mask & (q_values == masked.min(axis=2, keepdims=True))
+    tail = np.where(best, tail, _UNREACHED)
+    best &= tail == tail.min(axis=2, keepdims=True)
+    return best.argmax(axis=2).astype(np.int64)
 
 
 def q_value(sol: ValueSolution, z: int, a_ai: int, a_h: int) -> float:
@@ -239,7 +271,7 @@ def brute_force_value(
     *,
     node_budget: int = 10_000_000,
 ) -> float:
-    """Depth-limited game value by direct recursion over the game tree.
+    """Depth-limited game value of one state by direct recursion over the game tree.
 
     value(z, 0) is the margin at ``z``; deeper values apply the same
     max/min/min backup as the solver, one node at a time in plain Python.
@@ -250,6 +282,28 @@ def brute_force_value(
     been evaluated.
     """
     z = _int_index(z, spec.num_states, "info state")
+    return _game_tree(spec, horizon, node_budget)(z)
+
+
+def brute_force_values(
+    spec: GameSpec,
+    horizon: int,
+    *,
+    node_budget: int = 10_000_000,
+) -> list[float]:
+    """``brute_force_value`` of every state, all roots sharing one memo.
+
+    The memo is keyed on (state, depth) alone, so a subtree evaluated for
+    one root is reused by the next.  The budget applies per root and counts
+    only the nodes that root evaluates first, so a root that fits its
+    budget in ``brute_force_value`` fits it here too.
+    """
+    root_value = _game_tree(spec, horizon, node_budget)
+    return [root_value(z) for z in range(spec.num_states)]
+
+
+def _game_tree(spec: GameSpec, horizon: int, node_budget: int):
+    """Memoized recursion to ``horizon``, as a function of the root state."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
 
@@ -298,7 +352,12 @@ def brute_force_value(
         memo[key] = result
         return result
 
-    return value(z, horizon)
+    def root_value(z: int) -> float:
+        nonlocal nodes
+        nodes = 0
+        return value(z, horizon)
+
+    return root_value
 
 
 def solution_payload(sol: ValueSolution) -> dict:

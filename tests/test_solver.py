@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from haig import (
     BudgetExceededError,
+    GameSpec,
     brute_force_value,
+    brute_force_values,
     build_chain,
     build_dialogue,
     extract_policies,
@@ -214,3 +218,217 @@ def test_solution_payload_shape():
     assert payload["V"] == [-1.0, 0.0, 1.0, 2.0]
     assert payload["safe_set"] == [1, 2, 3]
     assert payload["converged"] is True
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the sweep layout and the vectorized adversary
+# ---------------------------------------------------------------------------
+
+
+def _masked_backup(spec, values):
+    """One backup over (Z, A, B) arrays, inadmissible responses masked to +inf."""
+    expected = (spec.observation_probs * values[spec.transitions]).sum(axis=3)
+    q = np.minimum(spec.margins[:, None, None], expected)
+    return np.where(spec.bound_mask[:, None, :], q, np.inf).min(axis=2).max(axis=1)
+
+
+def _random_bounds(rng, spec):
+    nb = spec.num_human_actions
+    return tuple(
+        tuple(sorted(rng.choice(nb, size=int(rng.integers(1, nb + 1)), replace=False).tolist()))
+        for _ in range(spec.num_states)
+    )
+
+
+def _signed_zero_tie_game():
+    """State 0's admissible responses score -0.0 then +0.0; the masked min keeps the last, +0.0.
+
+    Filling inadmissible column 2 from the first admissible column would end the min on -0.0.
+    """
+    return GameSpec(
+        num_states=3,
+        ai_actions=("a",),
+        human_actions=("x", "y", "z"),
+        observations=("o",),
+        transitions=np.array(
+            [[[[1], [2], [0]]], [[[1], [1], [1]]], [[[2], [2], [2]]]], dtype=np.int64
+        ),
+        observation_probs=np.ones((3, 1, 3, 1)),
+        margins=np.array([-0.0, 1.0, 0.0]),
+        action_bound=((0, 1), (0,), (0,)),
+    )
+
+
+def _narrowed_signed_zero_games():
+    """Random games with O in {1, 3, 8, 9}, narrowed bounds and margins on a half grid with -0.0."""
+    rng = np.random.default_rng(2405)
+    for seed, obs in enumerate((1, 3, 8, 9) * 5):
+        spec = random_game(
+            seed,
+            states=6 + 2 * seed,
+            ai_actions=1 + seed % 3,
+            human_actions=2 + seed % 4,
+            observations=obs,
+            failure_fraction=0.3,
+        ).game
+        margins = np.round(spec.margins * 2.0) / 2.0  # rounds (-0.25, 0) to -0.0
+        yield replace(spec, margins=margins, action_bound=_random_bounds(rng, spec))
+    yield _signed_zero_tie_game()
+
+
+def test_sweeps_match_the_masked_backup_bit_for_bit():
+    saw_negative_zero = False
+    for spec in _narrowed_signed_zero_games():
+        saw_negative_zero |= bool(np.any(np.signbit(spec.margins) & (spec.margins == 0.0)))
+        sol = value_iteration(spec, record_sweeps=True, max_iters=300)
+        assert sol.sweeps[0].tobytes() == spec.margins.tobytes()
+        values = spec.margins
+        for k, recorded in enumerate(sol.sweeps[1:], start=1):
+            expected = _masked_backup(spec, values)
+            assert recorded.tobytes() == expected.tobytes(), (spec.num_states, k)
+            residual = float(np.max(values - expected))
+            stop = residual == 0.0 if spec.is_deterministic() else residual <= sol.epsilon
+            assert stop == (sol.converged and k == sol.iterations)
+            values = expected
+        assert sol.residual == residual
+        assert value_iteration(spec, max_iters=300).values.tobytes() == sol.values.tobytes()
+    assert saw_negative_zero
+
+
+def _corridor(n, seed):
+    """A shuffled corridor: every joint action steps toward cell 0; margins rise along it."""
+    cells = np.random.default_rng(seed).permutation(n)  # cells[i]: state index of the i-th cell
+    transitions = np.empty((n, 2, 2, 1), dtype=np.int64)
+    transitions[cells] = cells[np.maximum(np.arange(n) - 1, 0)][:, None, None, None]
+    margins = np.empty(n)
+    margins[cells] = np.arange(n) - 0.5
+    return GameSpec(
+        num_states=n,
+        ai_actions=("left", "right"),
+        human_actions=("push", "pull"),
+        observations=("none",),
+        transitions=transitions,
+        observation_probs=np.ones((n, 2, 2, 1)),
+        margins=margins,
+        action_bound=((0, 1),) * n,
+    )
+
+
+def _reference_adversary(sol):
+    """Lowest (q, tail, b) per (z, a) by plain loops, tails from a naive relaxation."""
+    spec = sol.spec
+    ell, values, q = spec.margins.tolist(), sol.values.tolist(), sol.q_values
+
+    def succ(z, a, b):
+        return int(spec.transitions[z, a, b, int(np.argmax(spec.observation_probs[z, a, b]))])
+
+    steps = [0 if ell[z] == values[z] else float("inf") for z in range(spec.num_states)]
+    changed = True
+    while changed:
+        changed = False
+        for z in range(spec.num_states):
+            a = int(sol.fallback_policy[z])
+            for b in spec.action_bound[z]:
+                if q[z, a, b] == values[z] and steps[succ(z, a, b)] + 1 < steps[z]:
+                    steps[z] = steps[succ(z, a, b)] + 1
+                    changed = True
+
+    def tail(z, a, b):
+        s = succ(z, a, b)
+        return 0 if ell[z] <= values[s] else steps[s]
+
+    return [
+        [min((q[z, a, b], tail(z, a, b), b) for b in spec.action_bound[z])[2]
+         for a in range(spec.num_ai_actions)]
+        for z in range(spec.num_states)
+    ]
+
+
+def test_adversary_matches_the_plain_reference():
+    rng = np.random.default_rng(7)
+    games = [_corridor(60, seed) for seed in range(3)]
+    for seed in range(15):
+        spec = _det_game(seed)
+        coarse = np.round(spec.margins * 4.0) / 4.0  # many equal margins, so many tied responses
+        games += [spec, replace(spec, margins=coarse, action_bound=_random_bounds(rng, spec))]
+    for spec in games:
+        sol = value_iteration(spec)
+        assert sol.adversary_policy.tolist() == _reference_adversary(sol)
+
+
+def _fork(long, short):
+    """State 0 fails; from the last state, response 0 reaches it in ``long`` steps.
+
+    Response 1 reaches it in ``short`` steps.  States 1..long-1 and
+    long..long+short-2 are the two paths, so both must be at least two steps.
+    """
+    n = long + short
+    nxt = [0] + list(range(long - 1)) + [0] + list(range(long, long + short - 2)) + [0]
+    transitions = np.array([[[[s], [s]]] for s in nxt], dtype=np.int64)
+    transitions[n - 1, 0] = [[long - 1], [long + short - 2]]
+    return GameSpec(
+        num_states=n,
+        ai_actions=("go",),
+        human_actions=("slow", "fast"),
+        observations=("none",),
+        transitions=transitions,
+        observation_probs=np.ones((n, 1, 2, 1)),
+        margins=np.array([-1.0] + [1.0] * (n - 1)),
+        action_bound=((0,),) * (n - 1) + ((0, 1),),
+    )
+
+
+def test_adversary_prefers_the_sooner_of_equal_failures():
+    for long, short in ((3, 2), (6, 5), (2, 6)):
+        sol = value_iteration(_fork(long, short))
+        assert sol.values.tolist() == [-1.0] * (long + short)
+        assert int(sol.adversary_policy[-1, 0]) == (1 if short < long else 0)
+        assert sol.adversary_policy.tolist() == _reference_adversary(sol)
+
+
+def test_shuffled_corridor_solves_to_its_sink():
+    spec = _corridor(300, 11)
+    sol = value_iteration(spec)
+    assert sol.iterations == 300
+    assert sol.values.tolist() == [-0.5] * 300
+    assert sol.adversary_policy.tolist() == [[0, 0]] * 300
+
+
+# ---------------------------------------------------------------------------
+# shared-memo oracle
+# ---------------------------------------------------------------------------
+
+
+def test_brute_force_values_match_per_root_recursion():
+    games = [_det_game(seed) for seed in range(4)]
+    games.append(random_game(9, states=7, observations=2, failure_fraction=0.3).game)
+    for spec in games:
+        horizon = value_iteration(spec).iterations
+        per_root = [brute_force_value(spec, z, horizon) for z in range(spec.num_states)]
+        assert brute_force_values(spec, horizon) == per_root
+
+
+def _fits(evaluate):
+    try:
+        evaluate()
+    except BudgetExceededError:
+        return False
+    return True
+
+
+def test_brute_force_values_budget_is_per_root():
+    spec = _det_game(5)
+    horizon = 6
+    budget = 1
+    while not all(
+        _fits(lambda z=z: brute_force_value(spec, z, horizon, node_budget=budget))
+        for z in range(spec.num_states)
+    ):
+        budget += 1
+    # The shared memo evaluates more nodes in total than any one root needs.
+    assert budget < spec.num_states * (horizon + 1)
+    assert _fits(lambda: brute_force_values(spec, horizon, node_budget=budget))
+    with pytest.raises(BudgetExceededError):
+        brute_force_values(spec, horizon, node_budget=2)
+    with pytest.raises(ValueError, match="horizon"):
+        brute_force_values(spec, -1)
