@@ -16,6 +16,13 @@ states; filtering makes the task action's effect a function of the state,
 so state-level memoization loses nothing).  Larger or stochastic games
 fall back to seeded random sequences.  Running it with the filter off is
 the control arm; counterexample traces are reported verbatim.
+
+``rollout`` and ``verify_safety`` decide each state once per call: a
+state's filter decisions (executed action and monitor score for every
+task action) are computed the first time the state is met and kept, and
+exhaustive verification likewise builds each expanded state's distinct
+successors once.  The rollout loop and the breadth-first search then walk
+plain Python lists.
 """
 
 from __future__ import annotations
@@ -25,10 +32,8 @@ import io
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceededError, PolicyResolutionError
-from .filtering import SWITCH, InterventionRecord, filter_action, perfect_filter
+from .filtering import SWITCH, filter_action, perfect_filter
 from .model import GameSpec, _int_index
 from .rng import SplitMix64
 from .solver import ValueSolution, brute_force_values, value_iteration
@@ -75,17 +80,17 @@ class RolloutStep:
     gt_failure: bool | None
 
     def to_json_dict(self) -> dict:
-        record = InterventionRecord(
-            t=self.t,
-            state=self.state,
-            task_action=self.task_action,
-            monitor_value=self.monitor_value,
-            intervened=self.intervened,
-            executed_action=self.executed_action,
-        ).to_json_dict()
-        record["a_human"] = self.human_action
-        record["obs"] = self.observation
-        record["margin"] = self.margin_value
+        record = {
+            "t": self.t,
+            "z": self.state,
+            "task_a": self.task_action,
+            "monitor": self.monitor_value,
+            "intervened": self.intervened,
+            "executed_a": self.executed_action,
+            "a_human": self.human_action,
+            "obs": self.observation,
+            "margin": self.margin_value,
+        }
         if self.odd_violation:
             record["odd_violation"] = True
         if self.gt_failure is not None:
@@ -235,6 +240,43 @@ def _initial_ground_truth(doc: SpecDocument, z0: int):
     raise ValueError(f"ground truth has no configuration projecting to state {z0}")
 
 
+class _PerState(dict):
+    """State -> row, each row built by ``build(z)`` on its first lookup and kept."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, z: int):
+        row = self[z] = self.build(z)
+        return row
+
+
+def _decisions(sol: ValueSolution, filter_mode: str) -> _PerState:
+    """Each state's decision row, computed once.
+
+    ``decisions[z][a]`` is ``(executed, score)`` for task action ``a`` at
+    ``z``, from one ``filter_action`` call.  With the filter off ("none")
+    the task action runs as proposed and the score is the switch filter's.
+    """
+    flt = perfect_filter(sol, intervention=SWITCH if filter_mode == "none" else filter_mode)
+    keep_task = filter_mode == "none"
+
+    def row(z: int) -> list[tuple[int, float]]:
+        decided = []
+        for a in range(sol.spec.num_ai_actions):
+            executed, record = filter_action(flt, z, a)
+            decided.append((a if keep_task else executed, record.monitor_value))
+        return decided
+
+    return _PerState(row)
+
+
+def _dynamics(spec: GameSpec) -> _PerState:
+    """Each state's transitions and observation probabilities as lists, ``[a][b][o]``."""
+    return _PerState(lambda z: (spec.transitions[z].tolist(), spec.observation_probs[z].tolist()))
+
+
 def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> RolloutTrace:
     """Run one seeded rollout and return its trace."""
     doc = config.document
@@ -245,32 +287,30 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
         raise ValueError(f"unknown filter mode {config.filter_mode!r}")
 
     sol = solution if solution is not None else value_iteration(spec)
-    flt = perfect_filter(sol, intervention=config.filter_mode if config.filter_mode != "none" else SWITCH)
+    decisions = _decisions(sol, config.filter_mode)
+    dynamics = _dynamics(spec)
     stream = SplitMix64(config.seed)
     task = _task_chooser(doc, config.task_policy, stream)
     human = _human_chooser(doc, config.human_policy, sol, stream)
     off_odd = config.human_policy == "off_odd"
+    num_ai = spec.num_ai_actions
+    margins = spec.margins.tolist()
 
     z = _resolve_state(spec, config.initial_state)
     gt_state = _initial_ground_truth(doc, z) if doc.ground_truth is not None else None
 
     steps: list[RolloutStep] = []
-    min_margin = float(spec.margins[z])
+    min_margin = margins[z]
     violations = 1 if min_margin < 0.0 else 0
     interventions = 0
     gt_failures = 0 if gt_state is not None else None
     odd_steps: list[int] = []
 
     for t in range(config.max_steps):
-        a_task = int(task(z, t))
-        executed, record = filter_action(flt, z, a_task, t=t)
-        if config.filter_mode == "none":
-            executed = a_task
-            record = InterventionRecord(
-                t=t, state=z, task_action=a_task, monitor_value=record.monitor_value,
-                intervened=False, executed_action=a_task,
-            )
-        if record.intervened:
+        a_task = _int_index(task(z, t), num_ai, "ai action")
+        executed, score = decisions[z][a_task]
+        intervened = executed != a_task
+        if intervened:
             interventions += 1
 
         b = int(human(z, executed, t))
@@ -283,7 +323,8 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
                 )
             odd_steps.append(t)
 
-        o = _sample_observation(stream, spec.observation_probs[z, executed, b])
+        trans, probs = dynamics[z]
+        o = _sample_observation(stream, probs[executed][b])
         gt_failed = None
         if gt_state is not None:
             s, h = gt_state
@@ -301,18 +342,18 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
                 t=t,
                 state=z,
                 task_action=a_task,
-                monitor_value=record.monitor_value,
-                intervened=record.intervened,
+                monitor_value=score,
+                intervened=intervened,
                 executed_action=executed,
                 human_action=b,
                 observation=o,
-                margin_value=float(spec.margins[z]),
+                margin_value=margins[z],
                 odd_violation=not in_bound,
                 gt_failure=gt_failed,
             )
         )
-        z = int(spec.transitions[z, executed, b, o])
-        m = float(spec.margins[z])
+        z = trans[executed][b][o]
+        m = margins[z]
         min_margin = min(min_margin, m)
         if m < 0.0:
             violations += 1
@@ -327,7 +368,7 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
         spec=spec,
         steps=tuple(steps),
         final_state=z,
-        final_margin=float(spec.margins[z]),
+        final_margin=margins[z],
         final_gt_failure=final_gt_failure,
         min_margin=min_margin,
         violation_count=violations,
@@ -384,15 +425,38 @@ class VerificationReport:
         return not self.counterexamples
 
 
-def _executed_table(spec: GameSpec, flt, filter_mode: str) -> np.ndarray:
-    table = np.empty((spec.num_states, spec.num_ai_actions), dtype=np.int64)
-    for z in range(spec.num_states):
-        for a in range(spec.num_ai_actions):
-            if filter_mode == "none":
-                table[z, a] = a
-            else:
-                table[z, a], _ = filter_action(flt, z, a)
-    return table
+def _executed_table(decisions: _PerState, num_states: int) -> list[list[int]]:
+    """Executed action per (state, task action), every state decided up front."""
+    return [[executed for executed, _ in decisions[z]] for z in range(num_states)]
+
+
+def _successors(spec: GameSpec, z: int, decided: list[tuple[int, float]]) -> list[tuple[int, tuple]]:
+    """The distinct successors of ``z`` with the first step that reaches each.
+
+    Enumeration order is task action, then admissible human action, then
+    positive-probability observation; each entry is ``(z2, (z, a_task,
+    a_exec, b, o))``.  A task action whose executed action already appeared
+    adds nothing new.
+    """
+    trans = spec.transitions[z].tolist()
+    probs = spec.observation_probs[z].tolist()
+    bound = spec.action_bound[z]
+    row = []
+    seen = set()
+    done = set()
+    for a_task, (a_exec, _) in enumerate(decided):
+        if a_exec in done:
+            continue
+        done.add(a_exec)
+        for b in bound:
+            for o, p in enumerate(probs[a_exec][b]):
+                if p <= 0.0:
+                    continue
+                z2 = trans[a_exec][b][o]
+                if z2 not in seen:
+                    seen.add(z2)
+                    row.append((z2, (z, a_task, a_exec, b, o)))
+    return row
 
 
 def verify_safety(
@@ -428,103 +492,86 @@ def verify_safety(
         z for z in range(spec.num_states)
         if float(flt.monitor(z, int(flt.fallback[z]))) >= 0.0
     )
-    executed = _executed_table(spec, perfect_filter(sol, intervention=filter_mode) if filter_mode != "none" else flt, filter_mode)
+    decisions = _decisions(sol, filter_mode)
+    unsafe = (spec.margins < 0.0).tolist()
 
     joint = spec.num_states * spec.num_ai_actions * spec.num_human_actions * spec.num_observations
-    exhaustive = spec.is_deterministic() and joint <= exhaustive_limit
+    mode = "exhaustive" if spec.is_deterministic() and joint <= exhaustive_limit else "sampled"
+    budget = float("inf") if max_nodes is None else max_nodes
 
     counterexamples: list[Counterexample] = []
     expanded = 0
 
-    def over_budget():
-        return max_nodes is not None and expanded > max_nodes
+    def report() -> VerificationReport:
+        return VerificationReport(
+            mode=mode,
+            depth=depth,
+            filter_mode=filter_mode,
+            certified_states=certified,
+            counterexamples=tuple(counterexamples),
+            expanded=expanded,
+        )
 
-    if exhaustive:
-        mode = "exhaustive"
+    def over_budget() -> BudgetExceededError:
+        return BudgetExceededError(f"verification exceeded max_nodes={max_nodes}", partial=report())
+
+    if mode == "exhaustive":
+        successors = _PerState(lambda z: _successors(spec, z, decisions[z]))
         for z0 in certified:
             parent: dict[int, tuple | None] = {z0: None}
             frontier = [z0]
             hit = None
             for _ in range(depth):
-                if hit or not frontier:
+                if hit is not None or not frontier:
                     break
                 nxt = []
                 for z in frontier:
                     expanded += 1
-                    if over_budget():
-                        raise BudgetExceededError(
-                            f"verification exceeded max_nodes={max_nodes}",
-                            partial=VerificationReport(
-                                mode="exhaustive", depth=depth, filter_mode=filter_mode,
-                                certified_states=certified,
-                                counterexamples=tuple(counterexamples), expanded=expanded,
-                            ),
-                        )
-                    for a_task in range(spec.num_ai_actions):
-                        a_exec = int(executed[z, a_task])
-                        for b in spec.action_bound[z]:
-                            for o in range(spec.num_observations):
-                                if spec.observation_probs[z, a_exec, b, o] <= 0.0:
-                                    continue
-                                z2 = int(spec.transitions[z, a_exec, b, o])
-                                if z2 in parent:
-                                    continue
-                                parent[z2] = (z, a_task, a_exec, b, o)
-                                if spec.margins[z2] < 0.0:
-                                    hit = z2
-                                    break
-                                nxt.append(z2)
-                            if hit:
-                                break
-                        if hit:
+                    if expanded > budget:
+                        raise over_budget()
+                    for z2, via in successors[z]:
+                        if z2 in parent:
+                            continue
+                        parent[z2] = via
+                        if unsafe[z2]:
+                            hit = z2
                             break
-                    if hit:
+                        nxt.append(z2)
+                    if hit is not None:
                         break
                 frontier = nxt
             if hit is not None:
                 counterexamples.append(_reconstruct(spec, parent, z0, hit))
     else:
-        mode = "sampled"
+        executed = _executed_table(decisions, spec.num_states)
+        dynamics = _dynamics(spec)
+        num_ai, bound = spec.num_ai_actions, spec.action_bound
         stream = SplitMix64(seed)
         per_state = max(1, samples // max(1, len(certified)))
         for z0 in certified:
             for _ in range(per_state):
                 expanded += 1
-                if over_budget():
-                    raise BudgetExceededError(
-                        f"verification exceeded max_nodes={max_nodes}",
-                        partial=VerificationReport(
-                            mode="sampled", depth=depth, filter_mode=filter_mode,
-                            certified_states=certified,
-                            counterexamples=tuple(counterexamples), expanded=expanded,
-                        ),
-                    )
+                if expanded > budget:
+                    raise over_budget()
                 z = z0
-                steps = []
+                path = []
                 for _ in range(depth):
-                    a_task = stream.randint(spec.num_ai_actions)
-                    a_exec = int(executed[z, a_task])
-                    b = stream.choice(spec.action_bound[z])
-                    o = _sample_observation(stream, spec.observation_probs[z, a_exec, b])
-                    steps.append(CounterexampleStep(z, a_task, a_exec, b, o))
-                    z = int(spec.transitions[z, a_exec, b, o])
-                    if spec.margins[z] < 0.0:
-                        counterexamples.append(
-                            Counterexample(z0, tuple(steps), z, float(spec.margins[z]))
-                        )
+                    a_task = stream.randint(num_ai)
+                    a_exec = executed[z][a_task]
+                    b = stream.choice(bound[z])
+                    trans, probs = dynamics[z]
+                    o = _sample_observation(stream, probs[a_exec][b])
+                    path.append((z, a_task, a_exec, b, o))
+                    z = trans[a_exec][b][o]
+                    if unsafe[z]:
+                        steps = tuple(CounterexampleStep(*step) for step in path)
+                        counterexamples.append(Counterexample(z0, steps, z, float(spec.margins[z])))
                         break
                 else:
                     continue
                 break
 
-    return VerificationReport(
-        mode=mode,
-        depth=depth,
-        filter_mode=filter_mode,
-        certified_states=certified,
-        counterexamples=tuple(counterexamples),
-        expanded=expanded,
-    )
+    return report()
 
 
 def _reconstruct(spec: GameSpec, parent: dict, z0: int, hit: int) -> Counterexample:

@@ -1,23 +1,32 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import haig.harness
 from haig import (
     BudgetExceededError,
     PolicyResolutionError,
     RolloutConfig,
     RolloutTrace,
+    SpecDocument,
     build_chain,
     build_dialogue,
     compare_oracle,
+    filter_action,
+    perfect_filter,
     random_game,
     rollout,
     summary_csv,
     value_iteration,
     verify_safety,
 )
+from haig.harness import Counterexample, CounterexampleStep, VerificationReport
+from haig.rng import SplitMix64
 
 _STEP_KEYS = {
     "t", "z", "task_a", "monitor", "intervened", "executed_a",
@@ -156,6 +165,10 @@ def test_policy_resolution_errors():
         rollout(_chain_cfg(max_steps=0))
     with pytest.raises(ValueError, match="filter mode"):
         rollout(_chain_cfg(filter_mode="maybe"))
+    # a task table built in code is not validated; its entries are checked per step
+    bad = SpecDocument(game=build_chain(5).game, task_policies={"bad": (2, 2, 2, -1, 2, 2)})
+    with pytest.raises(IndexError, match="ai action index -1"):
+        rollout(_chain_cfg(document=bad, task_policy="bad"))
 
 
 def test_trace_jsonl_shape_and_determinism():
@@ -268,6 +281,252 @@ def test_verify_budget():
     assert partial is not None
     assert partial.expanded == 3
     assert partial.certified_states == (1, 2, 3, 4, 5)
+
+
+def test_verify_stops_at_a_failure_in_state_zero():
+    """A counterexample ending in state 0 ends its root's search at once."""
+    doc = random_game(1, states=6, ai_actions=2, human_actions=2, failure_fraction=0.3)
+    report = verify_safety(doc, depth=2, filter_mode="none")
+    assert report.certified_states == (1, 2, 3, 4, 5)
+    assert [ce.final_state for ce in report.counterexamples] == [0] * 5
+    assert [len(ce.steps) for ce in report.counterexamples] == [2, 1, 2, 1, 1]
+    assert report.expanded == 8
+
+    # chain5's failure state is state 0 too: one expansion per search level
+    control = verify_safety(build_chain(5), depth=10, filter_mode="none")
+    assert [len(ce.steps) for ce in control.counterexamples] == [1, 1, 2, 2, 3]
+    assert control.expanded == 10
+
+
+def _certified_states(sol):
+    switch = perfect_filter(sol)
+    return tuple(
+        z for z in range(sol.spec.num_states) if switch.monitor(z, int(switch.fallback[z])) >= 0.0
+    )
+
+
+def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
+    """Per-root breadth-first search, one ``filter_action`` call per decision.
+
+    Returns the report and whether the node budget ran out.
+    """
+    spec = doc.game
+    certified = _certified_states(sol)
+    flt = None if filter_mode == "none" else perfect_filter(sol, intervention=filter_mode)
+    counterexamples = []
+    expanded = 0
+
+    def report():
+        return VerificationReport("exhaustive", depth, filter_mode, certified, tuple(counterexamples), expanded)
+
+    for z0 in certified:
+        parent = {z0: None}
+        frontier = [z0]
+        hit = None
+        for _ in range(depth):
+            if hit is not None or not frontier:
+                break
+            nxt = []
+            for z in frontier:
+                expanded += 1
+                if max_nodes is not None and expanded > max_nodes:
+                    return report(), True
+                for a_task in range(spec.num_ai_actions):
+                    a_exec = a_task if flt is None else filter_action(flt, z, a_task)[0]
+                    for b in spec.action_bound[z]:
+                        for o in range(spec.num_observations):
+                            if spec.observation_probs[z, a_exec, b, o] <= 0.0:
+                                continue
+                            z2 = int(spec.transitions[z, a_exec, b, o])
+                            if z2 in parent:
+                                continue
+                            parent[z2] = (z, a_task, a_exec, b, o)
+                            if spec.margins[z2] < 0.0:
+                                hit = z2
+                                break
+                            nxt.append(z2)
+                        if hit is not None:
+                            break
+                    if hit is not None:
+                        break
+                if hit is not None:
+                    break
+            frontier = nxt
+        if hit is not None:
+            steps = []
+            z = hit
+            while parent[z] is not None:
+                steps.append(CounterexampleStep(*parent[z]))
+                z = parent[z][0]
+            counterexamples.append(
+                Counterexample(z0, tuple(reversed(steps)), hit, float(spec.margins[hit]))
+            )
+    return report(), False
+
+
+def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
+    """Seeded random sequences, one ``filter_action`` call per step.
+
+    Returns the report and whether the node budget ran out.
+    """
+    spec = doc.game
+    certified = _certified_states(sol)
+    flt = None if filter_mode == "none" else perfect_filter(sol, intervention=filter_mode)
+    stream = SplitMix64(seed)
+    counterexamples = []
+    expanded = 0
+
+    def report():
+        return VerificationReport("sampled", depth, filter_mode, certified, tuple(counterexamples), expanded)
+
+    for z0 in certified:
+        for _ in range(max(1, samples // max(1, len(certified)))):
+            expanded += 1
+            if max_nodes is not None and expanded > max_nodes:
+                return report(), True
+            z = z0
+            steps = []
+            for _ in range(depth):
+                a_task = stream.randint(spec.num_ai_actions)
+                a_exec = a_task if flt is None else filter_action(flt, z, a_task)[0]
+                b = stream.choice(spec.action_bound[z])
+                draw = stream.uniform()
+                cumulative = 0.0
+                positive = [o for o in range(spec.num_observations) if spec.observation_probs[z, a_exec, b, o] > 0.0]
+                o = positive[-1]
+                for candidate in positive:
+                    cumulative += spec.observation_probs[z, a_exec, b, candidate]
+                    if draw < cumulative:
+                        o = candidate
+                        break
+                steps.append(CounterexampleStep(z, a_task, a_exec, b, o))
+                z = int(spec.transitions[z, a_exec, b, o])
+                if spec.margins[z] < 0.0:
+                    counterexamples.append(Counterexample(z0, tuple(steps), z, float(spec.margins[z])))
+                    break
+            else:
+                continue
+            break
+    return report(), False
+
+
+def _reference_games():
+    rng = np.random.default_rng(7)
+    for seed in range(40):
+        doc = random_game(
+            100 + seed,
+            states=5 + seed % 9,
+            ai_actions=1 + seed % 3,
+            human_actions=1 + (seed // 3) % 3,
+            failure_fraction=(0.15, 0.3, 0.45)[seed % 3],
+        )
+        if seed % 4 == 3:  # narrowed human bounds
+            spec = doc.game
+            bound = [
+                tuple(sorted(rng.choice(spec.num_human_actions, size=rng.integers(1, spec.num_human_actions + 1),
+                                        replace=False).tolist()))
+                for _ in range(spec.num_states)
+            ]
+            doc = SpecDocument(game=replace(spec, action_bound=bound))
+        yield doc
+
+
+def test_verify_matches_the_reference_search():
+    compared = budget_hits = 0
+    for doc in _reference_games():
+        sol = value_iteration(doc.game)
+        for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
+            for depth in (1, 3, 8):
+                for max_nodes in (None, 0, 5):
+                    expected, exceeded = _reference_verify(doc, sol, depth, filter_mode, max_nodes)
+                    kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes, solution=sol)
+                    if exceeded:
+                        with pytest.raises(BudgetExceededError) as info:
+                            verify_safety(doc, **kwargs)
+                        assert info.value.partial == expected
+                        budget_hits += 1
+                    else:
+                        assert verify_safety(doc, **kwargs) == expected
+                    compared += 1
+    assert compared == 40 * 4 * 3 * 3
+    assert budget_hits > 100
+
+
+def test_sampled_verify_matches_the_reference_sequences():
+    compared = found = 0
+    for k in (0, 6, 13, 14, 24, 36):  # games with a non-empty safe set
+        doc = random_game(k, states=12, observations=2 + k % 2, failure_fraction=0.1)
+        sol = value_iteration(doc.game)
+        for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
+            for depth, max_nodes in ((3, None), (8, None), (8, 0), (8, 37)):
+                expected, exceeded = _reference_sampled(doc, sol, depth, filter_mode, max_nodes, 200, k)
+                kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes,
+                              samples=200, seed=k, solution=sol)
+                if exceeded:
+                    with pytest.raises(BudgetExceededError) as info:
+                        verify_safety(doc, **kwargs)
+                    assert info.value.partial == expected
+                else:
+                    assert verify_safety(doc, **kwargs) == expected
+                found += len(expected.counterexamples)
+                compared += 1
+    assert compared == 6 * 4 * 4
+    assert found > 100
+
+
+# sha256 of rollout(...).to_jsonl() as produced by calling filter_action on
+# every step; the per-state decision memo must reproduce them byte for byte
+_PINNED_TRACES = [
+    ("none", "uniform", lambda: random_game(11, states=30, observations=3, failure_fraction=0.1), 0,
+     "4c7818c7312432331be981e264d5ca0490d6d6bc2c4e1f53d7126684a86880d2"),
+    ("none", "worst_case", lambda: build_chain(5), 4,
+     "b39ba9904dd4dc96095a2b152d190030d91af51a818e5887f5eb0d6345b6cd13"),
+    ("switch", "uniform", lambda: random_game(5, states=12, failure_fraction=0.25), 3,
+     "6fd18a2bfccc5a348d43870a6dd197ace252302d93ac902dfe6e807095be65cd"),
+    ("switch", "worst_case", build_dialogue, "start",
+     "2f0c932cf21c1a4b5cf53ebed049509d6de9992fe765c95c335f0c00303fdf14"),
+    ("least_restrictive", "uniform", lambda: random_game(7, states=15, ai_actions=4), 2,
+     "10fcfd12868a06aa694c095ff887d07fae08c53e1e7d4d1ac3d761dcada11752"),
+    ("least_restrictive", "worst_case", lambda: build_chain(6, human_reach=2), 5,
+     "34a77b3da00519117a711371ff334f27d32aa2bcd00fbadac6be2f856e532669"),
+    ("fallback_only", "uniform", lambda: random_game(3, states=10, human_actions=2), 1,
+     "a29a8c36e1f086f3314e666f7c602105d85cf9e0a4e4c995927ebe39d058b7d3"),
+    ("fallback_only", "worst_case", lambda: random_game(4, states=9, ai_actions=2), 0,
+     "7815dcc1f81119c49d1de7744dc692e88682b6bac5dceced60f64c436845fabc"),
+]
+
+
+@pytest.mark.parametrize("mode, human, build, start, digest", _PINNED_TRACES)
+def test_rollout_traces_are_pinned(mode, human, build, start, digest):
+    cfg = RolloutConfig(document=build(), task_policy="random", human_policy=human,
+                        filter_mode=mode, initial_state=start, max_steps=40, seed=17)
+    assert hashlib.sha256(rollout(cfg).to_jsonl()).hexdigest() == digest
+
+
+def test_each_state_is_decided_once(monkeypatch):
+    """Deterministic call counts, not timings: decisions are memoized per state."""
+    calls = []
+
+    def counting(flt, z, a, **kwargs):
+        calls.append(z)
+        return filter_action(flt, z, a, **kwargs)
+
+    monkeypatch.setattr(haig.harness, "filter_action", counting)
+    doc = random_game(2, states=200, ai_actions=4, human_actions=4, failure_fraction=0.05)
+    spec = doc.game
+    sol = value_iteration(spec)
+
+    report = verify_safety(doc, depth=3, solution=sol)
+    assert report.mode == "exhaustive" and report.expanded > spec.num_states
+    assert len(calls) <= spec.num_states * spec.num_ai_actions
+
+    calls.clear()
+    cfg = RolloutConfig(document=doc, task_policy="random", human_policy="uniform",
+                        filter_mode="least_restrictive", initial_state=report.certified_states[0],
+                        max_steps=5000, seed=3)
+    trace = rollout(cfg, sol)
+    visited = {s.state for s in trace.steps}
+    assert len(calls) <= spec.num_ai_actions * len(visited)
 
 
 def test_verify_argument_validation():
