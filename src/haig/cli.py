@@ -12,6 +12,7 @@ import json
 import sys
 
 from .errors import BudgetExceededError, HaigError
+from .filtering import FILTER_MODES
 from .harness import RolloutConfig, compare_oracle, rollout, summary_csv, verify_safety
 from .scenarios import build_chain, build_dialogue, random_game
 from .solver import solution_payload, value_iteration
@@ -52,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     roll.add_argument("-o", "--output", required=True, help="JSONL trace path")
     roll.add_argument("--task", default="random")
     roll.add_argument("--human", default="worst_case")
-    roll.add_argument("--filter", default="switch",
-                      choices=["none", "switch", "least_restrictive", "fallback_only"])
+    roll.add_argument("--filter", default="switch", choices=FILTER_MODES)
     roll.add_argument("--state", default="0", help="initial state index or label")
     roll.add_argument("--steps", type=int, default=20)
     roll.add_argument("--seed", type=int, default=0)
@@ -62,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check the safety guarantee to a depth")
     ver.add_argument("spec")
     ver.add_argument("--depth", type=int, default=8)
-    ver.add_argument("--filter", default="switch",
-                     choices=["none", "switch", "least_restrictive", "fallback_only"])
+    ver.add_argument("--filter", default="switch", choices=FILTER_MODES)
     ver.add_argument("--exhaustive-limit", type=int, default=1_000_000)
     ver.add_argument("--samples", type=int, default=10_000)
     ver.add_argument("--seed", type=int, default=0)

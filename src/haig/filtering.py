@@ -7,22 +7,25 @@ current state, and an intervention rule that picks the executed action.
 solution: the fallback is the maximin policy and the monitor is the
 solved action value against the worst admissible human response.
 
-Intervention rules:
+Intervention rules (``FILTER_MODES``):
 
+* ``none``: run the task action as proposed; the control arm.
 * ``switch``: run the task action when its monitor score is strictly
   positive, otherwise run the fallback.  A score of exactly zero routes to
   the fallback, the cautious reading of the boundary.
 * ``least_restrictive``: among actions with strictly positive score, run
-  the one closest to the task action under ``action_metric`` (absolute
-  index distance unless overridden), ties to the lowest index; if none
-  qualify, run the fallback.
+  the one closest to the task action by index distance, ties to the
+  lowest index; if none qualify, run the fallback.
 * ``fallback_only``: always run the fallback.
 
-Monitors are plain callables ``(state, action) -> float`` so alternative
-implementations plug in.  ``pluggable_monitor`` offers the solved-table
-monitor ("critic") and a bounded rollout against the stored worst-case
-human ("rollout"), which for deterministic games agrees in sign with the
-critic once the horizon covers the solver's sweep count.
+The filter decides every (state, task action) pair once, when it is
+built: ``scores`` and ``executed`` are read-only (Z, A) tables, and
+``filter_action``, ``check_initial_condition`` and ``certified_actions``
+read them.  ``pluggable_monitor`` is a standalone tool for comparing
+monitors: the solved-table monitor ("critic") and a bounded rollout
+against the stored worst-case human ("rollout"), which for deterministic
+games agrees in sign with the critic once the horizon covers the solver's
+sweep count.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .solver import ValueSolution
 SWITCH = "switch"
 LEAST_RESTRICTIVE = "least_restrictive"
 FALLBACK_ONLY = "fallback_only"
-INTERVENTION_MODES = (SWITCH, LEAST_RESTRICTIVE, FALLBACK_ONLY)
+FILTER_MODES = ("none", SWITCH, LEAST_RESTRICTIVE, FALLBACK_ONLY)
 
 
 @dataclass(frozen=True)
@@ -64,36 +67,62 @@ class InterventionRecord:
 
 @dataclass(frozen=True, eq=False)
 class SafetyFilter:
+    """A solved game's decisions under one intervention rule.
+
+    ``scores[z, a]`` is the monitor score of action ``a`` at ``z`` and
+    ``executed[z, a]`` the action run when the task proposes ``a``.
+    """
+
     solution: ValueSolution
-    fallback: np.ndarray
-    monitor: Callable[[int, int], float]
     intervention: str
-    action_metric: Callable[[int, int], float]
+    scores: np.ndarray
+    executed: np.ndarray
+
+    @property
+    def fallback(self) -> np.ndarray:
+        return self.solution.fallback_policy
+
+    def monitor(self, z: int, a: int) -> float:
+        spec = self.solution.spec
+        z = _int_index(z, spec.num_states, "info state")
+        a = _int_index(a, spec.num_ai_actions, "ai action")
+        return float(self.scores[z, a])
 
 
-def _index_distance(a: int, b: int) -> float:
-    return float(abs(a - b))
+def _worst_admissible(sol: ValueSolution) -> np.ndarray:
+    """(Z, A) value of each action against the worst admissible human response."""
+    return np.where(sol.spec.bound_mask[:, None, :], sol.q_values, np.inf).min(axis=2)
 
 
-def perfect_filter(
-    sol: ValueSolution,
-    intervention: str = SWITCH,
-    action_metric: Callable[[int, int], float] | None = None,
-) -> SafetyFilter:
+def perfect_filter(sol: ValueSolution, intervention: str = SWITCH) -> SafetyFilter:
     """The filter whose monitor is exact: the solved worst-case action value."""
     if not sol.converged:
         raise NotConvergedError(
             f"perfect filter needs a converged solution (residual {sol.residual!r})"
         )
-    if intervention not in INTERVENTION_MODES:
+    if intervention not in FILTER_MODES:
         raise ValueError(f"unknown intervention mode {intervention!r}")
-    return SafetyFilter(
-        solution=sol,
-        fallback=sol.fallback_policy,
-        monitor=pluggable_monitor(sol, "critic"),
-        intervention=intervention,
-        action_metric=action_metric or _index_distance,
-    )
+    scores = _worst_admissible(sol)
+    fallback = sol.fallback_policy[:, None]
+    actions = np.arange(sol.spec.num_ai_actions)
+    passing = scores > 0.0
+
+    if intervention == "none":
+        executed = np.broadcast_to(actions, scores.shape)
+    elif intervention == SWITCH:
+        executed = np.where(passing, actions, fallback)
+    elif intervention == FALLBACK_ONLY:
+        executed = np.broadcast_to(fallback, scores.shape)
+    else:
+        # key[z, task, candidate]: index distance, or A for a failing candidate
+        distance = np.abs(actions[:, None] - actions[None, :])
+        key = np.where(passing[:, None, :], distance, actions.size)
+        executed = np.where(passing.any(axis=1, keepdims=True), key.argmin(axis=2), fallback)
+
+    executed = np.array(executed, dtype=np.int64)
+    scores.setflags(write=False)
+    executed.setflags(write=False)
+    return SafetyFilter(solution=sol, intervention=intervention, scores=scores, executed=executed)
 
 
 def filter_action(
@@ -107,24 +136,12 @@ def filter_action(
     spec = flt.solution.spec
     z = _int_index(z, spec.num_states, "info state")
     a_task = _int_index(a_task, spec.num_ai_actions, "ai action")
-    score = float(flt.monitor(z, a_task))
-
-    if flt.intervention == SWITCH:
-        executed = a_task if score > 0.0 else int(flt.fallback[z])
-    elif flt.intervention == FALLBACK_ONLY:
-        executed = int(flt.fallback[z])
-    else:
-        passing = [a for a in range(spec.num_ai_actions) if float(flt.monitor(z, a)) > 0.0]
-        if passing:
-            executed = min(passing, key=lambda a: (flt.action_metric(a, a_task), a))
-        else:
-            executed = int(flt.fallback[z])
-
+    executed = int(flt.executed[z, a_task])
     record = InterventionRecord(
         t=t,
         state=z,
         task_action=a_task,
-        monitor_value=score,
+        monitor_value=float(flt.scores[z, a_task]),
         intervened=executed != a_task,
         executed_action=executed,
     )
@@ -140,14 +157,13 @@ def check_initial_condition(flt: SafetyFilter, z0: int) -> bool:
     the task policy proposes, as long as the human stays in bound.
     """
     z0 = _int_index(z0, flt.solution.spec.num_states, "info state")
-    return float(flt.monitor(z0, int(flt.fallback[z0]))) >= 0.0
+    return bool(flt.scores[z0, flt.fallback[z0]] >= 0.0)
 
 
 def certified_actions(flt: SafetyFilter, z: int) -> tuple[int, ...]:
     """Actions whose monitor score is non-negative at ``z``."""
-    spec = flt.solution.spec
-    z = _int_index(z, spec.num_states, "info state")
-    return tuple(a for a in range(spec.num_ai_actions) if float(flt.monitor(z, a)) >= 0.0)
+    z = _int_index(z, flt.solution.spec.num_states, "info state")
+    return tuple(np.flatnonzero(flt.scores[z] >= 0.0).tolist())
 
 
 def pluggable_monitor(
@@ -159,46 +175,45 @@ def pluggable_monitor(
     against the worst admissible response.  ``rollout`` simulates the
     proposed action followed by fallback play against the stored worst-case
     human for ``horizon`` steps and returns the smallest margin seen across
-    all positive-probability observation branches.
+    all positive-probability observation branches.  Its table is built once
+    per monitor, one array step per unit of horizon, so any horizon is
+    cheap in memory and stack.
     """
     spec = sol.spec
-    worst = np.where(sol.spec.bound_mask[:, None, :], sol.q_values, np.inf).min(axis=2)
 
     if mode == "critic":
-        def critic(z: int, a: int) -> float:
-            z = _int_index(z, spec.num_states, "info state")
-            a = _int_index(a, spec.num_ai_actions, "ai action")
-            return float(worst[z, a])
-
-        return critic
-
-    if mode != "rollout":
+        worst = _worst_admissible(sol)
+    elif mode != "rollout":
         raise ValueError(f"unknown monitor mode {mode!r}")
-    if horizon is None or horizon < 1:
+    elif horizon is None or horizon < 1:
         raise ValueError(f"rollout monitor needs horizon >= 1, got {horizon}")
+    else:
+        worst = _rollout_table(sol, horizon)
 
-    margins = sol.spec.margins
-    trans = spec.transitions
-    probs = spec.observation_probs
-    adversary = sol.adversary_policy
-    fallback = sol.fallback_policy
-
-    def worst_branch_min(z: int, a: int, depth: int) -> float:
-        b = int(adversary[z, a])
-        lowest = np.inf
-        for o in range(spec.num_observations):
-            if probs[z, a, b, o] <= 0.0:
-                continue
-            nxt = int(trans[z, a, b, o])
-            m = float(margins[nxt])
-            if depth > 1:
-                m = min(m, worst_branch_min(nxt, int(fallback[nxt]), depth - 1))
-            lowest = min(lowest, m)
-        return lowest
-
-    def rollout(z: int, a: int) -> float:
+    def monitor(z: int, a: int) -> float:
         z = _int_index(z, spec.num_states, "info state")
         a = _int_index(a, spec.num_ai_actions, "ai action")
-        return min(float(margins[z]), worst_branch_min(z, a, horizon))
+        return float(worst[z, a])
 
-    return rollout
+    return monitor
+
+
+def _rollout_table(sol: ValueSolution, horizon: int) -> np.ndarray:
+    """(Z, A) smallest margin over ``horizon`` steps: the action, then the fallback.
+
+    ``reach[z]`` after ``d`` steps is the smallest margin seen within ``d``
+    steps of fallback play from ``z`` against the stored adversary, ``z``
+    itself included, over every positive-probability observation branch.
+    """
+    spec = sol.spec
+    margins = spec.margins
+    rows = np.arange(spec.num_states)
+    z, a, b = rows[:, None], np.arange(spec.num_ai_actions)[None, :], sol.adversary_policy
+    nxt = spec.transitions[z, a, b]  # (Z, A, O)
+    live = spec.observation_probs[z, a, b] > 0.0
+    fb_next, fb_live = nxt[rows, sol.fallback_policy], live[rows, sol.fallback_policy]
+
+    reach = margins
+    for _ in range(horizon - 1):
+        reach = np.minimum(margins, np.where(fb_live, reach[fb_next], np.inf).min(axis=1))
+    return np.minimum(margins[:, None], np.where(live, reach[nxt], np.inf).min(axis=2))

@@ -17,12 +17,11 @@ so state-level memoization loses nothing).  Larger or stochastic games
 fall back to seeded random sequences.  Running it with the filter off is
 the control arm; counterexample traces are reported verbatim.
 
-``rollout`` and ``verify_safety`` decide each state once per call: a
-state's filter decisions (executed action and monitor score for every
-task action) are computed the first time the state is met and kept, and
-exhaustive verification likewise builds each expanded state's distinct
-successors once.  The rollout loop and the breadth-first search then walk
-plain Python lists.
+``rollout`` and ``verify_safety`` each build one filter for their mode
+and read its decision table (executed action and monitor score for every
+state and task action) as plain Python lists; ``"none"`` is a filter mode
+like the others.  Exhaustive verification builds each expanded state's
+distinct successors once, the first time the state is met.
 """
 
 from __future__ import annotations
@@ -33,13 +32,11 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, PolicyResolutionError
-from .filtering import SWITCH, filter_action, perfect_filter
+from .filtering import FILTER_MODES, SWITCH, perfect_filter
 from .model import GameSpec, _int_index
 from .rng import SplitMix64
 from .solver import ValueSolution, brute_force_values, value_iteration
 from .specfile import SpecDocument
-
-FILTER_MODES = ("none", "switch", "least_restrictive", "fallback_only")
 
 
 @dataclass(frozen=True)
@@ -252,26 +249,6 @@ class _PerState(dict):
         return row
 
 
-def _decisions(sol: ValueSolution, filter_mode: str) -> _PerState:
-    """Each state's decision row, computed once.
-
-    ``decisions[z][a]`` is ``(executed, score)`` for task action ``a`` at
-    ``z``, from one ``filter_action`` call.  With the filter off ("none")
-    the task action runs as proposed and the score is the switch filter's.
-    """
-    flt = perfect_filter(sol, intervention=SWITCH if filter_mode == "none" else filter_mode)
-    keep_task = filter_mode == "none"
-
-    def row(z: int) -> list[tuple[int, float]]:
-        decided = []
-        for a in range(sol.spec.num_ai_actions):
-            executed, record = filter_action(flt, z, a)
-            decided.append((a if keep_task else executed, record.monitor_value))
-        return decided
-
-    return _PerState(row)
-
-
 def _dynamics(spec: GameSpec) -> _PerState:
     """Each state's transitions and observation probabilities as lists, ``[a][b][o]``."""
     return _PerState(lambda z: (spec.transitions[z].tolist(), spec.observation_probs[z].tolist()))
@@ -287,7 +264,8 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
         raise ValueError(f"unknown filter mode {config.filter_mode!r}")
 
     sol = solution if solution is not None else value_iteration(spec)
-    decisions = _decisions(sol, config.filter_mode)
+    flt = perfect_filter(sol, config.filter_mode)
+    decided = [list(zip(e, m)) for e, m in zip(flt.executed.tolist(), flt.scores.tolist())]
     dynamics = _dynamics(spec)
     stream = SplitMix64(config.seed)
     task = _task_chooser(doc, config.task_policy, stream)
@@ -308,7 +286,7 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
 
     for t in range(config.max_steps):
         a_task = _int_index(task(z, t), num_ai, "ai action")
-        executed, score = decisions[z][a_task]
+        executed, score = decided[z][a_task]
         intervened = executed != a_task
         if intervened:
             interventions += 1
@@ -425,12 +403,7 @@ class VerificationReport:
         return not self.counterexamples
 
 
-def _executed_table(decisions: _PerState, num_states: int) -> list[list[int]]:
-    """Executed action per (state, task action), every state decided up front."""
-    return [[executed for executed, _ in decisions[z]] for z in range(num_states)]
-
-
-def _successors(spec: GameSpec, z: int, decided: list[tuple[int, float]]) -> list[tuple[int, tuple]]:
+def _successors(spec: GameSpec, z: int, executed: list[int]) -> list[tuple[int, tuple]]:
     """The distinct successors of ``z`` with the first step that reaches each.
 
     Enumeration order is task action, then admissible human action, then
@@ -444,7 +417,7 @@ def _successors(spec: GameSpec, z: int, decided: list[tuple[int, float]]) -> lis
     row = []
     seen = set()
     done = set()
-    for a_task, (a_exec, _) in enumerate(decided):
+    for a_task, a_exec in enumerate(executed):
         if a_exec in done:
             continue
         done.add(a_exec)
@@ -487,12 +460,13 @@ def verify_safety(
         raise ValueError(f"unknown filter mode {filter_mode!r}")
 
     sol = solution if solution is not None else value_iteration(spec)
-    flt = perfect_filter(sol)
-    certified = tuple(
-        z for z in range(spec.num_states)
-        if float(flt.monitor(z, int(flt.fallback[z]))) >= 0.0
-    )
-    decisions = _decisions(sol, filter_mode)
+    flt = perfect_filter(sol, filter_mode)
+    # certified: the fallback scores >= 0.  That score is one more backup of
+    # the values, so on stochastic games it may differ from sol.values (and
+    # sol.safe_set) by up to the final residual.
+    fallback = flt.fallback.tolist()
+    certified = tuple(z for z, scores in enumerate(flt.scores.tolist()) if scores[fallback[z]] >= 0.0)
+    executed = flt.executed.tolist()
     unsafe = (spec.margins < 0.0).tolist()
 
     joint = spec.num_states * spec.num_ai_actions * spec.num_human_actions * spec.num_observations
@@ -516,7 +490,7 @@ def verify_safety(
         return BudgetExceededError(f"verification exceeded max_nodes={max_nodes}", partial=report())
 
     if mode == "exhaustive":
-        successors = _PerState(lambda z: _successors(spec, z, decisions[z]))
+        successors = _PerState(lambda z: _successors(spec, z, executed[z]))
         for z0 in certified:
             parent: dict[int, tuple | None] = {z0: None}
             frontier = [z0]
@@ -543,7 +517,6 @@ def verify_safety(
             if hit is not None:
                 counterexamples.append(_reconstruct(spec, parent, z0, hit))
     else:
-        executed = _executed_table(decisions, spec.num_states)
         dynamics = _dynamics(spec)
         num_ai, bound = spec.num_ai_actions, spec.action_bound
         stream = SplitMix64(seed)

@@ -246,24 +246,6 @@ def _adversary_table(spec, ell, values, q_values, fallback, deterministic) -> np
     return best.argmax(axis=2).astype(np.int64)
 
 
-def q_value(sol: ValueSolution, z: int, a_ai: int, a_h: int) -> float:
-    """One entry of the converged action-value table.
-
-    Defined for every human action, admissible or not, so callers can ask
-    what an out-of-bound action would cost.
-    """
-    spec = sol.spec
-    z = _int_index(z, spec.num_states, "info state")
-    a_ai = _int_index(a_ai, spec.num_ai_actions, "ai action")
-    a_h = _int_index(a_h, spec.num_human_actions, "human action")
-    return float(sol.q_values[z, a_ai, a_h])
-
-
-def extract_policies(sol: ValueSolution) -> tuple[np.ndarray, np.ndarray]:
-    """The maximin pair: (fallback AI policy, worst-case human response)."""
-    return sol.fallback_policy, sol.adversary_policy
-
-
 def brute_force_value(
     spec: GameSpec,
     z: int,

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from haig import (
     FALLBACK_ONLY,
+    FILTER_MODES,
     GameSpec,
     LEAST_RESTRICTIVE,
     NotConvergedError,
@@ -21,9 +24,42 @@ from haig import (
 )
 
 
-def _chain_filter(intervention=SWITCH, **kwargs):
+def _chain_filter(intervention=SWITCH):
     sol = value_iteration(build_chain(5).game)
-    return perfect_filter(sol, intervention=intervention, **kwargs)
+    return perfect_filter(sol, intervention=intervention)
+
+
+def reference_decision(sol, monitor, mode, z, a_task):
+    """The intervention rule for one proposal, one monitor call per action scored.
+
+    Returns ``(executed, score)``; the plain-Python reference for the
+    filter's tables.
+    """
+    fallback = int(sol.fallback_policy[z])
+    score = float(monitor(z, a_task))
+    if mode == "none":
+        executed = a_task
+    elif mode == SWITCH:
+        executed = a_task if score > 0.0 else fallback
+    elif mode == FALLBACK_ONLY:
+        executed = fallback
+    else:
+        passing = [a for a in range(sol.spec.num_ai_actions) if float(monitor(z, a)) > 0.0]
+        if passing:
+            executed = min(passing, key=lambda a: (float(abs(a - a_task)), a))
+        else:
+            executed = fallback
+    return executed, score
+
+
+def reference_table(sol, mode):
+    """``reference_decision`` for every (state, task action): executed and score lists."""
+    critic = pluggable_monitor(sol, "critic")
+    rows = [
+        [reference_decision(sol, critic, mode, z, a) for a in range(sol.spec.num_ai_actions)]
+        for z in range(sol.spec.num_states)
+    ]
+    return [[e for e, _ in row] for row in rows], [[m for _, m in row] for row in rows]
 
 
 def test_critic_monitor_frozen_values():
@@ -87,14 +123,6 @@ def test_least_restrictive_picks_nearest_passing_action():
     # when nothing passes the fallback takes over
     executed, _ = filter_action(flt, 0, 0)
     assert executed == 0  # fallback at the failure state
-
-
-def test_least_restrictive_custom_metric():
-    prefer_high = _chain_filter(
-        intervention=LEAST_RESTRICTIVE, action_metric=lambda a, task: -a
-    )
-    executed, _ = filter_action(prefer_high, 3, 0)
-    assert executed == 2
 
 
 def test_fallback_only_always_overrides():
@@ -206,3 +234,117 @@ def test_record_serialization():
         "intervened": True,
         "executed_a": 2,
     }
+
+
+def _signed_zero_chain():
+    """chain5 with margins -0.0 and 0.0 at states 1 and 2: its scores hold both zeros."""
+    return replace(build_chain(5).game, margins=np.array([-1.0, -0.0, 0.0, 1.0, 2.0, 3.0]))
+
+
+def _table_games():
+    specs = [build_chain(5).game, build_chain(6, 2).game, build_chain(7, 3, 2).game,
+             build_dialogue().game, build_dialogue(conservative_bound=True).game, _signed_zero_chain()]
+    rng = np.random.default_rng(11)
+    for seed in range(60):
+        spec = random_game(
+            200 + seed,
+            states=4 + seed % 13,
+            ai_actions=1 + seed % 4,
+            human_actions=1 + (seed // 4) % 3,
+            observations=3 if seed % 5 == 4 else 1,
+            failure_fraction=(0.1, 0.25, 0.4)[seed % 3],
+        ).game
+        if seed % 3 == 2:  # narrowed human bounds
+            bound = [
+                tuple(sorted(rng.choice(spec.num_human_actions, size=rng.integers(1, spec.num_human_actions + 1),
+                                        replace=False).tolist()))
+                for _ in range(spec.num_states)
+            ]
+            spec = replace(spec, action_bound=bound)
+        specs.append(spec)
+    return specs
+
+
+def test_tables_match_the_per_call_reference():
+    compared = 0
+    for spec in _table_games():
+        sol = value_iteration(spec)
+        for mode in FILTER_MODES:
+            flt = perfect_filter(sol, mode)
+            executed, scores = reference_table(sol, mode)
+            assert flt.executed.tolist() == executed, (spec.scenario, mode)
+            assert flt.scores.tobytes() == np.array(scores).tobytes(), (spec.scenario, mode)
+            assert not flt.executed.flags.writeable and not flt.scores.flags.writeable
+            compared += 1
+    assert compared == 66 * 4
+
+
+def test_zero_scores_of_either_sign_route_to_the_fallback():
+    flt = perfect_filter(value_iteration(_signed_zero_chain()))
+    zeros = flt.scores == 0.0
+    assert np.signbit(flt.scores[zeros]).any() and not np.signbit(flt.scores[zeros]).all()
+    fallback = np.broadcast_to(flt.fallback[:, None], zeros.shape)
+    assert (flt.executed[zeros] == fallback[zeros]).all()
+    assert check_initial_condition(flt, 1)  # its fallback scores -0.0, which is >= 0
+
+
+def reference_rollout_monitor(sol, horizon):
+    """The rollout monitor by direct recursion over the observation branches."""
+    spec = sol.spec
+
+    def worst_branch_min(z, a, depth):
+        b = int(sol.adversary_policy[z, a])
+        lowest = np.inf
+        for o in range(spec.num_observations):
+            if spec.observation_probs[z, a, b, o] <= 0.0:
+                continue
+            nxt = int(spec.transitions[z, a, b, o])
+            m = float(spec.margins[nxt])
+            if depth > 1:
+                m = min(m, worst_branch_min(nxt, int(sol.fallback_policy[nxt]), depth - 1))
+            lowest = min(lowest, m)
+        return lowest
+
+    return lambda z, a: min(float(spec.margins[z]), worst_branch_min(z, a, horizon))
+
+
+def _dead_branches(seed):
+    """A 3-observation game whose observation is a function of the step: two dead branches each."""
+    spec = random_game(seed, states=10, observations=3, failure_fraction=0.3).game
+    pick = np.random.default_rng(seed).integers(3, size=spec.observation_probs.shape[:3])
+    return replace(spec, observation_probs=np.eye(3)[pick])
+
+
+def test_rollout_monitor_matches_the_recursion():
+    specs = [build_chain(5).game, build_chain(6, 2).game, build_dialogue().game]
+    specs += [random_game(s, states=6 + 2 * s, failure_fraction=0.3).game for s in range(6)]
+    specs += [random_game(s, states=8, observations=3, failure_fraction=0.1).game for s in range(4)]
+    specs += [_dead_branches(s) for s in range(2)]
+    compared = 0
+    for spec in specs:
+        sol = value_iteration(spec)
+        for horizon in (1, 2, 3, 5, 7):
+            roll = pluggable_monitor(sol, "rollout", horizon=horizon)
+            reference = reference_rollout_monitor(sol, horizon)
+            for z in range(spec.num_states):
+                for a in range(spec.num_ai_actions):
+                    assert roll(z, a) == reference(z, a), (spec.scenario, horizon, z, a)
+                    compared += 1
+    assert compared == 2085
+
+
+def test_rollout_monitor_long_horizons():
+    chain = value_iteration(build_chain(1500).game)
+    assert pluggable_monitor(chain, "rollout", horizon=1500)(1000, 0) == 997.0
+    assert pluggable_monitor(chain, "critic")(1000, 0) == 997.0
+
+    sol = value_iteration(random_game(0, states=30, ai_actions=3, human_actions=3, observations=3,
+                                      failure_fraction=0.05).game)
+    long = pluggable_monitor(sol, "rollout", horizon=30)
+    for horizon in (1, 4):
+        roll = pluggable_monitor(sol, "rollout", horizon=horizon)
+        reference = reference_rollout_monitor(sol, horizon)
+        for z in range(30):
+            for a in range(3):
+                assert roll(z, a) == reference(z, a)
+                assert long(z, a) <= roll(z, a)  # a longer look-ahead only adds margins to the min

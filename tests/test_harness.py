@@ -10,6 +10,7 @@ import pytest
 import haig.harness
 from haig import (
     BudgetExceededError,
+    FILTER_MODES,
     PolicyResolutionError,
     RolloutConfig,
     RolloutTrace,
@@ -17,8 +18,8 @@ from haig import (
     build_chain,
     build_dialogue,
     compare_oracle,
-    filter_action,
     perfect_filter,
+    pluggable_monitor,
     random_game,
     rollout,
     summary_csv,
@@ -27,6 +28,7 @@ from haig import (
 )
 from haig.harness import Counterexample, CounterexampleStep, VerificationReport
 from haig.rng import SplitMix64
+from test_filtering import reference_table
 
 _STEP_KEYS = {
     "t", "z", "task_a", "monitor", "intervened", "executed_a",
@@ -299,20 +301,20 @@ def test_verify_stops_at_a_failure_in_state_zero():
 
 
 def _certified_states(sol):
-    switch = perfect_filter(sol)
+    critic = pluggable_monitor(sol, "critic")
     return tuple(
-        z for z in range(sol.spec.num_states) if switch.monitor(z, int(switch.fallback[z])) >= 0.0
+        z for z in range(sol.spec.num_states) if critic(z, int(sol.fallback_policy[z])) >= 0.0
     )
 
 
 def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
-    """Per-root breadth-first search, one ``filter_action`` call per decision.
+    """Per-root breadth-first search over ``reference_table``'s decisions.
 
     Returns the report and whether the node budget ran out.
     """
     spec = doc.game
     certified = _certified_states(sol)
-    flt = None if filter_mode == "none" else perfect_filter(sol, intervention=filter_mode)
+    executed, _ = reference_table(sol, filter_mode)
     counterexamples = []
     expanded = 0
 
@@ -332,7 +334,7 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
                 if max_nodes is not None and expanded > max_nodes:
                     return report(), True
                 for a_task in range(spec.num_ai_actions):
-                    a_exec = a_task if flt is None else filter_action(flt, z, a_task)[0]
+                    a_exec = executed[z][a_task]
                     for b in spec.action_bound[z]:
                         for o in range(spec.num_observations):
                             if spec.observation_probs[z, a_exec, b, o] <= 0.0:
@@ -365,13 +367,13 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
 
 
 def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
-    """Seeded random sequences, one ``filter_action`` call per step.
+    """Seeded random sequences over ``reference_table``'s decisions.
 
     Returns the report and whether the node budget ran out.
     """
     spec = doc.game
     certified = _certified_states(sol)
-    flt = None if filter_mode == "none" else perfect_filter(sol, intervention=filter_mode)
+    executed, _ = reference_table(sol, filter_mode)
     stream = SplitMix64(seed)
     counterexamples = []
     expanded = 0
@@ -388,7 +390,7 @@ def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
             steps = []
             for _ in range(depth):
                 a_task = stream.randint(spec.num_ai_actions)
-                a_exec = a_task if flt is None else filter_action(flt, z, a_task)[0]
+                a_exec = executed[z][a_task]
                 b = stream.choice(spec.action_bound[z])
                 draw = stream.uniform()
                 cumulative = 0.0
@@ -475,7 +477,8 @@ def test_sampled_verify_matches_the_reference_sequences():
 
 
 # sha256 of rollout(...).to_jsonl() as produced by calling filter_action on
-# every step; the per-state decision memo must reproduce them byte for byte
+# every step; rollouts that read the filter's table must reproduce them byte
+# for byte
 _PINNED_TRACES = [
     ("none", "uniform", lambda: random_game(11, states=30, observations=3, failure_fraction=0.1), 0,
      "4c7818c7312432331be981e264d5ca0490d6d6bc2c4e1f53d7126684a86880d2"),
@@ -504,29 +507,27 @@ def test_rollout_traces_are_pinned(mode, human, build, start, digest):
 
 
 def test_each_state_is_decided_once(monkeypatch):
-    """Deterministic call counts, not timings: decisions are memoized per state."""
+    """Deterministic call counts, not timings: each verb call builds one filter, deciding every state."""
     calls = []
 
-    def counting(flt, z, a, **kwargs):
-        calls.append(z)
-        return filter_action(flt, z, a, **kwargs)
+    def counting(sol, intervention):
+        calls.append(intervention)
+        return perfect_filter(sol, intervention)
 
-    monkeypatch.setattr(haig.harness, "filter_action", counting)
+    monkeypatch.setattr(haig.harness, "perfect_filter", counting)
     doc = random_game(2, states=200, ai_actions=4, human_actions=4, failure_fraction=0.05)
-    spec = doc.game
-    sol = value_iteration(spec)
+    sol = value_iteration(doc.game)
+    for mode in FILTER_MODES:
+        calls.clear()
+        report = verify_safety(doc, depth=3, filter_mode=mode, solution=sol)
+        assert report.mode == "exhaustive" and report.expanded > doc.game.num_states
+        assert calls == [mode]
 
-    report = verify_safety(doc, depth=3, solution=sol)
-    assert report.mode == "exhaustive" and report.expanded > spec.num_states
-    assert len(calls) <= spec.num_states * spec.num_ai_actions
-
-    calls.clear()
-    cfg = RolloutConfig(document=doc, task_policy="random", human_policy="uniform",
-                        filter_mode="least_restrictive", initial_state=report.certified_states[0],
-                        max_steps=5000, seed=3)
-    trace = rollout(cfg, sol)
-    visited = {s.state for s in trace.steps}
-    assert len(calls) <= spec.num_ai_actions * len(visited)
+        calls.clear()
+        cfg = RolloutConfig(document=doc, task_policy="random", human_policy="uniform", filter_mode=mode,
+                            initial_state=report.certified_states[0], max_steps=500, seed=3)
+        rollout(cfg, sol)
+        assert calls == [mode]
 
 
 def test_verify_argument_validation():

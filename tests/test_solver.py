@@ -12,8 +12,6 @@ from haig import (
     brute_force_values,
     build_chain,
     build_dialogue,
-    extract_policies,
-    q_value,
     random_game,
     solution_payload,
     value_iteration,
@@ -63,19 +61,23 @@ def test_dialogue_values():
 
 def test_q_values_cover_all_human_actions():
     sol = value_iteration(build_chain(5).game)
-    assert q_value(sol, 2, 0, 0) == -1.0  # both push down, through state 0
-    assert q_value(sol, 2, 2, 0) == 1.0
-    assert q_value(sol, 2, 2, 2) == 1.0  # capped by the local margin
+    assert sol.q_values[2, 0, 0] == -1.0  # both push down, through state 0
+    assert sol.q_values[2, 2, 0] == 1.0
+    assert sol.q_values[2, 2, 2] == 1.0  # capped by the local margin
 
     # with a wide action set the out-of-bound columns stay queryable
     odd = value_iteration(build_chain(5, human_reach=3, odd_reach=1).game)
     assert odd.values.tolist() == [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
-    assert q_value(odd, 3, 1, 0) == -1.0  # human -3 is outside the bound
+    assert odd.q_values[3, 1, 0] == -1.0  # human -3 is outside the bound
     with pytest.raises(IndexError):
-        q_value(sol, 2, 0, 9)
+        sol.q_values[2, 0, 9]
 
 
 def test_adversary_restricted_to_bound_and_optimal():
+    chain = value_iteration(build_chain(5).game)
+    assert chain.adversary_policy.shape == (6, 3)
+    assert chain.adversary_policy[2].tolist() == [0, 0, 0]
+
     for seed in range(12):
         spec = _det_game(seed)
         sol = value_iteration(spec)
@@ -96,15 +98,6 @@ def test_fallback_is_maximin():
             a = int(sol.fallback_policy[z])
             assert inner[z, a] == inner[z].max()
             assert inner[z, a] == sol.values[z]
-
-
-def test_extract_policies_returns_the_pair():
-    sol = value_iteration(build_chain(5).game)
-    fallback, adversary = extract_policies(sol)
-    assert fallback is sol.fallback_policy
-    assert adversary is sol.adversary_policy
-    assert adversary.shape == (6, 3)
-    assert adversary[2].tolist() == [0, 0, 0]
 
 
 def test_sweeps_are_monotone_and_start_at_the_margin():
