@@ -7,6 +7,11 @@ then the observation draw, which happens even when the observation is
 deterministic).  Identical configs therefore produce byte-identical JSONL
 traces.
 
+A rollout trace stores its steps and its end state; each step is the
+filter's decision (an ``InterventionRecord``) plus the human's response.
+The summary metrics are derived from the steps, and the dynamics are
+checked once, when ``to_jsonl`` serializes the trace.
+
 ``verify_safety`` checks the filter's guarantee: from every initial
 state the filter certifies, no reachable state within the given depth has
 a negative margin, for any task-action choice at every step and any
@@ -20,8 +25,9 @@ the control arm; counterexample traces are reported verbatim.
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its decision table (executed action and monitor score for every
 state and task action) as plain Python lists; ``"none"`` is a filter mode
-like the others.  Exhaustive verification builds each expanded state's
-distinct successors once, the first time the state is met.
+like the others.  Both read the dynamics through one per-state list view,
+and exhaustive verification builds each expanded state's distinct
+successors once, the first time the state is met.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, PolicyResolutionError
-from .filtering import FILTER_MODES, SWITCH, perfect_filter
+from .filtering import FILTER_MODES, SWITCH, InterventionRecord, perfect_filter
 from .model import GameSpec, _int_index
 from .rng import SplitMix64
 from .solver import ValueSolution, brute_force_values, value_iteration
@@ -63,13 +69,9 @@ class RolloutConfig:
 
 
 @dataclass(frozen=True)
-class RolloutStep:
-    t: int
-    state: int
-    task_action: int
-    monitor_value: float
-    intervened: bool
-    executed_action: int
+class RolloutStep(InterventionRecord):
+    """The filter's decision at one step, then the human's response to it."""
+
     human_action: int
     observation: int
     margin_value: float
@@ -77,17 +79,10 @@ class RolloutStep:
     gt_failure: bool | None
 
     def to_json_dict(self) -> dict:
-        record = {
-            "t": self.t,
-            "z": self.state,
-            "task_a": self.task_action,
-            "monitor": self.monitor_value,
-            "intervened": self.intervened,
-            "executed_a": self.executed_action,
-            "a_human": self.human_action,
-            "obs": self.observation,
-            "margin": self.margin_value,
-        }
+        record = super().to_json_dict()
+        record["a_human"] = self.human_action
+        record["obs"] = self.observation
+        record["margin"] = self.margin_value
         if self.odd_violation:
             record["odd_violation"] = True
         if self.gt_failure is not None:
@@ -97,23 +92,45 @@ class RolloutStep:
 
 @dataclass(frozen=True, eq=False)
 class RolloutTrace:
-    """Steps plus summary metrics.
+    """A rollout's steps and the state it ended in.
 
-    ``min_margin`` and ``violation_count`` range over every visited state,
-    the terminal one included.  ``gt_failure_count`` does the same against
-    the privileged failure set when ground truth is present.
+    The summaries are derived from the steps.  ``min_margin`` and
+    ``violation_count`` range over every visited state, the terminal one
+    included.  ``gt_failure_count`` does the same against the privileged
+    failure set, and is ``None`` when the document has no ground truth.
+    ``to_jsonl`` checks the steps against the dynamics before it writes.
     """
 
     spec: GameSpec
     steps: tuple[RolloutStep, ...]
     final_state: int
-    final_margin: float
     final_gt_failure: bool | None
-    min_margin: float
-    violation_count: int
-    intervention_count: int
-    gt_failure_count: int | None
-    odd_violation_steps: tuple[int, ...]
+
+    @property
+    def final_margin(self) -> float:
+        return float(self.spec.margins[self.final_state])
+
+    @property
+    def min_margin(self) -> float:
+        return min(*(s.margin_value for s in self.steps), self.final_margin)
+
+    @property
+    def violation_count(self) -> int:
+        return sum(s.margin_value < 0.0 for s in self.steps) + (self.final_margin < 0.0)
+
+    @property
+    def intervention_count(self) -> int:
+        return sum(s.intervened for s in self.steps)
+
+    @property
+    def gt_failure_count(self) -> int | None:
+        if self.final_gt_failure is None:
+            return None
+        return sum(s.gt_failure for s in self.steps) + self.final_gt_failure
+
+    @property
+    def odd_violation_steps(self) -> tuple[int, ...]:
+        return tuple(s.t for s in self.steps if s.odd_violation)
 
     @property
     def intervention_rate(self) -> float:
@@ -278,28 +295,17 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     gt_state = _initial_ground_truth(doc, z) if doc.ground_truth is not None else None
 
     steps: list[RolloutStep] = []
-    min_margin = margins[z]
-    violations = 1 if min_margin < 0.0 else 0
-    interventions = 0
-    gt_failures = 0 if gt_state is not None else None
-    odd_steps: list[int] = []
-
     for t in range(config.max_steps):
         a_task = _int_index(task(z, t), num_ai, "ai action")
         executed, score = decided[z][a_task]
-        intervened = executed != a_task
-        if intervened:
-            interventions += 1
 
         b = int(human(z, executed, t))
         in_bound = b in spec.action_bound[z]
-        if not in_bound:
-            if not off_odd:
-                raise ValueError(
-                    f"human policy {config.human_policy!r} left the admissible bound at t={t}; "
-                    "use the off_odd policy to simulate non-compliant humans"
-                )
-            odd_steps.append(t)
+        if not in_bound and not off_odd:
+            raise ValueError(
+                f"human policy {config.human_policy!r} left the admissible bound at t={t}; "
+                "use the off_odd policy to simulate non-compliant humans"
+            )
 
         trans, probs = dynamics[z]
         o = _sample_observation(stream, probs[executed][b])
@@ -307,8 +313,6 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
         if gt_state is not None:
             s, h = gt_state
             gt_failed = bool(doc.ground_truth.failure[s, h])
-            if gt_failed:
-                gt_failures += 1
             o_h = int(doc.ground_truth.human_observation[s])
             gt_state = (
                 int(doc.ground_truth.world_transitions[s, executed, b]),
@@ -321,7 +325,7 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
                 state=z,
                 task_action=a_task,
                 monitor_value=score,
-                intervened=intervened,
+                intervened=executed != a_task,
                 executed_action=executed,
                 human_action=b,
                 observation=o,
@@ -331,31 +335,11 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
             )
         )
         z = trans[executed][b][o]
-        m = margins[z]
-        min_margin = min(min_margin, m)
-        if m < 0.0:
-            violations += 1
 
     final_gt_failure = None
     if gt_state is not None:
         final_gt_failure = bool(doc.ground_truth.failure[gt_state[0], gt_state[1]])
-        if final_gt_failure:
-            gt_failures += 1
-
-    trace = RolloutTrace(
-        spec=spec,
-        steps=tuple(steps),
-        final_state=z,
-        final_margin=margins[z],
-        final_gt_failure=final_gt_failure,
-        min_margin=min_margin,
-        violation_count=violations,
-        intervention_count=interventions,
-        gt_failure_count=gt_failures,
-        odd_violation_steps=tuple(odd_steps),
-    )
-    trace.check_conservation()
-    return trace
+    return RolloutTrace(spec=spec, steps=tuple(steps), final_state=z, final_gt_failure=final_gt_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +387,16 @@ class VerificationReport:
         return not self.counterexamples
 
 
-def _successors(spec: GameSpec, z: int, executed: list[int]) -> list[tuple[int, tuple]]:
+def _successors(z: int, dynamics: tuple, bound: tuple[int, ...], executed: list[int]) -> list[tuple[int, tuple]]:
     """The distinct successors of ``z`` with the first step that reaches each.
 
-    Enumeration order is task action, then admissible human action, then
-    positive-probability observation; each entry is ``(z2, (z, a_task,
-    a_exec, b, o))``.  A task action whose executed action already appeared
-    adds nothing new.
+    ``dynamics`` is the state's ``(transitions, observation_probs)`` row as
+    the ``_dynamics`` view builds it.  Enumeration order is task action, then
+    admissible human action, then positive-probability observation; each
+    entry is ``(z2, (z, a_task, a_exec, b, o))``.  A task action whose
+    executed action already appeared adds nothing new.
     """
-    trans = spec.transitions[z].tolist()
-    probs = spec.observation_probs[z].tolist()
-    bound = spec.action_bound[z]
+    trans, probs = dynamics
     row = []
     seen = set()
     done = set()
@@ -489,8 +472,11 @@ def verify_safety(
     def over_budget() -> BudgetExceededError:
         return BudgetExceededError(f"verification exceeded max_nodes={max_nodes}", partial=report())
 
+    dynamics = _dynamics(spec)
+    bound = spec.action_bound
     if mode == "exhaustive":
-        successors = _PerState(lambda z: _successors(spec, z, executed[z]))
+        # each state's successors are built once, so its dynamics row is not kept
+        successors = _PerState(lambda z: _successors(z, dynamics.build(z), bound[z], executed[z]))
         for z0 in certified:
             parent: dict[int, tuple | None] = {z0: None}
             frontier = [z0]
@@ -517,8 +503,7 @@ def verify_safety(
             if hit is not None:
                 counterexamples.append(_reconstruct(spec, parent, z0, hit))
     else:
-        dynamics = _dynamics(spec)
-        num_ai, bound = spec.num_ai_actions, spec.action_bound
+        num_ai = spec.num_ai_actions
         stream = SplitMix64(seed)
         per_state = max(1, samples // max(1, len(certified)))
         for z0 in certified:

@@ -35,6 +35,9 @@ import numpy as np
 from .rng import SplitMix64
 
 OBS_ROW_TOLERANCE = 1e-12
+COMMUTATION_EXHAUSTIVE_LIMIT = 10_000
+COMMUTATION_SAMPLES = 10_000
+COMMUTATION_SEED = 2024
 
 
 def _int_index(value, size: int, name: str) -> int:
@@ -226,14 +229,7 @@ def allowed_human_actions(spec: GameSpec, z: int) -> tuple[int, ...]:
     return spec.action_bound[z]
 
 
-def validate_model(
-    spec: GameSpec,
-    ground_truth: GroundTruthSystem | None = None,
-    *,
-    exhaustive_limit: int = 10_000,
-    samples: int = 10_000,
-    sample_seed: int = 2024,
-) -> ValidationReport:
+def validate_model(spec: GameSpec, ground_truth: GroundTruthSystem | None = None) -> ValidationReport:
     """Structural and consistency checks over a game and optional ground truth.
 
     Structural problems (shapes, ranges, distribution rows, empty bounds)
@@ -244,8 +240,8 @@ def validate_model(
 
     Commutation between ground truth and model dynamics is checked on every
     (world state, human state, ai action, human action) tuple when their
-    product is at most ``exhaustive_limit``, otherwise on ``samples`` seeded
-    random tuples.
+    product is at most ``COMMUTATION_EXHAUSTIVE_LIMIT``, otherwise on
+    ``COMMUTATION_SAMPLES`` random tuples drawn with ``COMMUTATION_SEED``.
     """
     items: list[ValidationItem] = []
 
@@ -307,15 +303,12 @@ def validate_model(
         err("labels", f"{len(spec.annotations)} annotation rows for {nz} states")
 
     if ground_truth is not None and not items:
-        _validate_ground_truth(
-            spec, ground_truth, items, err, warn,
-            exhaustive_limit=exhaustive_limit, samples=samples, sample_seed=sample_seed,
-        )
+        _validate_ground_truth(spec, ground_truth, items, err, warn)
 
     return ValidationReport(tuple(items))
 
 
-def _validate_ground_truth(spec, gt, items, err, warn, *, exhaustive_limit, samples, sample_seed):
+def _validate_ground_truth(spec, gt, items, err, warn):
     ns, nh, noh = gt.num_world_states, gt.num_human_states, gt.num_human_observations
     na, nb = spec.num_ai_actions, spec.num_human_actions
 
@@ -347,16 +340,16 @@ def _validate_ground_truth(spec, gt, items, err, warn, *, exhaustive_limit, samp
         return
 
     total = ns * nh * na * nb
-    if total <= exhaustive_limit:
+    if total <= COMMUTATION_EXHAUSTIVE_LIMIT:
         tuples = (
             (s, h, a, b)
             for s in range(ns) for h in range(nh) for a in range(na) for b in range(nb)
         )
     else:
-        stream = SplitMix64(sample_seed)
+        stream = SplitMix64(COMMUTATION_SEED)
         tuples = (
             (stream.randint(ns), stream.randint(nh), stream.randint(na), stream.randint(nb))
-            for _ in range(samples)
+            for _ in range(COMMUTATION_SAMPLES)
         )
 
     for s, h, a, b in tuples:

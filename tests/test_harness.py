@@ -26,6 +26,7 @@ from haig import (
     value_iteration,
     verify_safety,
 )
+from haig.filtering import InterventionRecord
 from haig.harness import Counterexample, CounterexampleStep, VerificationReport
 from haig.rng import SplitMix64
 from test_filtering import reference_table
@@ -206,13 +207,83 @@ def test_tampered_trace_fails_conservation():
     bad_steps[1] = bad_steps[1].__class__(**{**bad_steps[1].__dict__, "state": 5})
     tampered = RolloutTrace(
         spec=trace.spec, steps=tuple(bad_steps), final_state=trace.final_state,
-        final_margin=trace.final_margin, final_gt_failure=trace.final_gt_failure,
-        min_margin=trace.min_margin, violation_count=trace.violation_count,
-        intervention_count=trace.intervention_count, gt_failure_count=trace.gt_failure_count,
-        odd_violation_steps=trace.odd_violation_steps,
+        final_gt_failure=trace.final_gt_failure,
     )
     with pytest.raises(RuntimeError, match="dynamics"):
         tampered.to_jsonl()
+
+
+def _replayed_summaries(doc, trace):
+    """The summaries recomputed from the visited states, ``spec.margins`` and the ground truth."""
+    spec, gt = doc.game, doc.ground_truth
+    visited = [s.state for s in trace.steps] + [trace.final_state]
+    margins = [float(spec.margins[z]) for z in visited]
+    lowest = margins[0]
+    for m in margins[1:]:
+        if m < lowest:  # the first of equal minima is kept, so a 0.0/-0.0 tie keeps its sign
+            lowest = m
+    gt_failures = None
+    if gt is not None:
+        s, h = next(
+            (s, h) for s in range(gt.num_world_states) for h in range(gt.num_human_states)
+            if gt.projection[s, h] == visited[0]
+        )
+        failed = []
+        for step in trace.steps:
+            failed.append(bool(gt.failure[s, h]))
+            a, b = step.executed_action, step.human_action
+            s, h = int(gt.world_transitions[s, a, b]), int(gt.human_transitions[h, a, b, gt.human_observation[s]])
+        failed.append(bool(gt.failure[s, h]))
+        assert [step.gt_failure for step in trace.steps] == failed[:-1]
+        assert trace.final_gt_failure is failed[-1]
+        gt_failures = sum(failed)
+    interventions = sum(1 for s in trace.steps if s.executed_action != s.task_action)
+    return {
+        "final_margin": repr(margins[-1]),
+        "min_margin": repr(lowest),
+        "violation_count": repr(sum(1 for m in margins if m < 0.0)),
+        "intervention_count": repr(interventions),
+        "gt_failure_count": repr(gt_failures),
+        "odd_violation_steps": repr(tuple(
+            s.t for s in trace.steps if s.human_action not in spec.action_bound[s.state]
+        )),
+        "intervention_rate": repr(interventions / len(trace.steps)),
+    }
+
+
+def _signed_zero_game():
+    """A random game whose margins are 0.0, -0.0 and 1.0, none of them failures."""
+    doc = random_game(5, states=12, failure_fraction=0.0)
+    margins = np.array([(0.0, -0.0, 1.0)[z % 3] for z in range(doc.game.num_states)])
+    return SpecDocument(game=replace(doc.game, margins=margins))
+
+
+def test_trace_summaries_match_a_replay_of_the_steps():
+    odd = build_chain(5, human_reach=3, odd_reach=1)
+    cases = [
+        (build_chain(5), "none", "worst_case", 3),
+        (build_chain(5), "switch", "uniform", 4),
+        (build_chain(5), "least_restrictive", "uniform", 0),  # starts in the failure set
+        (build_dialogue(), "none", "uniform", "start"),
+        (build_dialogue(), "switch", "worst_case", "start"),
+        (odd, "switch", "off_odd", 3),
+        (odd, "none", "off_odd", 1),
+        (random_game(11, states=30, observations=3, failure_fraction=0.1), "switch", "uniform", 0),
+        (random_game(11, states=30, observations=3, failure_fraction=0.1), "none", "worst_case", 4),
+    ]
+    cases += [(_signed_zero_game(), mode, "uniform", z) for mode in ("none", "switch") for z in range(6)]
+    signs = set()
+    for doc, mode, human, start in cases:
+        for seed in range(4):
+            cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human,
+                                filter_mode=mode, initial_state=start, max_steps=12, seed=seed)
+            trace = rollout(cfg)
+            expected = _replayed_summaries(doc, trace)
+            assert {name: repr(getattr(trace, name)) for name in expected} == expected
+            signs.add(expected["min_margin"])
+            for step in trace.steps:
+                assert InterventionRecord.to_json_dict(step).items() <= step.to_json_dict().items()
+    assert {"0.0", "-0.0", "-1.0"} <= signs
 
 
 def test_summary_csv():

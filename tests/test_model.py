@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import haig.model
 from haig import (
     GameSpec,
     GroundTruthSystem,
@@ -227,14 +228,17 @@ def test_unsound_privileged_failure_is_a_warning():
     assert "s=0" in report.warnings[0].message
 
 
-def test_validate_samples_when_joint_space_is_large():
+def test_validate_samples_when_joint_space_is_large(monkeypatch):
     """The sampled path must still find a globally planted inconsistency."""
+    monkeypatch.setattr(haig.model, "COMMUTATION_EXHAUSTIVE_LIMIT", 0)
+    monkeypatch.setattr(haig.model, "COMMUTATION_SAMPLES", 64)
+    monkeypatch.setattr(haig.model, "COMMUTATION_SEED", 7)
     spec = _tiny_game()
     bad_world = 1 - _mirror_gt(spec).world_transitions  # wrong everywhere
     gt = _mirror_gt(spec, world_transitions=bad_world)
-    report = validate_model(spec, gt, exhaustive_limit=0, samples=64, sample_seed=7)
+    report = validate_model(spec, gt)
     assert not report.ok
     assert all(e.code == "commutation" for e in report.errors)
 
-    clean = validate_model(spec, _mirror_gt(spec), exhaustive_limit=0, samples=64)
+    clean = validate_model(spec, _mirror_gt(spec))
     assert clean.ok
