@@ -152,9 +152,13 @@ def check_initial_condition(flt: SafetyFilter, z0: int) -> bool:
     """Whether the fallback itself is certified at ``z0``.
 
     With the perfect filter this is exactly membership of ``z0`` in the
-    solved safe set, and it is the premise of the safety guarantee: start
-    here and the filtered system never reaches a failure state, whatever
-    the task policy proposes, as long as the human stays in bound.
+    solved safe set, and it is the premise of the safety guarantee, which
+    holds whatever the task policy proposes, as long as the human stays in
+    bound.  On games with deterministic observations, the filtered system
+    started here never reaches a failure state.  On games with stochastic
+    observations, the claim is only that the fallback keeps the expected
+    value of the next state nonnegative, E[V(next)] >= 0, against every
+    admissible human action; a run may still reach failure.
     """
     z0 = _int_index(z0, flt.solution.spec.num_states, "info state")
     return bool(flt.scores[z0, flt.fallback[z0]] >= 0.0)

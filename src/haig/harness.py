@@ -571,8 +571,10 @@ def compare_oracle(
     """Largest gap between the sweeping solver and the game-tree recursion.
 
     The declared tolerance is zero for deterministic-observation games,
-    where both routes compute identical floating-point values, and an
-    epsilon-accumulation bound otherwise.
+    where both routes compute identical floating-point values.  Otherwise it
+    is ``max(1e-7, epsilon * iterations)``, a heuristic allowance for
+    rounding and for stopping at the residual ``epsilon``, not a proven
+    bound on the error.
     """
     spec = doc.game if isinstance(doc, SpecDocument) else doc
     sol = value_iteration(spec, epsilon=epsilon)

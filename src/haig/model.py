@@ -27,7 +27,7 @@ failure set lands inside the modeled one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -48,6 +48,17 @@ def _int_index(value, size: int, name: str) -> int:
     if not 0 <= i < size:
         raise IndexError(f"{name} index {i} out of range [0, {size})")
     return i
+
+
+def _fields_equal(self, other) -> bool:
+    """Field-wise ``__eq__`` for the frozen records: arrays compare by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        mine, theirs = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
+            return False
+    return True
 
 
 def _readonly(arr: np.ndarray, dtype) -> np.ndarray:
@@ -117,22 +128,7 @@ class GameSpec:
     def failure_states(self) -> tuple[int, ...]:
         return tuple(int(z) for z in np.flatnonzero(self.margins < 0.0))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GameSpec):
-            return NotImplemented
-        return (
-            self.num_states == other.num_states
-            and self.ai_actions == other.ai_actions
-            and self.human_actions == other.human_actions
-            and self.observations == other.observations
-            and np.array_equal(self.transitions, other.transitions)
-            and np.array_equal(self.observation_probs, other.observation_probs)
-            and np.array_equal(self.margins, other.margins)
-            and self.action_bound == other.action_bound
-            and self.state_labels == other.state_labels
-            and self.scenario == other.scenario
-            and self.annotations == other.annotations
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,20 +159,7 @@ class GroundTruthSystem:
         object.__setattr__(self, "failure", _readonly(self.failure, bool))
         object.__setattr__(self, "projection", _readonly(self.projection, np.int64))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroundTruthSystem):
-            return NotImplemented
-        return (
-            self.num_world_states == other.num_world_states
-            and self.num_human_states == other.num_human_states
-            and self.num_human_observations == other.num_human_observations
-            and np.array_equal(self.world_transitions, other.world_transitions)
-            and np.array_equal(self.human_transitions, other.human_transitions)
-            and np.array_equal(self.human_observation, other.human_observation)
-            and np.array_equal(self.ai_observation, other.ai_observation)
-            and np.array_equal(self.failure, other.failure)
-            and np.array_equal(self.projection, other.projection)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -201,32 +184,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-
-def step_info_state(spec: GameSpec, z: int, a_ai: int, a_h: int, o: int) -> int:
-    """Next information state after one joint step.
-
-    Raises IndexError naming the offending argument when any index is out
-    of range.  Human actions outside the admissible bound are accepted on
-    purpose; only actions outside the declared action set are rejected.
-    """
-    z = _int_index(z, spec.num_states, "info state")
-    a_ai = _int_index(a_ai, spec.num_ai_actions, "ai action")
-    a_h = _int_index(a_h, spec.num_human_actions, "human action")
-    o = _int_index(o, spec.num_observations, "observation")
-    return int(spec.transitions[z, a_ai, a_h, o])
-
-
-def margin(spec: GameSpec, z: int) -> float:
-    """Safety margin of ``z``. Negative exactly on the failure set."""
-    z = _int_index(z, spec.num_states, "info state")
-    return float(spec.margins[z])
-
-
-def allowed_human_actions(spec: GameSpec, z: int) -> tuple[int, ...]:
-    """Admissible human actions at ``z``, sorted by index. Never empty."""
-    z = _int_index(z, spec.num_states, "info state")
-    return spec.action_bound[z]
 
 
 def validate_model(spec: GameSpec, ground_truth: GroundTruthSystem | None = None) -> ValidationReport:
@@ -291,7 +248,7 @@ def validate_model(spec: GameSpec, ground_truth: GroundTruthSystem | None = None
 
     for z, row in enumerate(spec.action_bound):
         if not row:
-            err("bound", f"action bound at state {z} is empty")
+            err("bound", f"action bound at state {z} must be non-empty")
         elif any(not 0 <= b < nb for b in row):
             err("bound", f"action bound at state {z} references an unknown human action")
         elif tuple(sorted(set(row))) != row:

@@ -26,6 +26,18 @@ The ``game`` object:
 ``policies`` holds named deterministic per-state action tables under
 ``task`` and ``human``.
 
+Parsing checks JSON types, array shapes and label references, and refuses
+a game that declares more than ``MAX_JOINT_ENTRIES`` joint (state, ai
+action, human action, observation) entries before allocating any array.
+An error inside a nested array names the full index path of the entry,
+such as ``game.observation_probs[1][0][1][0]``.  Every rule on values
+(finite margins, non-empty action bounds, annotation arity, index ranges,
+probability rows, ground-truth consistency) is owned by
+:func:`haig.model.validate_model`, which ``parse_spec`` runs on the
+assembled document.  The first error it reports is raised as
+``DistributionError`` for code ``distribution``, ``SpecReferenceError`` for
+code ``range`` and ``SchemaError`` for every other code.
+
 ``serialize`` is canonical: keys sorted, arrays dense, entries in index
 order, floats in shortest round-trip form, ASCII output, one trailing
 newline.  Structurally equal documents serialize to identical bytes, and
@@ -36,20 +48,28 @@ both directions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     DistributionError,
+    HaigError,
     SchemaError,
     SerializationError,
     SpecReferenceError,
     SpecSyntaxError,
 )
-from .model import GameSpec, GroundTruthSystem, validate_model
+from .model import GameSpec, GroundTruthSystem, _fields_equal, validate_model
 
 FORMAT_VERSION = "1"
+# Largest number of (state, ai action, human action, observation) entries a
+# game may declare.  Each (Z, A, B, O) tensor takes 8 bytes per entry, about
+# 34 MB at the limit, and the check runs before any of them is allocated.
+MAX_JOINT_ENTRIES = 1 << 22
+# Exception raised for a validate_model error code; other codes raise SchemaError.
+_ERROR_CLASSES = {"distribution": DistributionError, "range": SpecReferenceError}
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,16 +88,7 @@ class SpecDocument:
             self, "human_policies", {k: tuple(int(a) for a in v) for k, v in self.human_policies.items()}
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpecDocument):
-            return NotImplemented
-        return (
-            self.format_version == other.format_version
-            and self.game == other.game
-            and self.ground_truth == other.ground_truth
-            and self.task_policies == other.task_policies
-            and self.human_policies == other.human_policies
-        )
+    __eq__ = _fields_equal
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +101,8 @@ def parse_spec(data: bytes | str) -> SpecDocument:
 
     Raises:
         SpecSyntaxError: malformed JSON or a NaN/Infinity literal.
-        SchemaError: missing/mistyped keys, wrong arity, empty action bound.
+        SchemaError: missing/mistyped keys, wrong arity, a game above
+            ``MAX_JOINT_ENTRIES``, or a model error other than those below.
         SpecReferenceError: an unknown label or out-of-range index.
         DistributionError: a bad observation probability row.
     """
@@ -123,11 +135,9 @@ def parse_spec(data: bytes | str) -> SpecDocument:
         ground_truth = _parse_ground_truth(_mapping(root["ground_truth"], "ground_truth"), game)
     task_policies, human_policies = _parse_policies(root.get("policies"), game)
 
-    report = validate_model(game, ground_truth)
-    for item in report.errors:
-        if item.code == "distribution":
-            raise DistributionError(item.message)
-        raise SchemaError(item.message)
+    errors = validate_model(game, ground_truth).errors
+    if errors:
+        raise _ERROR_CLASSES.get(errors[0].code, SchemaError)(errors[0].message)
 
     return SpecDocument(
         game=game,
@@ -195,6 +205,46 @@ def _number(value, path) -> float:
     return float(value)
 
 
+def _integer(value, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{path} must be an integer")
+    return value
+
+
+def _boolean(value, path) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{path} must be one of the booleans true and false")
+    return value
+
+
+def _dense(raw, shape, path, read, dtype) -> np.ndarray:
+    """Read the nested JSON array ``raw`` into an array of ``shape`` and ``dtype``.
+
+    Every level must be an array of the declared length, and every leaf goes
+    through ``read(value, path)``.  The index path of an entry, such as
+    ``game.transition[3][0][1][0]``, is formatted only once that entry fails.
+    """
+    nodes = [raw]
+    for depth, size in enumerate(shape):
+        for i, node in enumerate(nodes):
+            if not isinstance(node, list) or len(node) != size:
+                raise SchemaError(
+                    f"{path}{_index_path(i, shape[:depth])} must be an array of length {size}"
+                )
+        nodes = [child for node in nodes for child in node]
+    try:
+        values = [read(value, path) for value in nodes]
+    except HaigError:
+        for i, value in enumerate(nodes):  # read again, naming each entry, to find the culprit
+            read(value, path + _index_path(i, shape))
+        raise
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+def _index_path(flat: int, shape) -> str:
+    return "".join(f"[{i}]" for i in np.unravel_index(flat, shape))
+
+
 def _parse_game(game: dict) -> GameSpec:
     states = _require(game, "states", "game")
     if isinstance(states, bool):
@@ -213,45 +263,53 @@ def _parse_game(game: dict) -> GameSpec:
     human_actions = _label_list(_require(game, "human_actions", "game"), "game.human_actions")
     observations = _label_list(_require(game, "observations", "game"), "game.observations")
 
+    shape = (num_states, len(ai_actions), len(human_actions), len(observations))
+    entries = math.prod(shape)
+    if entries > MAX_JOINT_ENTRIES:
+        raise SchemaError(
+            f"game declares {entries} (state, ai action, human action, observation) "
+            f"entries, more than the limit of {MAX_JOINT_ENTRIES}"
+        )
+
     res_state = _Resolver("state", num_states, state_labels)
     res_ai = _Resolver("ai action", len(ai_actions), ai_actions)
     res_human = _Resolver("human action", len(human_actions), human_actions)
     res_obs = _Resolver("observation", len(observations), observations)
 
-    shape = (num_states, len(ai_actions), len(human_actions), len(observations))
     transitions = _parse_transition(
         _require(game, "transition", "game"), shape, res_state, res_ai, res_human, res_obs
     )
-    observation_probs = _parse_observation_probs(game.get("observation_probs"), shape)
+    probs_raw = game.get("observation_probs")
+    if probs_raw is None:
+        if len(observations) != 1:
+            raise SchemaError("game.observation_probs may be omitted only with a single observation")
+        observation_probs = np.ones(shape)
+    else:
+        observation_probs = _dense(probs_raw, shape, "game.observation_probs", _number, np.float64)
 
-    margin_raw = _require(game, "margin", "game")
-    if not isinstance(margin_raw, list) or len(margin_raw) != num_states:
-        raise SchemaError(f"game.margin must be an array of {num_states} numbers")
-    margins = np.array([_number(m, f"game.margin[{i}]") for i, m in enumerate(margin_raw)])
-    if not np.all(np.isfinite(margins)):
-        raise SchemaError("game.margin entries must be finite")
+    margins = _dense(
+        _require(game, "margin", "game"), (num_states,), "game.margin", _number, np.float64
+    )
 
     bound_raw = _require(game, "action_bound", "game")
     if not isinstance(bound_raw, list) or len(bound_raw) != num_states:
         raise SchemaError(f"game.action_bound must be an array of {num_states} rows")
     bound = []
     for z, row in enumerate(bound_raw):
-        if not isinstance(row, list) or not row:
-            raise SchemaError(f"game.action_bound[{z}] must be a non-empty array")
-        resolved = sorted({res_human(b, f"game.action_bound[{z}]") for b in row})
-        bound.append(tuple(resolved))
+        path = f"game.action_bound[{z}]"
+        if not isinstance(row, list):
+            raise SchemaError(f"{path} must be an array")
+        bound.append(tuple(sorted({res_human(b, path) for b in row})))
 
     annotations = None
     if "annotations" in game:
         ann_raw = game["annotations"]
-        if not isinstance(ann_raw, list) or len(ann_raw) != num_states:
-            raise SchemaError(f"game.annotations must be an array of {num_states} rows")
-        annotations = []
+        if not isinstance(ann_raw, list):
+            raise SchemaError("game.annotations must be an array of rows")
         for z, row in enumerate(ann_raw):
             if not isinstance(row, list) or any(not isinstance(a, str) for a in row):
                 raise SchemaError(f"game.annotations[{z}] must be an array of strings")
-            annotations.append(tuple(row))
-        annotations = tuple(annotations)
+        annotations = tuple(tuple(row) for row in ann_raw)
 
     scenario = game.get("scenario")
     if scenario is not None and not isinstance(scenario, str):
@@ -281,85 +339,42 @@ def _parse_game(game: dict) -> GameSpec:
 
 
 def _parse_transition(raw, shape, res_state, res_ai, res_human, res_obs) -> np.ndarray:
-    nz, na, nb, no = shape
+    if not isinstance(raw, dict):
+        return _dense(raw, shape, "game.transition", res_state, np.int64)
+    known = {"default", "entries"}
+    extra = sorted(set(raw) - known)
+    if extra:
+        raise SchemaError(f"unknown sparse transition keys: {extra}")
+    entries = _require(raw, "entries", "game.transition")
+    if not isinstance(entries, list):
+        raise SchemaError("game.transition.entries must be an array")
     out = np.empty(shape, dtype=np.int64)
-    if isinstance(raw, dict):
-        known = {"default", "entries"}
-        extra = sorted(set(raw) - known)
-        if extra:
-            raise SchemaError(f"unknown sparse transition keys: {extra}")
-        entries = _require(raw, "entries", "game.transition")
-        if not isinstance(entries, list):
-            raise SchemaError("game.transition.entries must be an array")
-        filled = np.zeros(shape, dtype=bool)
-        has_default = "default" in raw
-        for i, entry in enumerate(entries):
-            path = f"game.transition.entries[{i}]"
-            if not isinstance(entry, list) or len(entry) != 5:
-                raise SchemaError(f"{path} must be [state, ai_action, human_action, observation, next]")
-            z = res_state(entry[0], path)
-            a = res_ai(entry[1], path)
-            b = res_human(entry[2], path)
-            o = res_obs(entry[3], path)
-            if filled[z, a, b, o]:
-                raise SchemaError(f"{path} duplicates an earlier entry")
-            out[z, a, b, o] = res_state(entry[4], path)
-            filled[z, a, b, o] = True
-        if has_default:
-            default = raw["default"]
-            if default == "self":
-                idx = np.argwhere(~filled)
-                out[~filled] = idx[:, 0] if idx.size else 0
-            else:
-                out[~filled] = res_state(default, "game.transition.default")
-        elif not filled.all():
-            missing = np.argwhere(~filled)[0]
-            raise SchemaError(
-                "sparse transition without default leaves "
-                f"(z={missing[0]}, a_ai={missing[1]}, a_h={missing[2]}, o={missing[3]}) undefined"
-            )
-        return out
-
-    if not isinstance(raw, list):
-        raise SchemaError("game.transition must be a dense nested array or a sparse object")
-    if len(raw) != nz:
-        raise SchemaError(f"game.transition has {len(raw)} state rows, expected {nz}")
-    for z, by_ai in enumerate(raw):
-        if not isinstance(by_ai, list) or len(by_ai) != na:
-            raise SchemaError(f"game.transition[{z}] must have {na} ai-action rows")
-        for a, by_h in enumerate(by_ai):
-            if not isinstance(by_h, list) or len(by_h) != nb:
-                raise SchemaError(f"game.transition[{z}][{a}] must have {nb} human-action rows")
-            for b, by_o in enumerate(by_h):
-                if not isinstance(by_o, list) or len(by_o) != no:
-                    raise SchemaError(f"game.transition[{z}][{a}][{b}] must have {no} observation entries")
-                for o, dest in enumerate(by_o):
-                    out[z, a, b, o] = res_state(dest, f"game.transition[{z}][{a}][{b}][{o}]")
-    return out
-
-
-def _parse_observation_probs(raw, shape) -> np.ndarray:
-    nz, na, nb, no = shape
-    if raw is None:
-        if no != 1:
-            raise SchemaError("game.observation_probs may be omitted only with a single observation")
-        return np.ones(shape)
-    out = np.empty(shape)
-    if not isinstance(raw, list) or len(raw) != nz:
-        raise SchemaError(f"game.observation_probs must have {nz} state rows")
-    for z, by_ai in enumerate(raw):
-        if not isinstance(by_ai, list) or len(by_ai) != na:
-            raise SchemaError(f"game.observation_probs[{z}] must have {na} ai-action rows")
-        for a, by_h in enumerate(by_ai):
-            if not isinstance(by_h, list) or len(by_h) != nb:
-                raise SchemaError(f"game.observation_probs[{z}][{a}] must have {nb} human-action rows")
-            for b, row in enumerate(by_h):
-                if not isinstance(row, list) or len(row) != no:
-                    raise SchemaError(
-                        f"game.observation_probs[{z}][{a}][{b}] must have {no} entries"
-                    )
-                for o, p in enumerate(row):
-                    out[z, a, b, o] = _number(p, f"game.observation_probs[{z}][{a}][{b}][{o}]")
+    filled = np.zeros(shape, dtype=bool)
+    for i, entry in enumerate(entries):
+        path = f"game.transition.entries[{i}]"
+        if not isinstance(entry, list) or len(entry) != 5:
+            raise SchemaError(f"{path} must be [state, ai_action, human_action, observation, next]")
+        z = res_state(entry[0], path)
+        a = res_ai(entry[1], path)
+        b = res_human(entry[2], path)
+        o = res_obs(entry[3], path)
+        if filled[z, a, b, o]:
+            raise SchemaError(f"{path} duplicates an earlier entry")
+        out[z, a, b, o] = res_state(entry[4], path)
+        filled[z, a, b, o] = True
+    if "default" in raw:
+        default = raw["default"]
+        if default == "self":
+            fill = np.arange(shape[0]).reshape(-1, 1, 1, 1)
+        else:
+            fill = res_state(default, "game.transition.default")
+        np.copyto(out, fill, where=~filled)
+    elif not filled.all():
+        missing = np.argwhere(~filled)[0]
+        raise SchemaError(
+            "sparse transition without default leaves "
+            f"(z={missing[0]}, a_ai={missing[1]}, a_h={missing[2]}, o={missing[3]}) undefined"
+        )
     return out
 
 
@@ -375,31 +390,15 @@ def _parse_ground_truth(gt: dict, game: GameSpec) -> GroundTruthSystem:
     noh = _count("human_observations")
     na, nb = game.num_ai_actions, game.num_human_actions
 
-    def _int_array(key, shape, size, kind):
-        raw = _require(gt, key, "ground_truth")
-        arr = _nested_ints(raw, shape, f"ground_truth.{key}")
-        if arr.size and (arr.min() < 0 or arr.max() >= size):
-            raise SpecReferenceError(
-                f"ground_truth.{key}: {kind} index out of range [0, {size})"
-            )
-        return arr
+    def _array(key, shape, read=_integer, dtype=np.int64):
+        return _dense(_require(gt, key, "ground_truth"), shape, f"ground_truth.{key}", read, dtype)
 
-    world_transitions = _int_array("world_dynamics", (ns, na, nb), ns, "world state")
-    human_transitions = _int_array("human_dynamics", (nh, na, nb, noh), nh, "human state")
-    human_observation = _int_array("human_observation", (ns,), noh, "human observation")
-    ai_observation = _int_array("ai_observation", (ns, na, nb), game.num_observations, "observation")
-    projection = _int_array("projection", (ns, nh), game.num_states, "state")
-
-    fail_raw = _require(gt, "privileged_failure", "ground_truth")
-    failure = np.empty((ns, nh), dtype=bool)
-    if not isinstance(fail_raw, list) or len(fail_raw) != ns:
-        raise SchemaError(f"ground_truth.privileged_failure must have {ns} rows")
-    for s, row in enumerate(fail_raw):
-        if not isinstance(row, list) or len(row) != nh or any(not isinstance(v, bool) for v in row):
-            raise SchemaError(
-                f"ground_truth.privileged_failure[{s}] must be an array of {nh} booleans"
-            )
-        failure[s] = row
+    world_transitions = _array("world_dynamics", (ns, na, nb))
+    human_transitions = _array("human_dynamics", (nh, na, nb, noh))
+    human_observation = _array("human_observation", (ns,))
+    ai_observation = _array("ai_observation", (ns, na, nb))
+    projection = _array("projection", (ns, nh))
+    failure = _array("privileged_failure", (ns, nh), _boolean, bool)
 
     known = {
         "world_states", "human_states", "human_observations", "world_dynamics",
@@ -421,24 +420,6 @@ def _parse_ground_truth(gt: dict, game: GameSpec) -> GroundTruthSystem:
         failure=failure,
         projection=projection,
     )
-
-
-def _nested_ints(raw, shape, path) -> np.ndarray:
-    out = np.empty(shape, dtype=np.int64)
-
-    def fill(node, dims, index, node_path):
-        if not dims:
-            if isinstance(node, bool) or not isinstance(node, int):
-                raise SchemaError(f"{node_path} must be an integer")
-            out[index] = node
-            return
-        if not isinstance(node, list) or len(node) != dims[0]:
-            raise SchemaError(f"{node_path} must be an array of length {dims[0]}")
-        for i, child in enumerate(node):
-            fill(child, dims[1:], index + (i,), f"{node_path}[{i}]")
-
-    fill(raw, list(shape), (), path)
-    return out
 
 
 def _parse_policies(raw, game: GameSpec):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -110,6 +111,16 @@ def test_input_errors(tmp_path, capsys):
     ]) == EXIT_INPUT
     assert main(["generate", "chain", "--length", "1", "-o", str(out)]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+    # a few bytes may declare a game too large to allocate; it is refused first
+    huge = tmp_path / "huge.haig.json"
+    game = json.loads(spec_path.read_text())["game"]
+    game.update(states=1_000_000_000, transition={"default": "self", "entries": []})
+    huge.write_text(json.dumps({"format_version": "1", "game": game}))
+    start = time.perf_counter()
+    assert main(["solve", str(huge), "-o", str(out)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "limit" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

@@ -1,0 +1,11 @@
+from __future__ import annotations
+
+import haig
+
+
+def test_export_list_is_sorted_unique_and_resolves():
+    names = haig.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(haig, name)]
+    assert missing == []

@@ -7,14 +7,12 @@ import haig.model
 from haig import (
     GameSpec,
     GroundTruthSystem,
-    allowed_human_actions,
     build_chain,
     build_dialogue,
-    margin,
     random_game,
-    step_info_state,
     validate_model,
 )
+from haig.model import _int_index
 
 
 def _tiny_game(**overrides) -> GameSpec:
@@ -53,33 +51,29 @@ def _mirror_gt(spec: GameSpec, **overrides) -> GroundTruthSystem:
 
 def test_step_margin_and_bound_accessors():
     spec = build_chain(5).game
-    assert step_info_state(spec, 3, 2, 1, 0) == 4  # ai +1, human 0
-    assert step_info_state(spec, 5, 2, 2, 0) == 5  # clamped at the top
-    assert step_info_state(spec, 0, 0, 0, 0) == 0
-    assert margin(spec, 0) == -1.0
-    assert margin(spec, 4) == 3.0
-    assert allowed_human_actions(spec, 2) == (0, 1, 2)
+    assert spec.transitions[3, 2, 1, 0] == 4  # ai +1, human 0
+    assert spec.transitions[5, 2, 2, 0] == 5  # clamped at the top
+    assert spec.transitions[0, 0, 0, 0] == 0
+    assert spec.margins[0] == -1.0
+    assert spec.margins[4] == 3.0
+    assert spec.action_bound[2] == (0, 1, 2)
 
 
 def test_step_accepts_out_of_bound_human_actions():
     spec = build_chain(5, human_reach=3, odd_reach=1).game
-    assert allowed_human_actions(spec, 3) == (2, 3, 4)
+    assert spec.action_bound[3] == (2, 3, 4)
     # index 0 is delta -3, outside the admissible bound but still defined
-    assert step_info_state(spec, 3, 1, 0, 0) == 0
+    assert spec.transitions[3, 1, 0, 0] == 0
 
 
 def test_index_errors_name_the_argument():
-    spec = build_chain(5).game
-    with pytest.raises(IndexError, match="info state"):
-        step_info_state(spec, 6, 0, 0, 0)
-    with pytest.raises(IndexError, match="ai action"):
-        step_info_state(spec, 0, 3, 0, 0)
-    with pytest.raises(IndexError, match="human action"):
-        step_info_state(spec, 0, 0, 5, 0)
-    with pytest.raises(IndexError, match="observation"):
-        step_info_state(spec, 0, 0, 0, 1)
+    with pytest.raises(IndexError, match="info state index 6 out of range"):
+        _int_index(6, 6, "info state")
+    with pytest.raises(IndexError, match="ai action index -1"):
+        _int_index(-1, 3, "ai action")
     with pytest.raises(IndexError, match="not an integer"):
-        margin(spec, "start")
+        _int_index("start", 6, "info state")
+    assert _int_index(np.int64(2), 3, "observation") == 2
 
 
 def test_deterministic_predicate_and_failure_states():

@@ -9,7 +9,6 @@ from haig import (
     parse_spec,
     random_game,
     serialize,
-    step_info_state,
     validate_model,
 )
 
@@ -26,9 +25,9 @@ def test_chain_structure():
     assert doc.task_policies == {"press_on": (0,) * 6}
     assert doc.human_policies == {"hold": (1,) * 6}
     # motion clamps at both ends
-    assert step_info_state(spec, 0, 0, 0, 0) == 0
-    assert step_info_state(spec, 5, 2, 2, 0) == 5
-    assert step_info_state(spec, 2, 2, 0, 0) == 2
+    assert spec.transitions[0, 0, 0, 0] == 0
+    assert spec.transitions[5, 2, 2, 0] == 5
+    assert spec.transitions[2, 2, 0, 0] == 2
 
 
 def test_chain_reach_and_bound_parameters():
@@ -39,7 +38,7 @@ def test_chain_reach_and_bound_parameters():
     odd = build_chain(5, human_reach=3, odd_reach=1).game
     assert odd.human_actions == ("-3", "-2", "-1", "0", "+1", "+2", "+3")
     assert odd.action_bound[0] == (2, 3, 4)  # only |delta| <= 1 admissible
-    assert step_info_state(odd, 4, 1, 0, 0) == 1  # but -3 still has dynamics
+    assert odd.transitions[4, 1, 0, 0] == 1  # but -3 still has dynamics
 
 
 def test_chain_argument_validation():
@@ -73,16 +72,16 @@ def test_dialogue_states_and_dynamics():
     grab_metal, grab_glass, microwave, wait = 0, 1, 2, 3
 
     # the warning recommendation marks the successor as warned
-    assert step_info_state(spec, 0, say_metal, grab_metal, 0) == 3
-    assert step_info_state(spec, 0, say_any, grab_metal, 0) == 2
+    assert spec.transitions[0, say_metal, grab_metal, 0] == 3
+    assert spec.transitions[0, say_any, grab_metal, 0] == 2
     # "any bowl" retracts an earlier warning
-    assert step_info_state(spec, 3, say_any, wait, 0) == 2
+    assert spec.transitions[3, say_any, wait, 0] == 2
     # microwaving with glass serves the soup, with metal it fails
-    assert step_info_state(spec, 4, say_wait, microwave, 0) == 6
-    assert step_info_state(spec, 2, say_wait, microwave, 0) == 7
+    assert spec.transitions[4, say_wait, microwave, 0] == 6
+    assert spec.transitions[2, say_wait, microwave, 0] == 7
     # terminal states absorb
-    assert step_info_state(spec, 6, say_any, microwave, 0) == 6
-    assert step_info_state(spec, 7, say_metal, wait, 0) == 7
+    assert spec.transitions[6, say_any, microwave, 0] == 6
+    assert spec.transitions[7, say_metal, wait, 0] == 7
 
     assert spec.margins.tolist() == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, -1.0]
     assert spec.annotations is not None and len(spec.annotations) == 8

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from haig import (
     save_spec,
     serialize,
 )
+from haig.specfile import MAX_JOINT_ENTRIES
 
 _MINIMAL = {
     "format_version": "1",
@@ -269,10 +271,67 @@ def test_ground_truth_round_trip_and_errors():
 
 
 def test_model_level_validation_applies_at_parse():
-    """Structural checks run on the assembled game, not only on JSON shape."""
-    bad = _payload(annotations=[["a"], ["b"], ["c"]])
-    with pytest.raises(SchemaError, match="annotations"):
-        _parse(bad)
+    """Consistency checks run on the assembled document, not only on JSON shape."""
+    raw = json.loads(serialize(build_chain(4)))
+    raw["ground_truth"]["world_dynamics"][2][2][1] = 0  # in range, but the game steps to 3
+    with pytest.raises(SchemaError, match="does not commute"):
+        parse_spec(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "path, value, error",
+    [
+        (("game", "margin", 1), "1e999", SchemaError),
+        (("game", "action_bound", 2), [], SchemaError),
+        (("game", "annotations"), [["a"]] * 4, SchemaError),
+        (("ground_truth", "world_dynamics", 1, 0, 2), 5, SpecReferenceError),
+        (("ground_truth", "human_dynamics", 0, 2, 1, 0), 1, SpecReferenceError),
+        (("ground_truth", "human_observation", 3), -1, SpecReferenceError),
+        (("ground_truth", "ai_observation", 4, 1, 1), 1, SpecReferenceError),
+        (("ground_truth", "projection", 0, 0), 5, SpecReferenceError),
+    ],
+)
+def test_value_rules_raise_their_error_class_at_parse(path, value, error):
+    """Rules that validate_model owns reach parse_spec with their error class."""
+    raw = json.loads(serialize(build_chain(4)))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    # json.dumps writes inf as Infinity, so 1e999 goes in as a string and is unquoted here
+    with pytest.raises(error):
+        parse_spec(json.dumps(raw).replace('"1e999"', "1e999"))
+
+
+def test_nested_array_errors_name_the_full_index_path():
+    payload = _payload(observations=["ping", "pong"])
+    payload["game"]["transition"] = [[[[0, 0]] * 2] * 2, [[[1, 1]] * 2] * 2]
+    probs = [[[[1.0, 0.0] for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    probs[1][0][1][0] = "most"
+    payload["game"]["observation_probs"] = probs
+    with pytest.raises(SchemaError, match=r"game\.observation_probs\[1\]\[0\]\[1\]\[0\] must be a number"):
+        _parse(payload)
+    probs[1][0][1] = [1.0]
+    with pytest.raises(SchemaError, match=r"game\.observation_probs\[1\]\[0\]\[1\] must be an array of length 2"):
+        _parse(payload)
+
+    raw = json.loads(serialize(build_chain(4)))
+    raw["ground_truth"]["human_dynamics"][0][2][1][0] = 0.5
+    with pytest.raises(SchemaError, match=r"ground_truth\.human_dynamics\[0\]\[2\]\[1\]\[0\] must be an integer"):
+        parse_spec(json.dumps(raw))
+
+
+def test_oversized_game_is_refused_before_allocation():
+    payload = _payload(
+        states=1_000_000_000,
+        transition={"default": "self", "entries": []},
+        margin=[],
+        action_bound=[],
+    )
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match=f"limit of {MAX_JOINT_ENTRIES}"):
+        _parse(payload)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_serialize_rejects_non_finite():
