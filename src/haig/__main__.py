@@ -1,0 +1,8 @@
+"""``python -m haig``: the ``haig`` command line, also from a checkout with ``PYTHONPATH=src``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

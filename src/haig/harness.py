@@ -568,13 +568,18 @@ def compare_oracle(
     epsilon: float = 1e-9,
     node_budget: int = 10_000_000,
 ) -> OracleReport:
-    """Largest gap between the sweeping solver and the game-tree recursion.
+    """Largest gap between ``value_iteration`` and the game-tree recursion.
+
+    The default horizon is the solution's ``iterations``: the sweeps the
+    sweep route takes, which the threshold attractor reports exactly without
+    sweeping.  On deterministic games the depth-limited values no longer
+    change past that horizon.
 
     The declared tolerance is zero for deterministic-observation games,
-    where both routes compute identical floating-point values.  Otherwise it
-    is ``max(1e-7, epsilon * iterations)``, a heuristic allowance for
-    rounding and for stopping at the residual ``epsilon``, not a proven
-    bound on the error.
+    where the solver and the recursion compute identical floating-point
+    values.  Otherwise it is ``max(1e-7, epsilon * iterations)``, a heuristic
+    allowance for rounding and for stopping at the residual ``epsilon``, not
+    a proven bound on the error.
     """
     spec = doc.game if isinstance(doc, SpecDocument) else doc
     sol = value_iteration(spec, epsilon=epsilon)

@@ -233,17 +233,19 @@ def validate_model(spec: GameSpec, ground_truth: GroundTruthSystem | None = None
         err("range", f"transition target out of range at (z={bad[0]}, a_ai={bad[1]}, a_h={bad[2]}, o={bad[3]})")
     if not np.all(np.isfinite(spec.margins)):
         err("margin", "margins must be finite")
-    if np.any(spec.observation_probs < 0.0) or not np.all(np.isfinite(spec.observation_probs)):
-        bad = np.argwhere((spec.observation_probs < 0.0) | ~np.isfinite(spec.observation_probs))[0]
+    probs = spec.observation_probs
+    if not (probs.min() >= 0.0 and np.isfinite(probs.max())):  # a NaN fails the first test
+        bad = np.argwhere((probs < 0.0) | ~np.isfinite(probs))[0]
         err("distribution", f"negative or non-finite probability at (z={bad[0]}, a_ai={bad[1]}, a_h={bad[2]}, o={bad[3]})")
     else:
-        sums = spec.observation_probs.sum(axis=3)
-        off = np.abs(sums - 1.0)
+        off = probs.sum(axis=3)
+        off -= 1.0
+        np.abs(off, out=off)
         if off.max() > OBS_ROW_TOLERANCE:
             bad = np.unravel_index(np.argmax(off), off.shape)
             err(
                 "distribution",
-                f"observation row (z={bad[0]}, a_ai={bad[1]}, a_h={bad[2]}) sums to {float(sums[bad])!r}",
+                f"observation row (z={bad[0]}, a_ai={bad[1]}, a_h={bad[2]}) sums to {float(probs[bad].sum())!r}",
             )
 
     for z, row in enumerate(spec.action_bound):

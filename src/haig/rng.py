@@ -24,6 +24,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
+        self._limits: dict[int, int] = {}  # randint's rejection limit per bound
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -38,9 +39,11 @@ class SplitMix64:
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Rejection sampling, so unbiased."""
-        if n <= 0:
-            raise ValueError(f"randint needs a positive bound, got {n}")
-        limit = ((1 << 64) // n) * n
+        limit = self._limits.get(n)
+        if limit is None:
+            if n <= 0:
+                raise ValueError(f"randint needs a positive bound, got {n}")
+            limit = self._limits[n] = ((1 << 64) // n) * n
         while True:
             x = self.next_u64()
             if x < limit:

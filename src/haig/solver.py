@@ -3,24 +3,43 @@
 The quantity computed here is the worst-case minimum margin the AI can
 guarantee over an unbounded interaction, assuming the human stays inside
 the per-state admissible action bound and gets to see the AI's committed
-action before responding.  Starting from the margins themselves, each
-sweep applies the backup
+action before responding.  It is the fixed point of the backup
 
     value'(z) = max over a_ai of
                 min over admissible a_h of
                 min( margin(z),  E over o of value(next(z, a_ai, a_h, o)) )
 
-with the expectation taken inside the inner min.  Sweeps read only the
-previous iterate, so per-state updates are order-independent and the run
-is reproducible bit for bit.  The iteration is monotone non-increasing
-per state, which is asserted on every sweep.
+with the expectation taken inside the inner min, iterated from the
+margins.  Two routes compute it, chosen by a fixed rule on the game:
 
-For games with deterministic observations the fixed point is reached
-exactly (values are mins and maxes over the original margins), and in at
-most one sweep per state, so convergence is detected by strict equality.
-With genuinely stochastic observations the iteration stops once the
-max-norm residual drops to ``epsilon``; if the sweep budget runs out the
-solution is returned with ``converged=False`` and the final residual.
+* The threshold attractor, for strictly deterministic games: every
+  positive observation probability is exactly 1.0 and every margin is
+  finite and not -0.0.  There every value is one of the margins, and
+  V(z) >= c exactly when the AI can keep the play in {margin >= c}
+  forever, the classical safety game (Zielonka 1998; Graedel, Thomas and
+  Wilke, LNCS 2500, ch. 2).  ``_threshold_attractor`` grows the human's
+  attractor of {margin < c} as c rises through the distinct margins, in
+  O(Z*A*B + Z log Z) where the sweeps take up to one O(Z*A*B) pass per
+  state.  A rank pass then gives the exact number of sweeps the sweep
+  route would take; each fall of a state's rank in it revisits the
+  state's predecessor edges (about once per state on random games and
+  corridors).  So ``iterations``, ``converged`` and ``residual`` (0.0)
+  are those of the sweep.
+* Synchronous sweeps of the backup, for everything else: stochastic
+  games, one-hot rows whose 1.0 is only approximate (such as 1 - 4e-13,
+  which validation accepts, and where the values are not margins), -0.0
+  margins (the sign of a zero value depends on the order of reduction),
+  ``record_sweeps=True``, and a ``max_iters`` below the sweep's count.
+  The sweep is also the reference the attractor is tested against.
+
+Sweeps read only the previous iterate, so per-state updates are
+order-independent and the run is reproducible bit for bit.  The iteration
+is monotone non-increasing per state, which is asserted on every sweep.
+On deterministic games the fixed point is reached exactly, in at most one
+sweep per state, so convergence is detected by strict equality.  With
+genuinely stochastic observations the iteration stops once the max-norm
+residual drops to ``epsilon``; if the sweep budget runs out the solution is
+returned with ``converged=False`` and the final residual.
 
 Sweep layout.  ``value_iteration`` reorders the successor and probability
 tensors once into C-contiguous (B, A, Z, O) arrays (``_sweep_layout``), so
@@ -45,7 +64,7 @@ states whose margin equals their value.
 
 ``brute_force_values`` is an intentionally separate implementation, a
 direct recursion over the game tree used as an oracle in tests and by
-``compare_oracle``.  It shares no code with the sweep.
+``compare_oracle``.  It shares no code with either route.
 """
 
 from __future__ import annotations
@@ -74,8 +93,11 @@ class ValueSolution:
         fallback_policy: per-state maximin AI action.
         adversary_policy: (Z, A) worst-case human response to each AI action,
             restricted to the admissible bound.
-        iterations: sweeps performed, counting the final no-change sweep.
-        residual: max-norm change of the last sweep.
+        iterations: sweeps the sweep route takes, counting the final
+            no-change sweep.  On the attractor route this is the exact
+            count the sweep would take, computed without sweeping.
+        residual: max-norm change of the last sweep (0.0 when a
+            deterministic game converged).
         sweeps: per-sweep value arrays when requested, else None.
     """
 
@@ -99,14 +121,19 @@ def value_iteration(
     max_iters: int | None = None,
     record_sweeps: bool = False,
 ) -> ValueSolution:
-    """Solve the game by synchronous sweeps of the safety backup.
+    """Solve the game: threshold attractor where exact, sweeps of the backup otherwise.
+
+    The module docstring gives the rule that picks the route; both return
+    the same bits wherever the attractor applies.
 
     Args:
         spec: a structurally valid game.
         epsilon: residual threshold for stochastic-observation games.
         max_iters: sweep budget. Defaults to ``num_states + 1`` for
             deterministic games (enough by construction) and 100000 otherwise.
-        record_sweeps: keep every intermediate value array on the solution.
+            A budget below the exact count is run as sweeps and stops there.
+        record_sweeps: keep every intermediate value array on the solution
+            (always sweeps).
 
     Ties in every argmax/argmin are broken toward the lowest action index.
     For deterministic games the stored adversary policy additionally
@@ -120,6 +147,45 @@ def value_iteration(
     if max_iters is None:
         max_iters = spec.num_states + 1 if deterministic else DEFAULT_MAX_SWEEPS_STOCHASTIC
 
+    det_succ = _det_successors(spec) if deterministic else None
+    exact = None
+    if det_succ is not None and not record_sweeps and _strictly_deterministic(spec, ell):
+        exact = _threshold_attractor(spec, ell, det_succ)
+    if exact is not None and exact[1] <= max_iters:
+        values, iterations = exact
+        converged, residual, history = True, 0.0, None
+    else:
+        values, iterations, converged, residual, history = _sweeps(
+            spec, ell, deterministic, epsilon, max_iters, record_sweeps
+        )
+
+    q_values = _q_table(ell, trans, probs, values)
+    inner = np.where(spec.bound_mask[:, None, :], q_values, np.inf).min(axis=2)
+    fallback = inner.argmax(axis=1).astype(np.int64)
+    adversary = _adversary_table(spec, ell, values, q_values, fallback, det_succ)
+    safe = frozenset(int(z) for z in np.flatnonzero(values >= 0.0))
+
+    values.setflags(write=False)
+    q_values.setflags(write=False)
+    fallback.setflags(write=False)
+    adversary.setflags(write=False)
+    return ValueSolution(
+        spec=spec,
+        values=values,
+        q_values=q_values,
+        safe_set=safe,
+        fallback_policy=fallback,
+        adversary_policy=adversary,
+        iterations=iterations,
+        converged=converged,
+        epsilon=epsilon,
+        residual=residual,
+        sweeps=tuple(history) if history is not None else None,
+    )
+
+
+def _sweeps(spec, ell, deterministic, epsilon, max_iters, record_sweeps):
+    """Synchronous sweeps from the margins: (values, iterations, converged, residual, history)."""
     succ, weight = _sweep_layout(spec)
     values = ell.copy()
     history = [values.copy()] if record_sweeps else None
@@ -140,30 +206,7 @@ def value_iteration(
         if done:
             converged = True
             break
-
-    q_values = _q_table(ell, trans, probs, values)
-    inner = np.where(spec.bound_mask[:, None, :], q_values, np.inf).min(axis=2)
-    fallback = inner.argmax(axis=1).astype(np.int64)
-    adversary = _adversary_table(spec, ell, values, q_values, fallback, deterministic)
-    safe = frozenset(int(z) for z in np.flatnonzero(values >= 0.0))
-
-    values.setflags(write=False)
-    q_values.setflags(write=False)
-    fallback.setflags(write=False)
-    adversary.setflags(write=False)
-    return ValueSolution(
-        spec=spec,
-        values=values,
-        q_values=q_values,
-        safe_set=safe,
-        fallback_policy=fallback,
-        adversary_policy=adversary,
-        iterations=iterations,
-        converged=converged,
-        epsilon=epsilon,
-        residual=residual,
-        sweeps=tuple(history) if history is not None else None,
-    )
+    return values, iterations, converged, residual, history
 
 
 def _q_table(ell, trans, probs, values) -> np.ndarray:
@@ -193,6 +236,129 @@ def _sweep(ell, succ, weight, values) -> np.ndarray:
     q = (weight * values[succ]).sum(axis=-1)  # (B, A, Z)
     np.minimum(ell, q, out=q)
     return np.maximum.reduce(np.minimum.reduce(q, axis=0), axis=0)
+
+
+def _strictly_deterministic(spec: GameSpec, ell) -> bool:
+    """True when the sweep's values on this deterministic game are bit-exact margins.
+
+    That holds when every positive observation probability is exactly 1.0,
+    so the expectation is one product by 1.0 plus zeros, and every margin is
+    finite and not -0.0, whose sign after a min or a sum depends on the
+    order of reduction.
+    """
+    probs = spec.observation_probs
+    return bool(
+        probs.min() >= 0.0
+        and np.all(probs.max(axis=3) == 1.0)
+        and np.all(np.isfinite(ell))
+        and not np.any(np.signbit(ell) & (ell == 0.0))
+    )
+
+
+def _det_successors(spec: GameSpec) -> np.ndarray:
+    """(Z, A, B) successor along each row's one positive-probability observation."""
+    if spec.num_observations == 1:
+        return spec.transitions[..., 0]
+    det_obs = spec.observation_probs.argmax(axis=3)[..., None]
+    return np.take_along_axis(spec.transitions, det_obs, axis=3)[..., 0]
+
+
+def _threshold_attractor(spec: GameSpec, ell, det_succ) -> tuple[np.ndarray, int]:
+    """Values and the sweep's exact count on a game where ``_strictly_deterministic`` holds.
+
+    V(z) >= c exactly when the AI can keep the play inside {margin >= c}
+    forever, so V(z) is the margin level at which z enters the human
+    attractor of {margin < c} as c rises through the distinct margins.
+    The attractor grows over predecessor lists of the distinct admissible
+    (z, a) <- w edges: an edge marks (z, a) losing once w is attracted,
+    and z is attracted when its last live action turns losing.
+
+    Sweep k computes the least margin the AI can guarantee over k steps, so
+    z holds its final value from sweep t(z) on, where t(z) is its rank (the
+    number of steps the human needs) in the attractor of {margin <= V(z)}.
+    The sweep stops one no-change sweep after the last state settles:
+    ``1 + max t(z)``.  A state whose value is its own margin has t = 0.
+    Ranks only fall as the target set grows, so one bucket pass per value
+    that some other state holds, keeping each (z, a)'s least successor
+    rank, carries them from one such value to the next.
+    """
+    nz, na = spec.num_states, spec.num_ai_actions
+    zs, bs = np.nonzero(spec.bound_mask)
+    keys = np.sort((det_succ[zs, :, bs] * nz + zs[:, None]) * na + np.arange(na), axis=None)
+    keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]  # distinct (w, z, a) in that order
+    starts = np.searchsorted(keys // (nz * na), np.arange(nz + 1)).tolist()
+    flat = (keys % (nz * na)).tolist()  # z * na + a
+    preds = [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+    order = np.argsort(ell, kind="stable")
+    sorted_ell = ell[order]
+    rises = sorted_ell[1:] != sorted_ell[:-1]
+    levels = np.concatenate(([0], np.cumsum(rises))).tolist()  # margin level of order[i]
+    level_ends = [*(np.flatnonzero(rises) + 1).tolist(), nz]
+    order = order.tolist()
+
+    # Attractor of {margin < c} as c rises: each state, taken in margin
+    # order, is a target at its own level unless already attracted.
+    live = [na] * nz
+    losing = [False] * (nz * na)
+    entry = [-1] * nz  # margin level at which each state is attracted
+    pulled: dict[int, list[int]] = {}  # level -> states attracted above their own margin
+    for target, level in zip(order, levels):
+        if entry[target] >= 0:
+            continue
+        entry[target] = level
+        queue = [target]
+        for w in queue:  # queue grows while it is read
+            for za in preds[w]:
+                if losing[za]:
+                    continue
+                losing[za] = True
+                z = za // na
+                live[z] -= 1
+                if not live[z] and entry[z] < 0:
+                    entry[z] = level
+                    queue.append(z)
+                    pulled.setdefault(level, []).append(z)
+
+    # Ranks in the attractor of {margin <= v}, at each value v that some
+    # pulled state holds; every other state has rank 0 at its own value.
+    rank = [_UNREACHED] * nz
+    least = [_UNREACHED] * (nz * na)  # per (z, a): least rank among successors
+    unranked = [na] * nz  # per z: actions whose least is still unreached
+    deepest = 0
+    targeted = 0
+    for level, states in pulled.items():
+        buckets = [[]]
+        for z in order[targeted:level_ends[level]]:
+            if rank[z]:
+                rank[z] = 0
+                buckets[0].append(z)
+        targeted = level_ends[level]
+        for r, bucket in enumerate(buckets):  # buckets grows while it is read
+            for w in bucket:
+                if rank[w] != r:
+                    continue
+                for za in preds[w]:
+                    old = least[za]
+                    if r < old:
+                        least[za] = r
+                        z = za // na
+                        if old == _UNREACHED:
+                            unranked[z] -= 1
+                            if unranked[z]:
+                                continue
+                        elif old + 1 < rank[z]:
+                            continue  # the max over z's actions did not move
+                        new = 1 + max(least[z * na:z * na + na])
+                        if new < rank[z]:
+                            rank[z] = new
+                            while len(buckets) <= new:
+                                buckets.append([])
+                            buckets[new].append(z)
+        deepest = max(deepest, *(rank[z] for z in states))
+
+    level_margins = sorted_ell[[0, *level_ends[:-1]]]
+    return level_margins[entry], 1 + deepest
 
 
 def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ) -> np.ndarray:
@@ -229,15 +395,13 @@ def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ)
     return np.array(steps, dtype=np.int64)
 
 
-def _adversary_table(spec, ell, values, q_values, fallback, deterministic) -> np.ndarray:
+def _adversary_table(spec, ell, values, q_values, fallback, det_succ) -> np.ndarray:
     mask = spec.bound_mask[:, None, :]  # (Z, 1, B)
     masked = np.where(mask, q_values, np.inf)
-    if not deterministic:
+    if det_succ is None:
         return masked.argmin(axis=2).astype(np.int64)
 
     # Lowest (q, tail, b) among admissible responses, in that order.
-    det_obs = spec.observation_probs.argmax(axis=3)[..., None]
-    det_succ = np.take_along_axis(spec.transitions, det_obs, axis=3)[..., 0]  # (Z, A, B)
     steps = _attainment_steps(spec, ell, values, q_values, fallback, det_succ)
     tail = np.where(ell[:, None, None] <= values[det_succ], 0, steps[det_succ])
     best = mask & (q_values == masked.min(axis=2, keepdims=True))

@@ -68,6 +68,7 @@ FORMAT_VERSION = "1"
 # game may declare.  Each (Z, A, B, O) tensor takes 8 bytes per entry, about
 # 34 MB at the limit, and the check runs before any of them is allocated.
 MAX_JOINT_ENTRIES = 1 << 22
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # Exception raised for a validate_model error code; other codes raise SchemaError.
 _ERROR_CLASSES = {"distribution": DistributionError, "range": SpecReferenceError}
 
@@ -202,12 +203,17 @@ class _Resolver:
 def _number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{path} is beyond the range of a 64-bit float") from None
 
 
 def _integer(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path} must be an integer")
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise SchemaError(f"{path} is beyond the range of a 64-bit integer")
     return value
 
 

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from haig import load_spec, parse_spec
+import haig
+from haig import build_chain, load_spec, parse_spec
 from haig.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, main
 
 
@@ -122,6 +125,14 @@ def test_input_errors(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert "limit" in capsys.readouterr().err
 
+    # an integer beyond int64 is a schema error, not an OverflowError
+    overflow = tmp_path / "overflow.haig.json"
+    raw = json.loads(spec_path.read_text())
+    raw["ground_truth"]["projection"][0][0] = 10**30
+    overflow.write_text(json.dumps(raw))
+    assert main(["solve", str(overflow), "-o", str(out)]) == EXIT_INPUT
+    assert "projection[0][0]" in capsys.readouterr().err
+
 
 def test_console_entry_point(tmp_path):
     """The installed script must behave like main()."""
@@ -133,6 +144,19 @@ def test_console_entry_point(tmp_path):
     assert result.returncode == EXIT_OK
     assert "wrote" in result.stdout
     parse_spec((tmp_path / "c.haig.json").read_bytes())
+
+
+def test_python_dash_m_runs_from_the_source_tree(tmp_path):
+    src = Path(haig.__file__).resolve().parent.parent
+    out = tmp_path / "m.haig.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "haig", "generate", "chain", "--length", "3", "-o", str(out)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout == f"wrote {out} (4 states)\n"
+    assert load_spec(out) == build_chain(3)
 
 
 def test_usage_error_is_argparse_standard():

@@ -14,6 +14,7 @@ from haig import (
     build_dialogue,
     random_game,
     solution_payload,
+    validate_model,
     value_iteration,
 )
 
@@ -288,9 +289,9 @@ def test_sweeps_match_the_masked_backup_bit_for_bit():
     assert saw_negative_zero
 
 
-def _corridor(n, seed):
-    """A shuffled corridor: every joint action steps toward cell 0; margins rise along it."""
-    cells = np.random.default_rng(seed).permutation(n)  # cells[i]: state index of the i-th cell
+def _corridor(n, seed=None):
+    """A corridor, shuffled unless ``seed`` is None: every joint action steps toward cell 0; margins rise along it."""
+    cells = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)  # cells[i]: state of cell i
     transitions = np.empty((n, 2, 2, 1), dtype=np.int64)
     transitions[cells] = cells[np.maximum(np.arange(n) - 1, 0)][:, None, None, None]
     margins = np.empty(n)
@@ -385,6 +386,103 @@ def test_shuffled_corridor_solves_to_its_sink():
     assert sol.iterations == 300
     assert sol.values.tolist() == [-0.5] * 300
     assert sol.adversary_policy.tolist() == [[0, 0]] * 300
+
+
+# ---------------------------------------------------------------------------
+# threshold attractor against the sweep
+# ---------------------------------------------------------------------------
+
+
+def _one_hot(spec, rng):
+    """``spec`` with every observation row a 1.0 on one random observation."""
+    pick = rng.integers(spec.num_observations, size=spec.observation_probs.shape[:3])
+    probs = np.zeros(spec.observation_probs.shape)
+    np.put_along_axis(probs, pick[..., None], 1.0, axis=3)
+    return replace(spec, observation_probs=probs)
+
+
+def _attractor_corpus():
+    """Games the attractor solves: random, narrowed, chains, dialogues, corridors and one-hot O = 3."""
+    rng = np.random.default_rng(31)
+    for seed in range(100):  # the shapes of the acceptance oracle corpus
+        spec = random_game(
+            seed,
+            states=5 + (seed * 7) % 196,
+            ai_actions=2 + seed % 3,
+            human_actions=2 + (seed // 3) % 3,
+            observations=1,
+            failure_fraction=(0.1, 0.2, 0.3)[seed % 3],
+        ).game
+        coarse = np.round(spec.margins * 4.0) / 4.0 + 0.0  # many ties; + 0.0 turns -0.0 into 0.0
+        yield spec
+        yield replace(spec, margins=coarse, action_bound=_random_bounds(rng, spec))
+    for length in (2, 5, 9):
+        for reach in (1, 2, 3):
+            for odd in range(1, reach + 1):
+                yield build_chain(length, reach, odd).game
+    yield build_dialogue().game
+    yield build_dialogue(conservative_bound=True).game
+    for seed in range(4):
+        yield _corridor(50 + 70 * seed, seed)
+        yield _corridor(50 + 70 * seed)
+    for seed in range(30):
+        spec = _one_hot(
+            random_game(
+                seed, states=6 + 3 * seed, ai_actions=1 + seed % 3, human_actions=1 + seed % 4,
+                observations=3, failure_fraction=0.2,
+            ).game,
+            rng,
+        )
+        yield spec
+        yield replace(spec, margins=np.round(spec.margins * 2.0) / 2.0 + 0.0,
+                      action_bound=_random_bounds(rng, spec))
+
+
+def _assert_same_solution(sol, reference):
+    assert sol.values.tobytes() == reference.values.tobytes()
+    assert sol.q_values.tobytes() == reference.q_values.tobytes()
+    assert sol.fallback_policy.tobytes() == reference.fallback_policy.tobytes()
+    assert sol.adversary_policy.tobytes() == reference.adversary_policy.tobytes()
+    assert (sol.iterations, sol.converged, sol.residual) == (
+        reference.iterations, reference.converged, reference.residual)
+
+
+def test_attractor_matches_the_sweep_bit_for_bit():
+    """``record_sweeps`` always sweeps, so it is the reference for the attractor's tables and count."""
+    for spec in _attractor_corpus():
+        assert spec.is_deterministic()
+        _assert_same_solution(value_iteration(spec), value_iteration(spec, record_sweeps=True))
+
+
+def test_games_off_the_attractor_route_get_the_sweep():
+    chain = build_chain(6).game
+    almost_one = replace(chain, observation_probs=np.full(chain.observation_probs.shape, 1 - 4e-13))
+    assert validate_model(almost_one).ok and almost_one.is_deterministic()
+    sol = value_iteration(almost_one)
+    assert (sol.iterations, sol.converged) == (8, False)  # the sweep's values are not margins here
+    _assert_same_solution(sol, value_iteration(almost_one, record_sweeps=True))
+
+    tie = _signed_zero_tie_game()  # the sweep ends state 0 on +0.0, the margin level is -0.0
+    sol = value_iteration(tie)
+    assert sol.values.tolist() == [0.0, 1.0, 0.0] and not np.signbit(sol.values[0])
+    _assert_same_solution(sol, value_iteration(tie, record_sweeps=True))
+
+    weak = build_chain(5, human_reach=2).game  # converges on sweep 6
+    for budget in (0, 1, 5):
+        sol = value_iteration(weak, max_iters=budget)
+        assert (sol.iterations, sol.converged) == (budget, False)
+        _assert_same_solution(sol, value_iteration(weak, max_iters=budget, record_sweeps=True))
+    assert value_iteration(weak, max_iters=6).converged
+
+
+def test_large_corridors_take_one_sweep_per_state():
+    length = 20_000
+    for seed in (None, 3):
+        sol = value_iteration(_corridor(length, seed))
+        assert sol.values.tolist() == [-0.5] * length
+        assert sol.iterations == length
+        assert sol.converged and sol.residual == 0.0
+        assert sol.safe_set == frozenset()
 
 
 # ---------------------------------------------------------------------------

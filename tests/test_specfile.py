@@ -289,6 +289,9 @@ def test_model_level_validation_applies_at_parse():
         (("ground_truth", "human_observation", 3), -1, SpecReferenceError),
         (("ground_truth", "ai_observation", 4, 1, 1), 1, SpecReferenceError),
         (("ground_truth", "projection", 0, 0), 5, SpecReferenceError),
+        (("ground_truth", "projection", 0, 0), 2**63, SchemaError),
+        (("ground_truth", "human_observation", 3), -(2**63) - 1, SchemaError),
+        (("game", "margin", 1), 10**400, SchemaError),
     ],
 )
 def test_value_rules_raise_their_error_class_at_parse(path, value, error):
@@ -318,6 +321,14 @@ def test_nested_array_errors_name_the_full_index_path():
     raw = json.loads(serialize(build_chain(4)))
     raw["ground_truth"]["human_dynamics"][0][2][1][0] = 0.5
     with pytest.raises(SchemaError, match=r"ground_truth\.human_dynamics\[0\]\[2\]\[1\]\[0\] must be an integer"):
+        parse_spec(json.dumps(raw))
+    raw["ground_truth"]["human_dynamics"][0][2][1][0] = 0
+    raw["ground_truth"]["projection"][1][0] = 10**30
+    with pytest.raises(SchemaError, match=r"ground_truth\.projection\[1\]\[0\] is beyond the range of a 64-bit integer"):
+        parse_spec(json.dumps(raw))
+    raw["ground_truth"]["projection"][1][0] = 0
+    raw["game"]["margin"][2] = 10**400
+    with pytest.raises(SchemaError, match=r"game\.margin\[2\] is beyond the range of a 64-bit float"):
         parse_spec(json.dumps(raw))
 
 
