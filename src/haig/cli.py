@@ -12,16 +12,21 @@ import json
 import sys
 
 from .errors import BudgetExceededError, HaigError
-from .filtering import FILTER_MODES
-from .harness import RolloutConfig, compare_oracle, rollout, summary_csv, verify_safety
+from .filtering import FILTER_MODES, SWITCH
+from .harness import (
+    DEFAULT_DEPTH, DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_SAMPLES, RolloutConfig, compare_oracle, rollout,
+    summary_csv, verify_safety,
+)
 from .scenarios import build_chain, build_dialogue, random_game
-from .solver import solution_payload, value_iteration
+from .solver import DEFAULT_EPSILON, DEFAULT_NODE_BUDGET, solution_payload, value_iteration
 from .specfile import load_spec, save_spec
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+
+_COUNTEREXAMPLE_KEYS = ("z", "task_a", "executed_a", "a_human", "obs")  # printed per step
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a document and write the value tables")
     solve.add_argument("spec")
     solve.add_argument("-o", "--output", required=True)
-    solve.add_argument("--epsilon", type=float, default=1e-9)
+    solve.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     solve.add_argument("--max-iters", type=int, default=None)
 
     roll = sub.add_parser("filter-rollout", help="run one filtered rollout")
@@ -53,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     roll.add_argument("-o", "--output", required=True, help="JSONL trace path")
     roll.add_argument("--task", default="random")
     roll.add_argument("--human", default="worst_case")
-    roll.add_argument("--filter", default="switch", choices=FILTER_MODES)
+    roll.add_argument("--filter", default=SWITCH, choices=FILTER_MODES)
     roll.add_argument("--state", default="0", help="initial state index or label")
     roll.add_argument("--steps", type=int, default=20)
     roll.add_argument("--seed", type=int, default=0)
@@ -61,17 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check the safety guarantee to a depth")
     ver.add_argument("spec")
-    ver.add_argument("--depth", type=int, default=8)
-    ver.add_argument("--filter", default="switch", choices=FILTER_MODES)
-    ver.add_argument("--exhaustive-limit", type=int, default=1_000_000)
-    ver.add_argument("--samples", type=int, default=10_000)
+    ver.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    ver.add_argument("--filter", default=SWITCH, choices=FILTER_MODES)
+    ver.add_argument("--exhaustive-limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
+    ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     ver.add_argument("--seed", type=int, default=0)
 
     cmp = sub.add_parser("compare-oracle", help="cross-check the solver against brute force")
     cmp.add_argument("spec")
     cmp.add_argument("--horizon", type=int, default=None)
-    cmp.add_argument("--epsilon", type=float, default=1e-9)
-    cmp.add_argument("--budget", type=int, default=10_000_000)
+    cmp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    cmp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
     return parser
 
@@ -145,9 +150,10 @@ def _cmd_verify(args) -> int:
         f"{len(report.certified_states)} certified states, {report.expanded} expansions"
     )
     for ce in report.counterexamples:
-        print(f"counterexample from state {ce.initial_state}:")
+        print(f"counterexample from state {ce.steps[0].state}:")
         for step in ce.steps:
-            print("  " + json.dumps(step.to_json_dict(), sort_keys=True))
+            record = step.to_json_dict()
+            print("  " + json.dumps({key: record[key] for key in _COUNTEREXAMPLE_KEYS}, sort_keys=True))
         print(f"  reaches state {ce.final_state} with margin {ce.final_margin!r}")
     if not report.ok:
         return EXIT_COUNTEREXAMPLE

@@ -4,8 +4,9 @@ A filter wraps three ingredients: a fallback policy the system can always
 drop into, a monitor scoring how dangerous a proposed action is at the
 current state, and an intervention rule that picks the executed action.
 ``perfect_filter`` assembles the canonical instance from a converged
-solution: the fallback is the maximin policy and the monitor is the
-solved action value against the worst admissible human response.
+solution: the fallback is the solution's maximin policy and the monitor
+is its ``scores`` table (the same array), the solved action value against
+the worst admissible human response.
 
 Intervention rules (``FILTER_MODES``):
 
@@ -21,11 +22,13 @@ Intervention rules (``FILTER_MODES``):
 The filter decides every (state, task action) pair once, when it is
 built: ``scores`` and ``executed`` are read-only (Z, A) tables, and
 ``filter_action``, ``check_initial_condition`` and ``certified_actions``
-read them.  ``pluggable_monitor`` is a standalone tool for comparing
-monitors: the solved-table monitor ("critic") and a bounded rollout
-against the stored worst-case human ("rollout"), which for deterministic
-games agrees in sign with the critic once the horizon covers the solver's
-sweep count.
+read them.  A state is certified when some action scores >= 0 (then the
+fallback, the argmax, does too); ``_certified`` is that rule, and
+``verify_safety`` reads it as well.  ``pluggable_monitor`` is a
+standalone tool for comparing monitors: the solved table ("critic") and a
+bounded rollout against the stored worst-case human ("rollout"), which
+for deterministic games agrees in sign with the critic once the horizon
+covers the solver's sweep count.
 """
 
 from __future__ import annotations
@@ -78,20 +81,10 @@ class SafetyFilter:
     scores: np.ndarray
     executed: np.ndarray
 
-    @property
-    def fallback(self) -> np.ndarray:
-        return self.solution.fallback_policy
 
-    def monitor(self, z: int, a: int) -> float:
-        spec = self.solution.spec
-        z = _int_index(z, spec.num_states, "info state")
-        a = _int_index(a, spec.num_ai_actions, "ai action")
-        return float(self.scores[z, a])
-
-
-def _worst_admissible(sol: ValueSolution) -> np.ndarray:
-    """(Z, A) value of each action against the worst admissible human response."""
-    return np.where(sol.spec.bound_mask[:, None, :], sol.q_values, np.inf).min(axis=2)
+def _certified(scores: np.ndarray) -> np.ndarray:
+    """Whether some action scores >= 0, per row of a score table or for one row."""
+    return (scores >= 0.0).any(axis=-1)
 
 
 def perfect_filter(sol: ValueSolution, intervention: str = SWITCH) -> SafetyFilter:
@@ -102,7 +95,7 @@ def perfect_filter(sol: ValueSolution, intervention: str = SWITCH) -> SafetyFilt
         )
     if intervention not in FILTER_MODES:
         raise ValueError(f"unknown intervention mode {intervention!r}")
-    scores = _worst_admissible(sol)
+    scores = sol.scores
     fallback = sol.fallback_policy[:, None]
     actions = np.arange(sol.spec.num_ai_actions)
     passing = scores > 0.0
@@ -120,7 +113,6 @@ def perfect_filter(sol: ValueSolution, intervention: str = SWITCH) -> SafetyFilt
         executed = np.where(passing.any(axis=1, keepdims=True), key.argmin(axis=2), fallback)
 
     executed = np.array(executed, dtype=np.int64)
-    scores.setflags(write=False)
     executed.setflags(write=False)
     return SafetyFilter(solution=sol, intervention=intervention, scores=scores, executed=executed)
 
@@ -149,19 +141,21 @@ def filter_action(
 
 
 def check_initial_condition(flt: SafetyFilter, z0: int) -> bool:
-    """Whether the fallback itself is certified at ``z0``.
+    """Whether ``z0`` is certified: some action, so the fallback, scores >= 0.
 
-    With the perfect filter this is exactly membership of ``z0`` in the
-    solved safe set, and it is the premise of the safety guarantee, which
-    holds whatever the task policy proposes, as long as the human stays in
-    bound.  On games with deterministic observations, the filtered system
-    started here never reaches a failure state.  On games with stochastic
-    observations, the claim is only that the fallback keeps the expected
-    value of the next state nonnegative, E[V(next)] >= 0, against every
-    admissible human action; a run may still reach failure.
+    The score is one more backup of the solved values, so on deterministic
+    games this is exactly membership of ``z0`` in the solved safe set; on
+    stochastic games the two may differ by up to the final residual.  It is
+    the premise of the safety guarantee, which holds whatever the task
+    policy proposes, as long as the human stays in bound.  On games with
+    deterministic observations, the filtered system started here never
+    reaches a failure state.  On games with stochastic observations, the
+    claim is only that the fallback keeps the expected value of the next
+    state nonnegative, E[V(next)] >= 0, against every admissible human
+    action; a run may still reach failure.
     """
     z0 = _int_index(z0, flt.solution.spec.num_states, "info state")
-    return bool(flt.scores[z0, flt.fallback[z0]] >= 0.0)
+    return bool(_certified(flt.scores[z0]))
 
 
 def certified_actions(flt: SafetyFilter, z: int) -> tuple[int, ...]:
@@ -186,7 +180,7 @@ def pluggable_monitor(
     spec = sol.spec
 
     if mode == "critic":
-        worst = _worst_admissible(sol)
+        worst = sol.scores
     elif mode != "rollout":
         raise ValueError(f"unknown monitor mode {mode!r}")
     elif horizon is None or horizon < 1:

@@ -20,14 +20,16 @@ the check enumerates exhaustively (a breadth-first search over reachable
 states; filtering makes the task action's effect a function of the state,
 so state-level memoization loses nothing).  Larger or stochastic games
 fall back to seeded random sequences.  Running it with the filter off is
-the control arm; counterexample traces are reported verbatim.
+the control arm.  Each counterexample is a ``RolloutTrace`` of its path
+to failure, built only for failing paths: monitor scores from the
+solution's ``scores`` table, no ground-truth flags.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
-and read its decision table (executed action and monitor score for every
-state and task action) as plain Python lists; ``"none"`` is a filter mode
-like the others.  Both read the dynamics through one per-state list view,
-and exhaustive verification builds each expanded state's distinct
-successors once, the first time the state is met.
+and read its executed-action table as plain Python lists (rollout reads
+the monitor scores the same way); ``"none"`` is a filter mode like the
+others.  Both read the dynamics through one per-state list view, and
+exhaustive verification builds each expanded state's distinct successors
+once, the first time the state is met.
 """
 
 from __future__ import annotations
@@ -37,12 +39,18 @@ import io
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceededError, PolicyResolutionError
-from .filtering import FILTER_MODES, SWITCH, InterventionRecord, perfect_filter
+from .filtering import FILTER_MODES, SWITCH, InterventionRecord, _certified, perfect_filter
 from .model import GameSpec, _int_index
 from .rng import SplitMix64
-from .solver import ValueSolution, brute_force_values, value_iteration
+from .solver import DEFAULT_EPSILON, DEFAULT_NODE_BUDGET, ValueSolution, brute_force_values, value_iteration
 from .specfile import SpecDocument
+
+DEFAULT_DEPTH = 8
+DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
+DEFAULT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -90,15 +98,16 @@ class RolloutStep(InterventionRecord):
         return record
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RolloutTrace:
-    """A rollout's steps and the state it ended in.
+    """A rollout's steps and the state it ended in; also a verify counterexample.
 
-    The summaries are derived from the steps.  ``min_margin`` and
-    ``violation_count`` range over every visited state, the terminal one
-    included.  ``gt_failure_count`` does the same against the privileged
-    failure set, and is ``None`` when the document has no ground truth.
-    ``to_jsonl`` checks the steps against the dynamics before it writes.
+    Traces compare by value.  The summaries are derived from the steps.
+    ``min_margin`` and ``violation_count`` range over every visited state,
+    the terminal one included.  ``gt_failure_count`` does the same against
+    the privileged failure set, and is ``None`` when the document has no
+    ground truth.  ``to_jsonl`` checks the steps against the dynamics
+    before it writes.
     """
 
     spec: GameSpec
@@ -348,38 +357,12 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
 
 
 @dataclass(frozen=True)
-class CounterexampleStep:
-    state: int
-    task_action: int
-    executed_action: int
-    human_action: int
-    observation: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "z": self.state,
-            "task_a": self.task_action,
-            "executed_a": self.executed_action,
-            "a_human": self.human_action,
-            "obs": self.observation,
-        }
-
-
-@dataclass(frozen=True)
-class Counterexample:
-    initial_state: int
-    steps: tuple[CounterexampleStep, ...]
-    final_state: int
-    final_margin: float
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     mode: str  # "exhaustive" | "sampled"
     depth: int
     filter_mode: str
     certified_states: tuple[int, ...]
-    counterexamples: tuple[Counterexample, ...]
+    counterexamples: tuple[RolloutTrace, ...]
     expanded: int
 
     @property
@@ -418,10 +401,10 @@ def _successors(z: int, dynamics: tuple, bound: tuple[int, ...], executed: list[
 def verify_safety(
     doc: SpecDocument,
     *,
-    depth: int = 8,
+    depth: int = DEFAULT_DEPTH,
     filter_mode: str = SWITCH,
-    exhaustive_limit: int = 1_000_000,
-    samples: int = 10_000,
+    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     max_nodes: int | None = None,
     solution: ValueSolution | None = None,
@@ -444,11 +427,9 @@ def verify_safety(
 
     sol = solution if solution is not None else value_iteration(spec)
     flt = perfect_filter(sol, filter_mode)
-    # certified: the fallback scores >= 0.  That score is one more backup of
-    # the values, so on stochastic games it may differ from sol.values (and
-    # sol.safe_set) by up to the final residual.
-    fallback = flt.fallback.tolist()
-    certified = tuple(z for z, scores in enumerate(flt.scores.tolist()) if scores[fallback[z]] >= 0.0)
+    # the rule of check_initial_condition, which on stochastic games may
+    # differ from sol.safe_set by up to the final residual
+    certified = tuple(np.flatnonzero(_certified(sol.scores)).tolist())
     executed = flt.executed.tolist()
     unsafe = (spec.margins < 0.0).tolist()
 
@@ -456,7 +437,7 @@ def verify_safety(
     mode = "exhaustive" if spec.is_deterministic() and joint <= exhaustive_limit else "sampled"
     budget = float("inf") if max_nodes is None else max_nodes
 
-    counterexamples: list[Counterexample] = []
+    counterexamples: list[RolloutTrace] = []
     expanded = 0
 
     def report() -> VerificationReport:
@@ -501,7 +482,12 @@ def verify_safety(
                         break
                 frontier = nxt
             if hit is not None:
-                counterexamples.append(_reconstruct(spec, parent, z0, hit))
+                path = []
+                z = hit
+                while parent[z] is not None:
+                    path.append(parent[z])
+                    z = parent[z][0]
+                counterexamples.append(_counterexample(sol, path[::-1], hit))
     else:
         num_ai = spec.num_ai_actions
         stream = SplitMix64(seed)
@@ -522,8 +508,7 @@ def verify_safety(
                     path.append((z, a_task, a_exec, b, o))
                     z = trans[a_exec][b][o]
                     if unsafe[z]:
-                        steps = tuple(CounterexampleStep(*step) for step in path)
-                        counterexamples.append(Counterexample(z0, steps, z, float(spec.margins[z])))
+                        counterexamples.append(_counterexample(sol, path, z))
                         break
                 else:
                     continue
@@ -532,15 +517,15 @@ def verify_safety(
     return report()
 
 
-def _reconstruct(spec: GameSpec, parent: dict, z0: int, hit: int) -> Counterexample:
-    steps = []
-    z = hit
-    while parent[z] is not None:
-        prev, a_task, a_exec, b, o = parent[z]
-        steps.append(CounterexampleStep(prev, a_task, a_exec, b, o))
-        z = prev
-    steps.reverse()
-    return Counterexample(z0, tuple(steps), hit, float(spec.margins[hit]))
+def _counterexample(sol: ValueSolution, path: list[tuple], final_state: int) -> RolloutTrace:
+    """The trace of a path to failure, each step given as ``(z, a_task, a_exec, b, o)``."""
+    margins = sol.spec.margins
+    steps = tuple(
+        RolloutStep(t, z, a_task, float(sol.scores[z, a_task]), a_exec != a_task, a_exec,
+                    b, o, float(margins[z]), odd_violation=False, gt_failure=None)
+        for t, (z, a_task, a_exec, b, o) in enumerate(path)
+    )
+    return RolloutTrace(spec=sol.spec, steps=steps, final_state=final_state, final_gt_failure=None)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +550,8 @@ def compare_oracle(
     doc: SpecDocument | GameSpec,
     horizon: int | None = None,
     *,
-    epsilon: float = 1e-9,
-    node_budget: int = 10_000_000,
+    epsilon: float = DEFAULT_EPSILON,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> OracleReport:
     """Largest gap between ``value_iteration`` and the game-tree recursion.
 

@@ -37,15 +37,8 @@ from .specfile import SpecDocument
 def _mirror_ground_truth(game: GameSpec, failure_margins: np.ndarray | None = None) -> GroundTruthSystem:
     """Ground truth for a fully observed game: the world is the info state."""
     nz, na, nb = game.num_states, game.num_ai_actions, game.num_human_actions
-    det_obs = game.observation_probs.argmax(axis=3)
-    world = np.empty((nz, na, nb), dtype=np.int64)
-    ai_obs = np.empty((nz, na, nb), dtype=np.int64)
-    for z in range(nz):
-        for a in range(na):
-            for b in range(nb):
-                o = int(det_obs[z, a, b])
-                ai_obs[z, a, b] = o
-                world[z, a, b] = game.transitions[z, a, b, o]
+    ai_obs = game.observation_probs.argmax(axis=3)  # the one-hot observation
+    world = np.take_along_axis(game.transitions, ai_obs[..., None], axis=3)[..., 0]
     margins = game.margins if failure_margins is None else failure_margins
     return GroundTruthSystem(
         num_world_states=nz,

@@ -13,11 +13,10 @@ with the expectation taken inside the inner min, iterated from the
 margins.  Two routes compute it, chosen by a fixed rule on the game:
 
 * The threshold attractor, for strictly deterministic games: every
-  positive observation probability is exactly 1.0 and every margin is
-  finite and not -0.0.  There every value is one of the margins, and
-  V(z) >= c exactly when the AI can keep the play in {margin >= c}
-  forever, the classical safety game (Zielonka 1998; Graedel, Thomas and
-  Wilke, LNCS 2500, ch. 2).  ``_threshold_attractor`` grows the human's
+  positive observation probability is exactly 1.0 and no margin is -0.0.
+  There every value is one of the margins, and V(z) >= c exactly when the
+  AI can keep the play in {margin >= c} forever, the classical safety
+  game (Zielonka 1998; Graedel, Thomas and Wilke, LNCS 2500, ch. 2).  ``_threshold_attractor`` grows the human's
   attractor of {margin < c} as c rises through the distinct margins, in
   O(Z*A*B + Z log Z) where the sweeps take up to one O(Z*A*B) pass per
   state.  A rank pass then gives the exact number of sweeps the sweep
@@ -57,8 +56,12 @@ is summed with ``.sum(axis=-1)``, the same reduction as the (Z, A, B, O)
 Q table: an accumulation in any other order differs in the last bit once
 numpy sums eight or more terms pairwise.
 
-For deterministic games the adversary breaks ties between equally bad
-responses by how soon they realize the bad outcome.  ``_attainment_steps``
+Both routes end in the same tables.  The (Z, A) ``scores``, the worst
+admissible Q of each action, are computed once here: the fallback is
+their argmax, the adversary's responses attain them, and every filter
+built from the solution uses them as its monitor.  For deterministic
+games the adversary breaks ties between equally bad responses by how
+soon they realize the bad outcome.  ``_attainment_steps``
 finds those step counts with one breadth-first search backwards from the
 states whose margin equals their value.
 
@@ -73,10 +76,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SchemaError
 from .model import GameSpec, _int_index
 
 DEFAULT_EPSILON = 1e-9
+DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_MAX_SWEEPS_STOCHASTIC = 100_000
 _UNREACHED = int(np.iinfo(np.int64).max)
 
@@ -89,10 +93,15 @@ class ValueSolution:
         values: per-state guaranteed worst-case minimum margin.
         q_values: (Z, A, B) table min(margin(z), E[value(next)]), defined for
             every human action including inadmissible ones.
+        scores: (Z, A) value of each AI action against the worst admissible
+            human response, the minimum of ``q_values`` over the bound.  It
+            is the monitor table of every filter built from this solution,
+            and a state is certified when some action scores >= 0.
         safe_set: states whose value is >= 0.
-        fallback_policy: per-state maximin AI action.
-        adversary_policy: (Z, A) worst-case human response to each AI action,
-            restricted to the admissible bound.
+        fallback_policy: per-state maximin AI action, the argmax of ``scores``.
+        adversary_policy: (Z, A) worst-case human response to each AI action:
+            an admissible action whose Q value equals the score, the lowest
+            one (on deterministic games the soonest to realize it first).
         iterations: sweeps the sweep route takes, counting the final
             no-change sweep.  On the attractor route this is the exact
             count the sweep would take, computed without sweeping.
@@ -104,6 +113,7 @@ class ValueSolution:
     spec: GameSpec
     values: np.ndarray
     q_values: np.ndarray
+    scores: np.ndarray
     safe_set: frozenset[int]
     fallback_policy: np.ndarray
     adversary_policy: np.ndarray
@@ -139,8 +149,15 @@ def value_iteration(
     For deterministic games the stored adversary policy additionally
     prefers, among equally bad responses, the one that realizes the bad
     outcome soonest; see ``_attainment_steps``.
+
+    Raises SchemaError, naming the first such state, if a margin is not
+    finite; ``validate_model`` refuses such a game too.
     """
     ell = spec.margins.astype(np.float64, copy=True)
+    nonfinite = np.flatnonzero(~np.isfinite(ell))
+    if nonfinite.size:
+        z = int(nonfinite[0])
+        raise SchemaError(f"margins must be finite: state {z} has margin {float(ell[z])!r}")
     trans = spec.transitions
     probs = spec.observation_probs
     deterministic = spec.is_deterministic()
@@ -160,19 +177,18 @@ def value_iteration(
         )
 
     q_values = _q_table(ell, trans, probs, values)
-    inner = np.where(spec.bound_mask[:, None, :], q_values, np.inf).min(axis=2)
-    fallback = inner.argmax(axis=1).astype(np.int64)
-    adversary = _adversary_table(spec, ell, values, q_values, fallback, det_succ)
+    scores = np.where(spec.bound_mask[:, None, :], q_values, np.inf).min(axis=2)
+    fallback = scores.argmax(axis=1).astype(np.int64)
+    adversary = _adversary_table(spec, ell, values, q_values, scores, fallback, det_succ)
     safe = frozenset(int(z) for z in np.flatnonzero(values >= 0.0))
 
-    values.setflags(write=False)
-    q_values.setflags(write=False)
-    fallback.setflags(write=False)
-    adversary.setflags(write=False)
+    for table in (values, q_values, scores, fallback, adversary):
+        table.setflags(write=False)
     return ValueSolution(
         spec=spec,
         values=values,
         q_values=q_values,
+        scores=scores,
         safe_set=safe,
         fallback_policy=fallback,
         adversary_policy=adversary,
@@ -242,15 +258,14 @@ def _strictly_deterministic(spec: GameSpec, ell) -> bool:
     """True when the sweep's values on this deterministic game are bit-exact margins.
 
     That holds when every positive observation probability is exactly 1.0,
-    so the expectation is one product by 1.0 plus zeros, and every margin is
-    finite and not -0.0, whose sign after a min or a sum depends on the
-    order of reduction.
+    so the expectation is one product by 1.0 plus zeros, and no margin is
+    -0.0, whose sign after a min or a sum depends on the order of reduction.
+    (``value_iteration`` has already refused non-finite margins.)
     """
     probs = spec.observation_probs
     return bool(
         probs.min() >= 0.0
         and np.all(probs.max(axis=3) == 1.0)
-        and np.all(np.isfinite(ell))
         and not np.any(np.signbit(ell) & (ell == 0.0))
     )
 
@@ -395,18 +410,14 @@ def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ)
     return np.array(steps, dtype=np.int64)
 
 
-def _adversary_table(spec, ell, values, q_values, fallback, det_succ) -> np.ndarray:
-    mask = spec.bound_mask[:, None, :]  # (Z, 1, B)
-    masked = np.where(mask, q_values, np.inf)
-    if det_succ is None:
-        return masked.argmin(axis=2).astype(np.int64)
-
-    # Lowest (q, tail, b) among admissible responses, in that order.
-    steps = _attainment_steps(spec, ell, values, q_values, fallback, det_succ)
-    tail = np.where(ell[:, None, None] <= values[det_succ], 0, steps[det_succ])
-    best = mask & (q_values == masked.min(axis=2, keepdims=True))
-    tail = np.where(best, tail, _UNREACHED)
-    best &= tail == tail.min(axis=2, keepdims=True)
+def _adversary_table(spec, ell, values, q_values, scores, fallback, det_succ) -> np.ndarray:
+    # Lowest admissible b with q == score; deterministic games: lowest (tail, b) among those.
+    best = spec.bound_mask[:, None, :] & (q_values == scores[..., None])  # (Z, A, B)
+    if det_succ is not None:
+        steps = _attainment_steps(spec, ell, values, q_values, fallback, det_succ)
+        tail = np.where(ell[:, None, None] <= values[det_succ], 0, steps[det_succ])
+        tail = np.where(best, tail, _UNREACHED)
+        best &= tail == tail.min(axis=2, keepdims=True)
     return best.argmax(axis=2).astype(np.int64)
 
 
@@ -415,7 +426,7 @@ def brute_force_value(
     z: int,
     horizon: int,
     *,
-    node_budget: int = 10_000_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> float:
     """Depth-limited game value of one state by direct recursion over the game tree.
 
@@ -425,7 +436,8 @@ def brute_force_value(
     Zero-probability observation branches are skipped.
 
     Raises BudgetExceededError once more than ``node_budget`` nodes have
-    been evaluated.
+    been evaluated, or when the recursion to ``horizon`` runs deeper than
+    the interpreter's recursion limit.
     """
     z = _int_index(z, spec.num_states, "info state")
     return _game_tree(spec, horizon, node_budget)(z)
@@ -435,7 +447,7 @@ def brute_force_values(
     spec: GameSpec,
     horizon: int,
     *,
-    node_budget: int = 10_000_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[float]:
     """``brute_force_value`` of every state, all roots sharing one memo.
 
@@ -501,7 +513,12 @@ def _game_tree(spec: GameSpec, horizon: int, node_budget: int):
     def root_value(z: int) -> float:
         nonlocal nodes
         nodes = 0
-        return value(z, horizon)
+        try:
+            return value(z, horizon)
+        except RecursionError:
+            raise BudgetExceededError(
+                f"brute force horizon {horizon} is deeper than the interpreter's recursion limit"
+            ) from None
 
     return root_value
 

@@ -168,7 +168,7 @@ def test_criterion_3_exhaustive_safety_verification(announce):
             assert report.ok, doc.game.scenario
 
         control = verify_safety(build_chain(5), depth=8, filter_mode="none")
-        failures = {ce.initial_state: ce for ce in control.counterexamples}
+        failures = {ce.steps[0].state: ce for ce in control.counterexamples}
         assert 3 in failures
         assert len(failures[3].steps) <= 3
         assert time.monotonic() - started < 300.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import haig
-from haig import build_chain, load_spec, parse_spec
+from haig import build_chain, load_spec, parse_spec, random_game, save_spec
 from haig.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, main
 
 
@@ -93,6 +94,35 @@ def test_compare_oracle_exit_codes(tmp_path):
     spec_path = _chain(tmp_path)
     assert main(["compare-oracle", str(spec_path)]) == EXIT_OK
     assert main(["compare-oracle", str(spec_path), "--budget", "2"]) == EXIT_BUDGET
+
+
+def test_deep_oracle_horizon_is_a_budget_error(tmp_path, capsys):
+    """A default horizon past the interpreter's recursion limit exits 4, not with a traceback."""
+    path = tmp_path / "long.haig.json"
+    save_spec(build_chain(1200, 2), path)
+    start = time.perf_counter()
+    assert main(["compare-oracle", str(path)]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: brute force horizon 1201 ")
+
+
+# sha256 of verify's stdout, so the counterexample listing keeps its bytes:
+# (document, extra argv, exit code, digest)
+_PINNED_VERIFY = [
+    (lambda: build_chain(5), (), EXIT_COUNTEREXAMPLE,
+     "b280e6786f54fd7c2c92eda756e488d440d7396acfd91294b9017d02d1e983a3"),
+    (lambda: random_game(9, states=12, observations=3, failure_fraction=0.1),
+     ("--samples", "200", "--depth", "6"), EXIT_COUNTEREXAMPLE,
+     "2486d84503153b6b8fdea53d1992a3afa7bf9c5ca7eee78ece0db519609343f1"),
+]
+
+
+@pytest.mark.parametrize("build, extra, code, digest", _PINNED_VERIFY)
+def test_verify_output_is_pinned(tmp_path, capsys, build, extra, code, digest):
+    path = tmp_path / "game.haig.json"
+    save_spec(build(), path)
+    assert main(["verify", str(path), "--filter", "none", *extra]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_input_errors(tmp_path, capsys):

@@ -64,15 +64,15 @@ def reference_table(sol, mode):
 
 def test_critic_monitor_frozen_values():
     flt = _chain_filter()
-    assert flt.monitor(2, 0) == -1.0
-    assert flt.monitor(2, 1) == 0.0
-    assert flt.monitor(2, 2) == 1.0
-    assert flt.monitor(0, 2) == -1.0  # inside the failure set nothing helps
+    assert flt.scores[2, 0] == -1.0
+    assert flt.scores[2, 1] == 0.0
+    assert flt.scores[2, 2] == 1.0
+    assert flt.scores[0, 2] == -1.0  # inside the failure set nothing helps
 
     dialogue = perfect_filter(value_iteration(build_dialogue().game))
-    assert dialogue.monitor(0, 0) == -1.0  # "any bowl" hands over the metal one
-    assert dialogue.monitor(0, 1) == 0.0
-    assert dialogue.monitor(0, 2) == -1.0
+    assert dialogue.scores[0, 0] == -1.0  # "any bowl" hands over the metal one
+    assert dialogue.scores[0, 1] == 0.0
+    assert dialogue.scores[0, 2] == -1.0
 
 
 def test_switch_passes_only_strictly_positive():
@@ -274,7 +274,7 @@ def test_tables_match_the_per_call_reference():
             executed, scores = reference_table(sol, mode)
             assert flt.executed.tolist() == executed, (spec.scenario, mode)
             assert flt.scores.tobytes() == np.array(scores).tobytes(), (spec.scenario, mode)
-            assert not flt.executed.flags.writeable and not flt.scores.flags.writeable
+            assert not flt.executed.flags.writeable and flt.scores is sol.scores
             compared += 1
     assert compared == 66 * 4
 
@@ -283,7 +283,7 @@ def test_zero_scores_of_either_sign_route_to_the_fallback():
     flt = perfect_filter(value_iteration(_signed_zero_chain()))
     zeros = flt.scores == 0.0
     assert np.signbit(flt.scores[zeros]).any() and not np.signbit(flt.scores[zeros]).all()
-    fallback = np.broadcast_to(flt.fallback[:, None], zeros.shape)
+    fallback = np.broadcast_to(flt.solution.fallback_policy[:, None], zeros.shape)
     assert (flt.executed[zeros] == fallback[zeros]).all()
     assert check_initial_condition(flt, 1)  # its fallback scores -0.0, which is >= 0
 

@@ -27,7 +27,7 @@ from haig import (
     verify_safety,
 )
 from haig.filtering import InterventionRecord
-from haig.harness import Counterexample, CounterexampleStep, VerificationReport
+from haig.harness import RolloutStep, VerificationReport
 from haig.rng import SplitMix64
 from test_filtering import reference_table
 
@@ -308,14 +308,14 @@ def test_verify_control_arm_finds_counterexamples():
     report = verify_safety(build_chain(5), depth=10, filter_mode="none")
     assert not report.ok
     assert len(report.counterexamples) == 5  # every certified start can be pushed out
-    by_start = {ce.initial_state: ce for ce in report.counterexamples}
+    by_start = {ce.steps[0].state: ce for ce in report.counterexamples}
     assert len(by_start[3].steps) == 2  # breadth-first, so shortest path first
     assert by_start[1].final_margin == -1.0
 
     # each counterexample replays through the raw dynamics into the failure set
     spec = build_chain(5).game
     for ce in report.counterexamples:
-        z = ce.initial_state
+        z = ce.steps[0].state
         for step in ce.steps:
             assert step.state == z
             z = int(spec.transitions[z, step.executed_action, step.human_action, step.observation])
@@ -378,6 +378,16 @@ def _certified_states(sol):
     )
 
 
+def _reference_trace(spec, scores, path, final_state):
+    """A counterexample trace from ``(z, a_task, a_exec, b, o)`` steps and ``reference_table`` scores."""
+    steps = tuple(
+        RolloutStep(t, z, a_task, scores[z][a_task], a_exec != a_task, a_exec,
+                    b, o, float(spec.margins[z]), False, None)
+        for t, (z, a_task, a_exec, b, o) in enumerate(path)
+    )
+    return RolloutTrace(spec, steps, final_state, None)
+
+
 def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
     """Per-root breadth-first search over ``reference_table``'s decisions.
 
@@ -385,7 +395,7 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
     """
     spec = doc.game
     certified = _certified_states(sol)
-    executed, _ = reference_table(sol, filter_mode)
+    executed, scores = reference_table(sol, filter_mode)
     counterexamples = []
     expanded = 0
 
@@ -426,14 +436,12 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
                     break
             frontier = nxt
         if hit is not None:
-            steps = []
+            path = []
             z = hit
             while parent[z] is not None:
-                steps.append(CounterexampleStep(*parent[z]))
+                path.append(parent[z])
                 z = parent[z][0]
-            counterexamples.append(
-                Counterexample(z0, tuple(reversed(steps)), hit, float(spec.margins[hit]))
-            )
+            counterexamples.append(_reference_trace(spec, scores, path[::-1], hit))
     return report(), False
 
 
@@ -444,7 +452,7 @@ def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
     """
     spec = doc.game
     certified = _certified_states(sol)
-    executed, _ = reference_table(sol, filter_mode)
+    executed, scores = reference_table(sol, filter_mode)
     stream = SplitMix64(seed)
     counterexamples = []
     expanded = 0
@@ -458,7 +466,7 @@ def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
             if max_nodes is not None and expanded > max_nodes:
                 return report(), True
             z = z0
-            steps = []
+            path = []
             for _ in range(depth):
                 a_task = stream.randint(spec.num_ai_actions)
                 a_exec = executed[z][a_task]
@@ -472,10 +480,10 @@ def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
                     if draw < cumulative:
                         o = candidate
                         break
-                steps.append(CounterexampleStep(z, a_task, a_exec, b, o))
+                path.append((z, a_task, a_exec, b, o))
                 z = int(spec.transitions[z, a_exec, b, o])
                 if spec.margins[z] < 0.0:
-                    counterexamples.append(Counterexample(z0, tuple(steps), z, float(spec.margins[z])))
+                    counterexamples.append(_reference_trace(spec, scores, path, z))
                     break
             else:
                 continue
@@ -545,6 +553,22 @@ def test_sampled_verify_matches_the_reference_sequences():
                 compared += 1
     assert compared == 6 * 4 * 4
     assert found > 100
+
+
+def test_counterexamples_are_traces_that_follow_the_dynamics():
+    """Every counterexample of the reference corpus passes ``to_jsonl``'s dynamics check."""
+    sampled = (random_game(k, states=12, observations=2 + k % 2, failure_fraction=0.1) for k in (0, 6, 13))
+    checked = 0
+    for doc in (*_reference_games(), *sampled):
+        sol = value_iteration(doc.game)
+        for filter_mode in FILTER_MODES:
+            report = verify_safety(doc, depth=8, filter_mode=filter_mode, samples=200, solution=sol)
+            for ce in report.counterexamples:
+                lines = ce.to_jsonl().decode().splitlines()
+                assert len(lines) == len(ce.steps)
+                assert ce.final_margin < 0.0 and ce.final_gt_failure is None
+                checked += 1
+    assert checked > 100
 
 
 # sha256 of rollout(...).to_jsonl() as produced by calling filter_action on

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from haig import (
     serialize,
     validate_model,
 )
+from haig.scenarios import _mirror_ground_truth
 
 
 def test_chain_structure():
@@ -148,3 +151,31 @@ def test_random_game_round_trips():
     for seed in (0, 5, 9):
         doc = random_game(seed, states=6, observations=2)
         assert parse_spec(serialize(doc)) == doc
+
+
+def test_mirror_ground_truth_matches_the_loop():
+    """The gather over each row's most likely observation, against a plain loop."""
+    for game in (build_chain(6, 2).game, random_game(4, states=9, observations=3).game):
+        gt = _mirror_ground_truth(game)
+        for z, a, b in np.ndindex(game.transitions.shape[:3]):
+            o = int(np.argmax(game.observation_probs[z, a, b]))
+            assert gt.ai_observation[z, a, b] == o
+            assert gt.world_transitions[z, a, b] == game.transitions[z, a, b, o]
+
+
+# sha256 of serialize() for the scenarios the README describes, pinned so
+# that a rewrite of a builder or of the ground-truth mirror keeps every byte
+_PINNED_DOCUMENTS = [
+    (lambda: build_chain(5), "c7a575e826f0a247435c8d421254e75bef1131fc476455d115df796d8f1a5efc"),
+    (lambda: build_chain(5, human_reach=2), "4163f338ddb3f9737a04c1fe0c56202ba92a4072d23398fe1972f2514e39cbf5"),
+    (lambda: build_chain(5, human_reach=3, odd_reach=1),
+     "297f98e5abfd4203454c156e4b77522e75a700b77404ce99bf56da4d289ea855"),
+    (build_dialogue, "bbf634d02ddf9c8fd7113a1a797e3d2b587a9254d05fac38e26af526cc10c92a"),
+    (lambda: build_dialogue(conservative_bound=True),
+     "624da674d83d978104794ad47ea441460ab4648d8b30c96a4b8df67f70157261"),
+]
+
+
+@pytest.mark.parametrize("build, digest", _PINNED_DOCUMENTS)
+def test_scenario_documents_are_pinned(build, digest):
+    assert hashlib.sha256(serialize(build())).hexdigest() == digest

@@ -8,6 +8,7 @@ import pytest
 from haig import (
     BudgetExceededError,
     GameSpec,
+    SchemaError,
     brute_force_value,
     brute_force_values,
     build_chain,
@@ -289,6 +290,48 @@ def test_sweeps_match_the_masked_backup_bit_for_bit():
     assert saw_negative_zero
 
 
+def test_scores_are_the_masked_min_of_q():
+    """``scores`` is the worst admissible Q per (state, action), the old filter-side monitor table."""
+    games = [*_narrowed_signed_zero_games(), *(_det_game(seed) for seed in range(10))]
+    for spec in games:
+        for sol in (value_iteration(spec, max_iters=300), value_iteration(spec, max_iters=2)):
+            reference = np.where(sol.spec.bound_mask[:, None, :], sol.q_values, np.inf).min(axis=2)
+            assert sol.scores.tobytes() == reference.tobytes()
+            assert sol.fallback_policy.tolist() == sol.scores.argmax(axis=1).tolist()
+            assert not sol.scores.flags.writeable
+
+
+def test_non_finite_margins_are_refused():
+    chain = build_chain(4).game
+    nan = chain.margins.copy()
+    nan[4] = np.nan
+    with pytest.raises(SchemaError, match="state 4"):
+        value_iteration(replace(chain, margins=nan))
+
+    two_obs = replace(
+        chain,
+        observations=("o0", "o1"),
+        transitions=np.repeat(chain.transitions, 2, axis=3),
+        observation_probs=np.concatenate(
+            [np.full(chain.observation_probs.shape, 0.5)] * 2, axis=3
+        ),
+    )
+    assert value_iteration(two_obs).converged
+    inf = chain.margins.copy()
+    inf[2] = np.inf
+    with pytest.raises(SchemaError, match="state 2"):
+        value_iteration(replace(two_obs, margins=inf))
+
+
+def test_deep_oracle_horizons_exceed_the_budget():
+    spec = build_chain(3).game
+    with pytest.raises(BudgetExceededError, match="horizon 5000"):
+        brute_force_values(spec, 5000)
+    with pytest.raises(BudgetExceededError, match="horizon 5000"):
+        brute_force_value(spec, 1, 5000)
+    assert brute_force_values(spec, 50) == value_iteration(spec).values.tolist()
+
+
 def _corridor(n, seed=None):
     """A corridor, shuffled unless ``seed`` is None: every joint action steps toward cell 0; margins rise along it."""
     cells = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)  # cells[i]: state of cell i
@@ -443,6 +486,7 @@ def _assert_same_solution(sol, reference):
     assert sol.q_values.tobytes() == reference.q_values.tobytes()
     assert sol.fallback_policy.tobytes() == reference.fallback_policy.tobytes()
     assert sol.adversary_policy.tobytes() == reference.adversary_policy.tobytes()
+    assert sol.scores.tobytes() == reference.scores.tobytes()
     assert (sol.iterations, sol.converged, sol.residual) == (
         reference.iterations, reference.converged, reference.residual)
 
