@@ -24,17 +24,19 @@ built: ``scores`` and ``executed`` are read-only (Z, A) tables, and
 ``filter_action``, ``check_initial_condition`` and ``certified_actions``
 read them.  A state is certified when some action scores >= 0 (then the
 fallback, the argmax, does too); ``_certified`` is that rule, and
-``verify_safety`` reads it as well.  ``pluggable_monitor`` is a
-standalone tool for comparing monitors: the solved table ("critic") and a
-bounded rollout against the stored worst-case human ("rollout"), which
-for deterministic games agrees in sign with the critic once the horizon
-covers the solver's sweep count.
+``verify_safety`` reads it as well.  ``filter_action`` reports each
+decision as an ``InterventionRecord``, a named tuple whose six fields open
+every rollout step record (``harness.RolloutStep``).
+``pluggable_monitor`` is a standalone tool for comparing monitors: the
+solved table ("critic") and a bounded rollout against the stored
+worst-case human ("rollout"), which for deterministic games agrees in
+sign with the critic once the horizon covers the solver's sweep count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,8 +50,13 @@ FALLBACK_ONLY = "fallback_only"
 FILTER_MODES = ("none", SWITCH, LEAST_RESTRICTIVE, FALLBACK_ONLY)
 
 
-@dataclass(frozen=True)
-class InterventionRecord:
+class InterventionRecord(NamedTuple):
+    """The filter's decision for one proposed task action at step ``t``.
+
+    An immutable tuple: built positionally or by keyword, copied with
+    ``_replace``.  ``harness.RolloutStep`` extends its fields.
+    """
+
     t: int
     state: int
     task_action: int

@@ -7,10 +7,14 @@ then the observation draw, which happens even when the observation is
 deterministic).  Identical configs therefore produce byte-identical JSONL
 traces.
 
-A rollout trace stores its steps and its end state; each step is the
-filter's decision (an ``InterventionRecord``) plus the human's response.
-The summary metrics are derived from the steps, and the dynamics are
-checked once, when ``to_jsonl`` serializes the trace.
+A rollout trace stores its steps and its end state.  Each step is an
+immutable named tuple, ``RolloutStep``: the filter's decision (the fields
+of ``InterventionRecord``) plus the human's response, built positionally
+once per step.  The summary metrics are derived from the steps, and the
+dynamics are checked once, when ``to_jsonl`` serializes the trace.
+``to_jsonl`` writes each step with one format string, byte for byte what
+``json.dumps(step.to_json_dict(), sort_keys=True, allow_nan=False)``
+writes.
 
 ``verify_safety`` checks the filter's guarantee: from every initial
 state the filter certifies, no reachable state within the given depth has
@@ -36,8 +40,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
+from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,18 +81,29 @@ class RolloutConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class RolloutStep(InterventionRecord):
-    """The filter's decision at one step, then the human's response to it."""
+_StepFields = NamedTuple("RolloutStep", [
+    *InterventionRecord.__annotations__.items(),
+    ("human_action", int),
+    ("observation", int),
+    ("margin_value", float),
+    ("odd_violation", bool),
+    ("gt_failure", "bool | None"),
+])
 
-    human_action: int
-    observation: int
-    margin_value: float
-    odd_violation: bool
-    gt_failure: bool | None
+
+class RolloutStep(_StepFields):
+    """The filter's decision at one step, then the human's response to it.
+
+    An immutable tuple: ``InterventionRecord``'s six fields, then the
+    human's action, the observation, the margin of ``state``, whether the
+    human left the admissible bound, and the ground-truth failure flag of
+    the step's configuration (``None`` without ground truth).
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        record = super().to_json_dict()
+        record = InterventionRecord.to_json_dict(self)
         record["a_human"] = self.human_action
         record["obs"] = self.observation
         record["margin"] = self.margin_value
@@ -96,6 +112,36 @@ class RolloutStep(InterventionRecord):
         if self.gt_failure is not None:
             record["gt_failure"] = self.gt_failure
         return record
+
+
+# A step's JSONL line, keys in sorted order: the optional "gt_failure"
+# sorts after "executed_a" and "odd_violation" after "obs".  The floats are
+# filled in by _FloatText.
+_JSONL_LINE = (
+    '{"a_human": %d, "executed_a": %d%s, "intervened": %s, "margin": %s, '
+    '"monitor": %s, "obs": %d%s, "t": %d, "task_a": %d, "z": %d}'
+)
+_GT_FAILURE = {None: "", False: ', "gt_failure": false', True: ', "gt_failure": true'}
+_ODD_VIOLATION = {False: "", True: ', "odd_violation": true'}
+_JSON_BOOL = ("false", "true")
+
+
+class _FloatText(dict):
+    """Each step float as ``json`` writes it, kept per value: a trace repeats few values.
+
+    ``float.__repr__`` is ``json``'s float format, so a numpy float prints
+    as ``0.5``, not ``np.float64(0.5)``.  Zeros are not kept, because
+    -0.0 == 0.0 would share one entry.  A value that is not finite raises
+    the error of ``json.dumps(..., allow_nan=False)``.
+    """
+
+    def __missing__(self, x: float) -> str:
+        if not isfinite(x):
+            raise ValueError("Out of range float values are not JSON compliant")
+        text = float.__repr__(x)
+        if x:
+            self[x] = text
+        return text
 
 
 @dataclass(frozen=True)
@@ -146,17 +192,22 @@ class RolloutTrace:
         return self.intervention_count / len(self.steps)
 
     def to_jsonl(self) -> bytes:
+        """One JSON object per step, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it."""
         self.check_conservation()
-        lines = [json.dumps(s.to_json_dict(), sort_keys=True, allow_nan=False) for s in self.steps]
+        text = _FloatText()
+        lines = [
+            _JSONL_LINE % (b, a_exec, _GT_FAILURE[gt], _JSON_BOOL[intervened], text[margin],
+                           text[monitor], o, _ODD_VIOLATION[odd], t, a_task, z)
+            for t, z, a_task, monitor, intervened, a_exec, b, o, margin, odd, gt in self.steps
+        ]
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def check_conservation(self) -> None:
         """Every consecutive record pair must satisfy the transition function."""
+        dynamics = _dynamics(self.spec)
         states = [s.state for s in self.steps] + [self.final_state]
         for step, nxt in zip(self.steps, states[1:]):
-            recomputed = int(
-                self.spec.transitions[step.state, step.executed_action, step.human_action, step.observation]
-            )
+            recomputed = dynamics[step.state][0][step.executed_action][step.human_action][step.observation]
             if recomputed != nxt:
                 raise RuntimeError(
                     f"trace violates the dynamics at t={step.t}: "
@@ -328,21 +379,8 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
                 int(doc.ground_truth.human_transitions[h, executed, b, o_h]),
             )
 
-        steps.append(
-            RolloutStep(
-                t=t,
-                state=z,
-                task_action=a_task,
-                monitor_value=score,
-                intervened=executed != a_task,
-                executed_action=executed,
-                human_action=b,
-                observation=o,
-                margin_value=margins[z],
-                odd_violation=not in_bound,
-                gt_failure=gt_failed,
-            )
-        )
+        steps.append(RolloutStep(t, z, a_task, score, executed != a_task, executed,
+                                 b, o, margins[z], not in_bound, gt_failed))
         z = trans[executed][b][o]
 
     final_gt_failure = None
@@ -522,7 +560,7 @@ def _counterexample(sol: ValueSolution, path: list[tuple], final_state: int) -> 
     margins = sol.spec.margins
     steps = tuple(
         RolloutStep(t, z, a_task, float(sol.scores[z, a_task]), a_exec != a_task, a_exec,
-                    b, o, float(margins[z]), odd_violation=False, gt_failure=None)
+                    b, o, float(margins[z]), False, None)
         for t, (z, a_task, a_exec, b, o) in enumerate(path)
     )
     return RolloutTrace(spec=sol.spec, steps=steps, final_state=final_state, final_gt_failure=None)

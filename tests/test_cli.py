@@ -114,6 +114,10 @@ _PINNED_VERIFY = [
     (lambda: random_game(9, states=12, observations=3, failure_fraction=0.1),
      ("--samples", "200", "--depth", "6"), EXIT_COUNTEREXAMPLE,
      "2486d84503153b6b8fdea53d1992a3afa7bf9c5ca7eee78ece0db519609343f1"),
+    # about 3500 draws from the sampling stream
+    (lambda: random_game(7, states=30, observations=3, failure_fraction=0.05),
+     ("--samples", "2000", "--depth", "3"), EXIT_COUNTEREXAMPLE,
+     "f323ceed7199cd98b21184b46e45e7c2757572fdfa10185cf368cd8659f317f4"),
 ]
 
 

@@ -29,7 +29,7 @@ from haig import (
 from haig.filtering import InterventionRecord
 from haig.harness import RolloutStep, VerificationReport
 from haig.rng import SplitMix64
-from test_filtering import reference_table
+from test_filtering import _signed_zero_chain, reference_table
 
 _STEP_KEYS = {
     "t", "z", "task_a", "monitor", "intervened", "executed_a",
@@ -204,13 +204,67 @@ def test_trace_flags_appear_only_when_set():
 def test_tampered_trace_fails_conservation():
     trace = rollout(_chain_cfg(max_steps=3))
     bad_steps = list(trace.steps)
-    bad_steps[1] = bad_steps[1].__class__(**{**bad_steps[1].__dict__, "state": 5})
+    bad_steps[1] = bad_steps[1]._replace(state=5)
     tampered = RolloutTrace(
         spec=trace.spec, steps=tuple(bad_steps), final_state=trace.final_state,
         final_gt_failure=trace.final_gt_failure,
     )
     with pytest.raises(RuntimeError, match="dynamics"):
         tampered.to_jsonl()
+
+
+def _reference_jsonl(trace):
+    """The JSONL encoding as ``json`` writes it, one sorted-key dict per step."""
+    lines = [json.dumps(s.to_json_dict(), sort_keys=True, allow_nan=False) for s in trace.steps]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_jsonl_matches_the_json_module():
+    odd = build_chain(5, human_reach=3, odd_reach=1)
+    stochastic = random_game(11, states=30, observations=3, failure_fraction=0.1)
+    cases = [(doc, human, start) for doc, start in ((build_chain(5), 4), (odd, 3), (stochastic, 0))
+             for human in ("worst_case", "uniform", "off_odd")]
+    cases += [(_signed_zero_game(), "uniform", z) for z in range(3)]
+    cases += [(SpecDocument(game=_signed_zero_chain()), "uniform", z) for z in (1, 2)]
+    traces = []
+    for doc, human, start in cases:
+        sol = value_iteration(doc.game)
+        for mode in FILTER_MODES:
+            cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human,
+                                filter_mode=mode, initial_state=start, max_steps=60, seed=5)
+            traces.append(rollout(cfg, sol))
+            report = verify_safety(doc, depth=6, filter_mode=mode, samples=100, solution=sol)
+            traces += report.counterexamples
+    for trace in traces:
+        assert trace.to_jsonl() == _reference_jsonl(trace)
+    blob = b"".join(trace.to_jsonl() for trace in traces)
+    for key in (b'"gt_failure": true', b'"gt_failure": false', b'"odd_violation": true',
+                b'"margin": -0.0', b'"monitor": -0.0', b'"intervened": true', b'"intervened": false'):
+        assert key in blob
+    assert sum(len(trace.steps) for trace in traces) > 2000
+
+
+def test_jsonl_refuses_non_finite_floats():
+    trace = rollout(_chain_cfg(max_steps=3))
+    for field in ("monitor_value", "margin_value"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            steps = list(trace.steps)
+            steps[1] = steps[1]._replace(**{field: value})
+            bad = RolloutTrace(trace.spec, tuple(steps), trace.final_state, trace.final_gt_failure)
+            with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+                _reference_jsonl(bad)
+            with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+                bad.to_jsonl()
+
+
+def test_jsonl_prints_numpy_floats_as_json_does():
+    trace = rollout(_chain_cfg(max_steps=3))
+    steps = list(trace.steps)
+    steps[0] = steps[0]._replace(margin_value=np.float64(0.5), monitor_value=np.float64(-0.0))
+    hand_built = RolloutTrace(trace.spec, tuple(steps), trace.final_state, trace.final_gt_failure)
+    blob = hand_built.to_jsonl()
+    assert blob == _reference_jsonl(hand_built)
+    assert b'"margin": 0.5, "monitor": -0.0,' in blob.splitlines()[0]
 
 
 def _replayed_summaries(doc, trace):
@@ -598,6 +652,26 @@ _PINNED_TRACES = [
 def test_rollout_traces_are_pinned(mode, human, build, start, digest):
     cfg = RolloutConfig(document=build(), task_policy="random", human_policy=human,
                         filter_mode=mode, initial_state=start, max_steps=40, seed=17)
+    assert hashlib.sha256(rollout(cfg).to_jsonl()).hexdigest() == digest
+
+
+# sha256 of 2500-step traces: each draws 5000 to 7500 values, so it spans
+# many of the random stream's refills; the chain traces carry odd_violation
+# and gt_failure
+_PINNED_LONG_TRACES = [
+    ("least_restrictive", "uniform", lambda: random_game(11, states=30, observations=3, failure_fraction=0.1), 0,
+     "8b9b1e64803c3c42706357b5e2d08790b354c5550781a6bf7577ba7a92229b37"),
+    ("switch", "off_odd", lambda: build_chain(5, 3, 1), 3,
+     "6c2f1e8d72691e7b2e40c3be53bdc95bfacdfbdea283e0b260818bea6a5c1100"),
+    ("none", "uniform", lambda: build_chain(5), 4,
+     "c988773749bd81945f441cc285cc01457ee15da09612c6425482860db09aec51"),
+]
+
+
+@pytest.mark.parametrize("mode, human, build, start, digest", _PINNED_LONG_TRACES)
+def test_long_rollout_traces_are_pinned(mode, human, build, start, digest):
+    cfg = RolloutConfig(document=build(), task_policy="random", human_policy=human,
+                        filter_mode=mode, initial_state=start, max_steps=2500, seed=29)
     assert hashlib.sha256(rollout(cfg).to_jsonl()).hexdigest() == digest
 
 
