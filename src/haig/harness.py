@@ -28,12 +28,22 @@ the control arm.  Each counterexample is a ``RolloutTrace`` of its path
 to failure, built only for failing paths: monitor scores from the
 solution's ``scores`` table, no ground-truth flags.
 
+Each search costs what its answer needs, and its reports are bit for bit
+those of a plain per-root search and of sequences drawn one after
+another.  Exhaustively, one backward search over the distinct successor
+sets finds the roots within ``depth`` of a failure; only these run the
+ordered, parent-tracking search, the one place that builds
+counterexamples.  Every other root expands its whole ball of radius
+``depth - 1``, counted with one set union per level.  Sampled sequences
+read their draws in blocks straight off the stream's counter and run in
+lockstep windows with numpy, cut at the first failure or rejected draw
+in stream order.
+
 ``rollout`` and ``verify_safety`` each build one filter for their mode
-and read its executed-action table as plain Python lists (rollout reads
-the monitor scores the same way); ``"none"`` is a filter mode like the
-others.  Both read the dynamics through one per-state list view, and
-exhaustive verification builds each expanded state's distinct successors
-once, the first time the state is met.
+and read its executed-action table (``"none"`` is a filter mode like
+the others); rollout reads it and the monitor scores as plain Python
+lists.  The scalar paths read the dynamics, and rollout the ground
+truth, through per-state list views, each row built on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from math import isfinite
+from math import floor, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +59,15 @@ import numpy as np
 from .errors import BudgetExceededError, PolicyResolutionError
 from .filtering import FILTER_MODES, SWITCH, InterventionRecord, _certified, perfect_filter
 from .model import GameSpec, _int_index
-from .rng import SplitMix64
-from .solver import DEFAULT_EPSILON, DEFAULT_NODE_BUDGET, ValueSolution, brute_force_values, value_iteration
+from .rng import _GOLDEN, _MASK64, SplitMix64, rejection_limit, splitmix_block
+from .solver import (
+    DEFAULT_EPSILON,
+    DEFAULT_NODE_BUDGET,
+    ValueSolution,
+    _det_successors,
+    brute_force_values,
+    value_iteration,
+)
 from .specfile import SpecDocument
 
 DEFAULT_DEPTH = 8
@@ -352,7 +369,16 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     margins = spec.margins.tolist()
 
     z = _resolve_state(spec, config.initial_state)
-    gt_state = _initial_ground_truth(doc, z) if doc.ground_truth is not None else None
+    gt = doc.ground_truth
+    if gt is not None:
+        gt_state = _initial_ground_truth(doc, z)
+        # per-state rows as lists, like _dynamics: [s][h], [s], [s][a][b], [h][a][b][o]
+        gt_failure = _PerState(lambda s: gt.failure[s].tolist())
+        gt_observation = gt.human_observation.tolist()
+        gt_world = _PerState(lambda s: gt.world_transitions[s].tolist())
+        gt_human = _PerState(lambda h: gt.human_transitions[h].tolist())
+    else:
+        gt_state = None
 
     steps: list[RolloutStep] = []
     for t in range(config.max_steps):
@@ -372,12 +398,8 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
         gt_failed = None
         if gt_state is not None:
             s, h = gt_state
-            gt_failed = bool(doc.ground_truth.failure[s, h])
-            o_h = int(doc.ground_truth.human_observation[s])
-            gt_state = (
-                int(doc.ground_truth.world_transitions[s, executed, b]),
-                int(doc.ground_truth.human_transitions[h, executed, b, o_h]),
-            )
+            gt_failed = gt_failure[s][h]
+            gt_state = gt_world[s][executed][b], gt_human[h][executed][b][gt_observation[s]]
 
         steps.append(RolloutStep(t, z, a_task, score, executed != a_task, executed,
                                  b, o, margins[z], not in_bound, gt_failed))
@@ -385,7 +407,7 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
 
     final_gt_failure = None
     if gt_state is not None:
-        final_gt_failure = bool(doc.ground_truth.failure[gt_state[0], gt_state[1]])
+        final_gt_failure = gt_failure[gt_state[0]][gt_state[1]]
     return RolloutTrace(spec=spec, steps=tuple(steps), final_state=z, final_gt_failure=final_gt_failure)
 
 
@@ -436,6 +458,35 @@ def _successors(z: int, dynamics: tuple, bound: tuple[int, ...], executed: list[
     return row
 
 
+def _successor_edges(spec: GameSpec, executed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(z, z2)`` steps of a deterministic game under ``executed``, sorted."""
+    nz = spec.num_states
+    zs, bs = np.nonzero(spec.bound_mask)
+    succ = _det_successors(spec)[zs[:, None], executed[zs], bs[:, None]]  # (admissible (z, b), task action)
+    keys = np.sort((zs[:, None] * nz + succ).ravel())
+    keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
+    return keys // nz, keys % nz
+
+
+class _Budget:
+    """Expansions counted against ``max_nodes``; the first one past it raises with the partial report."""
+
+    def __init__(self, max_nodes: int | None, report):
+        self.max_nodes = max_nodes
+        self.limit = float("inf") if max_nodes is None else max_nodes
+        self.spent = 0
+        self.report = report
+
+    def room(self):
+        return self.limit - self.spent
+
+    def spend(self, n: int) -> None:
+        if self.spent + n > self.limit:
+            self.spent = max(self.spent + 1, floor(self.limit) + 1)
+            raise BudgetExceededError(f"verification exceeded max_nodes={self.max_nodes}", partial=self.report())
+        self.spent += n
+
+
 def verify_safety(
     doc: SpecDocument,
     *,
@@ -454,12 +505,29 @@ def verify_safety(
     range over the admissible bound, observations over positive-probability
     outcomes.
 
+    Exhaustive mode (deterministic games with at most ``exhaustive_limit``
+    joint entries) searches breadth-first from each certified root and
+    stops at the first failure state it meets; ``expanded`` sums the states
+    expanded.  One backward search from the failure states finds the roots
+    within ``depth`` of one, and only those run the ordered search that
+    builds a counterexample.  Any other root expands every state within
+    ``depth - 1`` steps, so its count is the size of that ball, grown by
+    set unions.
+
+    Sampled mode draws ``max(1, samples // len(certified))`` random
+    sequences per root, roots in order, from one SplitMix64 stream seeded
+    with ``seed``; the first sequence that reaches failure ends its root.
+    ``expanded`` counts the sequences started.  ``_sample_sequences`` runs
+    them in lockstep windows, with the draws of the scalar stream calls.
+
     Raises BudgetExceededError (carrying the partial report in ``partial``)
     if ``max_nodes`` expansions are exceeded.
     """
     spec = doc.game
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if filter_mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {filter_mode!r}")
 
@@ -468,91 +536,263 @@ def verify_safety(
     # the rule of check_initial_condition, which on stochastic games may
     # differ from sol.safe_set by up to the final residual
     certified = tuple(np.flatnonzero(_certified(sol.scores)).tolist())
-    executed = flt.executed.tolist()
-    unsafe = (spec.margins < 0.0).tolist()
 
     joint = spec.num_states * spec.num_ai_actions * spec.num_human_actions * spec.num_observations
     mode = "exhaustive" if spec.is_deterministic() and joint <= exhaustive_limit else "sampled"
-    budget = float("inf") if max_nodes is None else max_nodes
+    found: list[RolloutTrace] = []
+    budget = _Budget(max_nodes, lambda: VerificationReport(
+        mode=mode,
+        depth=depth,
+        filter_mode=filter_mode,
+        certified_states=certified,
+        counterexamples=tuple(found),
+        expanded=budget.spent,
+    ))
+    if mode == "exhaustive":
+        _search_exhaustive(sol, flt.executed, certified, depth, found, budget)
+    else:
+        per_state = max(1, samples // max(1, len(certified)))
+        _sample_sequences(sol, flt.executed, certified, per_state, depth, seed, found, budget)
+    return budget.report()
 
-    counterexamples: list[RolloutTrace] = []
-    expanded = 0
 
-    def report() -> VerificationReport:
-        return VerificationReport(
-            mode=mode,
-            depth=depth,
-            filter_mode=filter_mode,
-            certified_states=certified,
-            counterexamples=tuple(counterexamples),
-            expanded=expanded,
-        )
+def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
+    """The ordered search from each root within ``depth`` of a failure; ball sizes for the others."""
+    spec = sol.spec
+    src, dst = _successor_edges(spec, executed)
+    # one backward breadth-first search: the states within depth steps of a failure
+    near = spec.margins < 0.0
+    layer = near
+    for _ in range(depth):
+        reached = np.zeros_like(near)
+        reached[src[layer[dst]]] = True
+        layer = reached & ~near
+        if not layer.any():
+            break
+        near |= layer
+    near = near.tolist()
 
-    def over_budget() -> BudgetExceededError:
-        return BudgetExceededError(f"verification exceeded max_nodes={max_nodes}", partial=report())
-
+    starts = np.searchsorted(src, np.arange(spec.num_states + 1)).tolist()
+    targets = dst.tolist()
+    succ_sets = _PerState(lambda z: set(targets[starts[z]:starts[z + 1]]))
+    executed = executed.tolist()
+    unsafe = (spec.margins < 0.0).tolist()
     dynamics = _dynamics(spec)
     bound = spec.action_bound
-    if mode == "exhaustive":
-        # each state's successors are built once, so its dynamics row is not kept
-        successors = _PerState(lambda z: _successors(z, dynamics.build(z), bound[z], executed[z]))
-        for z0 in certified:
-            parent: dict[int, tuple | None] = {z0: None}
-            frontier = [z0]
-            hit = None
-            for _ in range(depth):
-                if hit is not None or not frontier:
+    # each state's successors are built once, so its dynamics row is not kept
+    successors = _PerState(lambda z: _successors(z, dynamics.build(z), bound[z], executed[z]))
+    for z0 in roots:
+        if not near[z0]:
+            ball = ring = {z0}
+            for _ in range(depth - 1):
+                ring = set().union(*map(succ_sets.__getitem__, ring))
+                ring -= ball
+                if not ring:
                     break
-                nxt = []
-                for z in frontier:
-                    expanded += 1
-                    if expanded > budget:
-                        raise over_budget()
-                    for z2, via in successors[z]:
-                        if z2 in parent:
-                            continue
-                        parent[z2] = via
-                        if unsafe[z2]:
-                            hit = z2
-                            break
-                        nxt.append(z2)
-                    if hit is not None:
-                        break
-                frontier = nxt
-            if hit is not None:
-                path = []
-                z = hit
-                while parent[z] is not None:
-                    path.append(parent[z])
-                    z = parent[z][0]
-                counterexamples.append(_counterexample(sol, path[::-1], hit))
-    else:
-        num_ai = spec.num_ai_actions
-        stream = SplitMix64(seed)
-        per_state = max(1, samples // max(1, len(certified)))
-        for z0 in certified:
-            for _ in range(per_state):
-                expanded += 1
-                if expanded > budget:
-                    raise over_budget()
-                z = z0
-                path = []
-                for _ in range(depth):
-                    a_task = stream.randint(num_ai)
-                    a_exec = executed[z][a_task]
-                    b = stream.choice(bound[z])
-                    trans, probs = dynamics[z]
-                    o = _sample_observation(stream, probs[a_exec][b])
-                    path.append((z, a_task, a_exec, b, o))
-                    z = trans[a_exec][b][o]
-                    if unsafe[z]:
-                        counterexamples.append(_counterexample(sol, path, z))
-                        break
-                else:
-                    continue
+                ball |= ring
+            budget.spend(len(ball))
+            continue
+        parent: dict[int, tuple | None] = {z0: None}
+        frontier = [z0]
+        hit = None
+        for _ in range(depth):
+            if hit is not None or not frontier:
                 break
+            nxt = []
+            for z in frontier:
+                budget.spend(1)
+                for z2, via in successors[z]:
+                    if z2 in parent:
+                        continue
+                    parent[z2] = via
+                    if unsafe[z2]:
+                        hit = z2
+                        break
+                    nxt.append(z2)
+                if hit is not None:
+                    break
+            frontier = nxt
+        if hit is not None:
+            path = []
+            z = hit
+            while parent[z] is not None:
+                path.append(parent[z])
+                z = parent[z][0]
+            found.append(_counterexample(sol, path[::-1], hit))
 
-    return report()
+
+_LOCKSTEP_MIN = 32  # clean sequences in a row before the first window, and its size
+_WINDOW_DRAWS = 1 << 15  # draws in a window at most
+_REPLAY = "replay"
+
+
+def _advance(counter: int, draws: int) -> int:
+    return (counter + draws * _GOLDEN) & _MASK64
+
+
+class _Lockstep:
+    """A game's flat tables for stepping many sampled sequences at once.
+
+    A step's ``row`` is ``(z * na + a_exec) * nb + b``, the flat index of its
+    observation row; ``rows`` finds it from ``(z * na + a_task) * nb + i``,
+    where ``i`` indexes the bound of ``z``.
+    """
+
+    def __init__(self, spec: GameSpec, executed: np.ndarray):
+        nz, na, nb, no = spec.transitions.shape
+        self.shape = na, nb, no
+        self.trans = spec.transitions.ravel()  # by row * no + o
+        # u < thresholds[row, o] first holds at the o that _sample_observation
+        # picks: the running sums it builds (a cumsum adds in sequence, and
+        # a zero entry repeats the sum before it, so the first hit is never
+        # at a zero), with +inf at the last positive entry for its fallback
+        positive = (spec.observation_probs > 0.0).reshape(-1, no)
+        thresholds = np.cumsum(spec.observation_probs, axis=3).reshape(-1, no)
+        full = np.flatnonzero(positive.any(axis=1))
+        thresholds[full, no - 1 - positive[full, ::-1].argmax(axis=1)] = np.inf
+        self.thresholds = thresholds
+        self.unsafe = spec.margins < 0.0
+        bound = spec.action_bound
+        # each bound padded to nb actions; no index reaches the padding
+        padded = np.array([row + row[:1] * (nb - len(row)) for row in bound], dtype=np.intp)
+        self.rows = ((np.arange(nz)[:, None] * na + executed)[:, :, None] * nb + padded[:, None, :]).ravel()
+        self.bound_len = np.array([len(row) for row in bound], dtype=np.uint64)
+        # the largest raw draw that randint keeps
+        self.task_max = np.uint64(rejection_limit(na) - 1)
+        self.human_max = np.array([rejection_limit(len(row)) - 1 for row in bound], dtype=np.uint64)
+        self.human_min = self.human_max.min()
+
+    def run(self, z: np.ndarray, counter: int, depth: int):
+        """Run sequences from the roots ``z`` on the draws after ``counter``, one after another.
+
+        Returns how many lead sequences run clean to ``depth``, and what the
+        next one met: ``None`` if every sequence ran clean, its
+        ``(path, final_state)`` if it reached failure, ``_REPLAY`` if one
+        of its ``randint`` draws is rejected.
+        """
+        na, nb, no = self.shape
+        count = len(z)
+        draws = splitmix_block(counter, count * depth * 3).reshape(count, depth, 3)
+        task, human, obs = np.ascontiguousarray(draws.transpose(2, 1, 0))  # each (depth, count)
+        a_task = (task % np.uint64(na)).astype(np.intp)
+        u = (obs >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        # most windows hold no draw that any bound of the game rejects
+        rejects = bool((task > self.task_max).any() or (human > self.human_min).any())
+        steps = []
+        cut = None
+        live = count
+        for t in range(depth):
+            a = a_task[t, :live]
+            i = (human[t, :live] % self.bound_len[z]).astype(np.intp)
+            row = self.rows[(z * na + a) * nb + i]
+            o = (u[t, :live, None] < self.thresholds[row]).argmax(axis=1)
+            z2 = self.trans[row * no + o]
+            steps.append((z, a, row, o, z2))
+            event = self.unsafe[z2]
+            if rejects:
+                rejected = (task[t, :live] > self.task_max) | (human[t, :live] > self.human_max[z])
+                event |= rejected
+            if event.any():
+                live = int(event.argmax())
+                cut = live, t, rejects and bool(rejected[live])
+                if not live:
+                    break
+            z = z2[:live]
+        if cut is None:
+            return count, None
+        k, t, replay = cut
+        if replay:
+            return k, _REPLAY
+        path = []
+        for z, a, row, o, _ in steps[:t + 1]:
+            r = int(row[k])
+            path.append((int(z[k]), int(a[k]), r // nb % na, r % nb, int(o[k])))
+        return k, (path, int(steps[t][4][k]))
+
+
+def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budget) -> None:
+    """``per_state`` sequences per root in (root, sample) order, each drawn as the scalar stream calls draw it.
+
+    A step draws ``randint`` for the task action, ``choice`` over the bound
+    for the human action and ``uniform`` for the observation: three draws
+    unless ``randint`` rejects one.  So a window of sequences can take its
+    draws in one block off the stream's counter, and ``_Lockstep`` runs
+    them together.  The first event in stream order ends the window: a
+    failure settles its root, and a rejected draw cuts the window before
+    its sequence, which alone is replayed through the scalar stream calls.
+    A clean window grows the next one four-fold, up to ``_WINDOW_DRAWS``
+    draws.  At the start and after each failure, sequences run through the
+    scalar calls until ``_LOCKSTEP_MIN`` in a row run clean: on a game that
+    fails often, a numpy step costs more than the scalar steps it replaces.
+    """
+    spec = sol.spec
+    num_ai, bound, dynamics = spec.num_ai_actions, spec.action_bound, _dynamics(spec)
+    exec_rows = executed.tolist()
+    unsafe = (spec.margins < 0.0).tolist()
+    total = len(roots) * per_state
+    stream = SplitMix64(seed)
+
+    def scalar(start: int, stop: int) -> tuple[int, int]:
+        """Run sequences from ``start`` until ``stop`` or ``_LOCKSTEP_MIN`` clean in a row: (next, clean run)."""
+        started = run = 0
+        while start < stop:
+            started += 1
+            z = roots[start // per_state]
+            path = []
+            for _ in range(depth):
+                a_task = stream.randint(num_ai)
+                a_exec = exec_rows[z][a_task]
+                b = stream.choice(bound[z])
+                trans, probs = dynamics[z]
+                o = _sample_observation(stream, probs[a_exec][b])
+                path.append((z, a_task, a_exec, b, o))
+                z = trans[a_exec][b][o]
+                if unsafe[z]:
+                    found.append(_counterexample(sol, path, z))
+                    start = (start // per_state + 1) * per_state
+                    run = 0
+                    break
+            else:
+                start += 1
+                run += 1
+                if run == _LOCKSTEP_MIN:
+                    break
+        budget.spend(started)
+        return start, run
+
+    lockstep = None
+    largest = _WINDOW_DRAWS // (3 * depth)  # sequences in a window; none if one is too deep
+    size = 0  # the next window; 0 while the sequences run through the scalar calls
+    start = 0  # the next sequence
+    while start < total:
+        room = budget.room()
+        if room < 1:
+            budget.spend(1)
+        if not size:
+            start, run = scalar(start, int(min(total, start + room)))
+            if run == _LOCKSTEP_MIN:
+                size = min(_LOCKSTEP_MIN, largest)
+            continue
+        if lockstep is None:
+            lockstep, root_of = _Lockstep(spec, executed), np.array(roots)
+        count = int(min(size, total - start, room))
+        counter = stream.counter
+        clean, outcome = lockstep.run(root_of[np.arange(start, start + count) // per_state], counter, depth)
+        budget.spend(clean)
+        start += clean
+        counter = _advance(counter, clean * depth * 3)
+        stream = SplitMix64(counter)
+        if outcome is None:
+            size = min(4 * size, largest)
+        elif outcome is _REPLAY:
+            start, run = scalar(start, start + 1)
+            size = size if run else 0
+        else:
+            budget.spend(1)
+            found.append(_counterexample(sol, *outcome))
+            stream = SplitMix64(_advance(counter, len(outcome[0]) * 3))
+            start = (start // per_state + 1) * per_state
+            size = 0
 
 
 def _counterexample(sol: ValueSolution, path: list[tuple], final_state: int) -> RolloutTrace:

@@ -8,10 +8,13 @@ across platforms, interpreter versions, and reimplementations in other
 languages.
 
 SplitMix64 is counter-based: output k (from 1) of the stream seeded with s
-is ``mix(s + k * GOLDEN mod 2**64)``.  So the stream computes its next
-``_BLOCK`` outputs at once, in wrapping numpy ``uint64`` arithmetic, and
-each draw takes the next one; the outputs are bit-identical to the scalar
-definition, one state advance and one mix per draw.
+is ``mix(s + k * GOLDEN mod 2**64)``.  ``splitmix_block`` computes any run
+of outputs at once, in wrapping numpy ``uint64`` arithmetic; the stream
+takes its next ``_BLOCK`` outputs from it and each draw takes the next one.
+The outputs are bit-identical to the scalar definition, one state advance
+and one mix per draw.  Since the stream seeded with ``counter`` continues
+any stream at that counter, a caller may read draws off the counter in
+bulk and resume the scalar calls anywhere.
 
 Reference: Steele, Lea, Flood, "Fast splittable pseudorandom number
 generators" (the java.util.SplittableRandom mixing constants).
@@ -27,8 +30,26 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _BLOCK = 256  # outputs computed per refill
-# k * GOLDEN mod 2**64 for k = _BLOCK, ..., 1: a block's counter offsets, last output first
-_OFFSETS = np.arange(_BLOCK, 0, -1, dtype=np.uint64) * np.uint64(_GOLDEN)
+
+
+def splitmix_block(counter: int, count: int) -> np.ndarray:
+    """Outputs 1 to ``count`` of the stream at ``counter``, in stream order, as ``uint64``."""
+    x = np.arange(1, count + 1, dtype=np.uint64)
+    x *= np.uint64(_GOLDEN)  # array arithmetic wraps silently
+    x += np.uint64(counter & _MASK64)
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def rejection_limit(n: int) -> int:
+    """``randint(n)`` keeps a raw draw below this limit, the largest multiple of ``n`` up to ``2**64``."""
+    if n <= 0:
+        raise ValueError(f"randint needs a positive bound, got {n}")
+    return ((1 << 64) // n) * n
 
 
 class SplitMix64:
@@ -39,16 +60,15 @@ class SplitMix64:
         self._pending: list[int] = []  # computed outputs, the next one last
         self._limits: dict[int, int] = {}  # randint's rejection limit per bound
 
+    @property
+    def counter(self) -> int:
+        """The counter of the last output taken: ``SplitMix64(counter)`` continues this stream."""
+        return (self._state - len(self._pending) * _GOLDEN) & _MASK64
+
     def _refill(self) -> int:
         """Compute the next ``_BLOCK`` outputs into the empty pending list; take the first."""
-        x = np.uint64(self._state) + _OFFSETS  # array arithmetic wraps silently
+        self._pending += splitmix_block(self._state, _BLOCK)[::-1].tolist()
         self._state = (self._state + _BLOCK * _GOLDEN) & _MASK64
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
-        self._pending += x.tolist()
         return self._pending.pop()
 
     def next_u64(self) -> int:
@@ -65,9 +85,7 @@ class SplitMix64:
         """Uniform integer in [0, n). Rejection sampling, so unbiased."""
         limit = self._limits.get(n)
         if limit is None:
-            if n <= 0:
-                raise ValueError(f"randint needs a positive bound, got {n}")
-            limit = self._limits[n] = ((1 << 64) // n) * n
+            limit = self._limits[n] = rejection_limit(n)
         pending = self._pending
         while True:
             try:

@@ -90,6 +90,13 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert "counterexample from state" in out
 
 
+def test_verify_refuses_fewer_than_one_sample(tmp_path, capsys):
+    spec_path = _chain(tmp_path)
+    for samples in ("0", "-3"):
+        assert main(["verify", str(spec_path), "--samples", samples]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: samples must be >= 1, got {samples}\n"
+
+
 def test_compare_oracle_exit_codes(tmp_path):
     spec_path = _chain(tmp_path)
     assert main(["compare-oracle", str(spec_path)]) == EXIT_OK

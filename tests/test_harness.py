@@ -28,8 +28,9 @@ from haig import (
 )
 from haig.filtering import InterventionRecord
 from haig.harness import RolloutStep, VerificationReport
-from haig.rng import SplitMix64
+from haig.rng import SplitMix64, splitmix_block
 from test_filtering import _signed_zero_chain, reference_table
+from test_rng import seed_with_draw
 
 _STEP_KEYS = {
     "t", "z", "task_a", "monitor", "intervened", "executed_a",
@@ -609,6 +610,120 @@ def test_sampled_verify_matches_the_reference_sequences():
     assert found > 100
 
 
+def _compare_sampled(doc, sol, filter_mode, depth, max_nodes, samples, seed):
+    """Assert that verify_safety gives ``_reference_sampled``'s report, or its partial one when the budget runs out.
+
+    Returns the reference report.
+    """
+    expected, exceeded = _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed)
+    kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes, samples=samples, seed=seed,
+                  solution=sol)
+    if exceeded:
+        with pytest.raises(BudgetExceededError) as info:
+            verify_safety(doc, **kwargs)
+        assert info.value.partial == expected
+    else:
+        assert verify_safety(doc, **kwargs) == expected
+    return expected
+
+
+def _narrowed_bounds(doc, seed):
+    """The game with bounds of one to three actions, the length cycling over the states."""
+    rng = np.random.default_rng(seed)
+    spec = doc.game
+    bound = [tuple(sorted(rng.choice(3, size=1 + z % 3, replace=False).tolist())) for z in range(spec.num_states)]
+    return SpecDocument(game=replace(spec, action_bound=bound))
+
+
+def _zero_between_positives(doc):
+    """The game with observation 1 of every other row at probability zero, the row rescaled."""
+    spec = doc.game
+    probs = spec.observation_probs.copy()
+    probs[::2, :, :, 1] = 0.0
+    probs /= probs.sum(axis=3, keepdims=True)
+    assert ((probs[..., 0] > 0.0) & (probs[..., 1] == 0.0) & (probs[..., 2] > 0.0)).any()
+    return SpecDocument(game=replace(spec, observation_probs=probs))
+
+
+def test_sampled_verify_matches_the_reference_on_varied_games(monkeypatch):
+    """Uneven bounds, zero-probability gaps and windows across roots, with the sequences run in lockstep."""
+    windows = []
+    run = haig.harness._Lockstep.run
+
+    def counting(self, z, *args):
+        windows.append(len(z))
+        return run(self, z, *args)
+
+    monkeypatch.setattr(haig.harness._Lockstep, "run", counting)
+    corpus = [
+        *((_narrowed_bounds(random_game(k, states=12, human_actions=3, observations=2 + k % 2,
+                                        failure_fraction=0.1), k), 600) for k in (0, 6, 13, 24)),
+        *((_zero_between_positives(random_game(k, states=12, observations=3, failure_fraction=0.1)), 600)
+          for k in (9, 13, 37, 52)),
+        # about 70 sequences per root, so windows of 128 sequences and more span roots
+        (random_game(7, states=30, observations=3, failure_fraction=0.05), 2000),
+    ]
+    assert {len(row) for doc, _ in corpus[:4] for row in doc.game.action_bound} == {1, 2, 3}
+    found = 0
+    for doc, samples in corpus:
+        sol = value_iteration(doc.game)
+        in_lockstep = 0
+        for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
+            for depth, max_nodes in ((3, None), (8, None), (8, 301)):
+                before = len(windows)
+                expected = _compare_sampled(doc, sol, filter_mode, depth, max_nodes, samples, 3)
+                found += len(expected.counterexamples)
+                in_lockstep += len(windows) > before
+        assert in_lockstep >= 3
+    assert found > 200
+    assert max(windows) >= 128
+
+
+@pytest.mark.parametrize("draw", ["task", "human", "observation"])
+def test_sampled_verify_on_a_planted_draw(draw):
+    """The largest draw, planted in a lockstep window before the first failure.
+
+    ``randint(3)`` rejects it, so a task or human draw is replayed.  As an
+    observation draw it is the largest uniform, 1 - 2**-53, which is the
+    running sum of the rows (0.06, 0.57, 0.37): the draw falls through to
+    the last positive entry.
+    """
+    doc = random_game(9, states=30, observations=3, failure_fraction=0.05)
+    if draw == "observation":
+        rows = np.broadcast_to([0.06, 0.57, 0.37], doc.game.observation_probs.shape)
+        doc = SpecDocument(game=replace(doc.game, observation_probs=rows.copy()))
+        assert (0.06 + 0.57) + 0.37 == 1.0 - 2.0**-53
+    sol = value_iteration(doc.game)
+    depth, samples, sequence = 8, 4000, 100
+    # the three draws of sequence 100's first step
+    index = sequence * depth * 3 + ("task", "human", "observation").index(draw)
+    seed = seed_with_draw(2**64 - 1, index)
+    assert max(splitmix_block(seed, index)) < 2**64 - 1  # no rejection before it
+    partial = _compare_sampled(doc, sol, "switch", depth, sequence + 1, samples, seed)
+    assert partial.counterexamples == ()  # sequences 0 to 100 of the first root run clean
+    report = _compare_sampled(doc, sol, "switch", depth, None, samples, seed)
+    assert len(report.counterexamples) >= 5
+
+
+def test_exhaustive_verify_matches_the_reference_on_a_larger_game():
+    doc = random_game(2, states=200, ai_actions=4, human_actions=4, failure_fraction=0.05)
+    sol = value_iteration(doc.game)
+    full = {}
+    for filter_mode in ("switch", "none"):
+        expected, exceeded = _reference_verify(doc, sol, 3, filter_mode, None)
+        assert not exceeded and verify_safety(doc, depth=3, filter_mode=filter_mode, solution=sol) == expected
+        full[filter_mode] = expected
+    assert full["switch"].ok and full["switch"].expanded > 20 * len(full["switch"].certified_states)
+    assert len(full["none"].counterexamples) > 100
+    # every root is clean under switch, so the budget runs out inside one
+    for filter_mode, max_nodes in (("switch", full["switch"].expanded // 2), ("none", 150)):
+        expected, exceeded = _reference_verify(doc, sol, 3, filter_mode, max_nodes)
+        assert exceeded
+        with pytest.raises(BudgetExceededError) as info:
+            verify_safety(doc, depth=3, filter_mode=filter_mode, max_nodes=max_nodes, solution=sol)
+        assert info.value.partial == expected
+
+
 def test_counterexamples_are_traces_that_follow_the_dynamics():
     """Every counterexample of the reference corpus passes ``to_jsonl``'s dynamics check."""
     sampled = (random_game(k, states=12, observations=2 + k % 2, failure_fraction=0.1) for k in (0, 6, 13))
@@ -702,6 +817,9 @@ def test_each_state_is_decided_once(monkeypatch):
 def test_verify_argument_validation():
     with pytest.raises(ValueError, match="depth"):
         verify_safety(build_chain(5), depth=0)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            verify_safety(build_chain(5), samples=samples, exhaustive_limit=1)
     with pytest.raises(ValueError, match="filter mode"):
         verify_safety(build_chain(5), filter_mode="what")
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from haig import SplitMix64
-from haig.rng import _BLOCK
+from haig.rng import _BLOCK, rejection_limit, splitmix_block
 
 
 def _reference_randint(stream, n):
@@ -93,3 +93,50 @@ def test_rejection_across_a_refill():
     accepted = next(i for i in range(k * _BLOCK, len(raw)) if raw[i] < bound)
     assert stream.randint(bound) == raw[accepted] % bound
     assert stream.next_u64() == raw[accepted + 1]
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 7, 1234567])
+def test_block_function_continues_the_stream(seed):
+    """``splitmix_block`` at a stream's counter gives its next draws, from any point of its pending block."""
+    stream = SplitMix64(seed)
+    assert list(splitmix_block(stream.counter, 2 * _BLOCK + 5)) == [stream.next_u64() for _ in range(2 * _BLOCK + 5)]
+    for taken in (1, _BLOCK - 3, _BLOCK - 1, _BLOCK):  # partly consumed blocks, then a refill boundary
+        stream = SplitMix64(seed)
+        for _ in range(taken):
+            stream.next_u64()
+        ahead = splitmix_block(stream.counter, _BLOCK + 10).tolist()
+        assert SplitMix64(stream.counter).next_u64() == ahead[0]
+        assert [stream.next_u64() for _ in range(_BLOCK + 10)] == ahead
+
+
+def _unshift(y, k):
+    """The x with ``x ^ (x >> k) == y``."""
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def seed_with_draw(value, index):
+    """A seed whose stream draws ``value`` at ``index`` (from 0): the finalizer run backwards."""
+    x = _unshift(value, 31)
+    x = (x * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    x = _unshift(x, 27)
+    x = (x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    x = _unshift(x, 30)
+    return (x - (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+
+
+def test_randint_skips_a_planted_rejected_draw():
+    # 2**64 % 3 == 1, so randint(3) rejects exactly the largest draw
+    assert rejection_limit(3) == _MASK64
+    for index in (0, 5, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17):
+        seed = seed_with_draw(_MASK64, index)
+        reference = _ScalarSplitMix64(seed)
+        raw = [reference.next_u64() for _ in range(index + 3)]
+        assert raw[index] == _MASK64
+        stream = SplitMix64(seed)
+        for _ in range(index):
+            stream.next_u64()
+        assert stream.randint(3) == raw[index + 1] % 3
+        assert stream.next_u64() == raw[index + 2]
