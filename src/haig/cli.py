@@ -19,7 +19,7 @@ from .harness import (
 )
 from .scenarios import build_chain, build_dialogue, random_game
 from .solver import DEFAULT_EPSILON, DEFAULT_NODE_BUDGET, solution_payload, value_iteration
-from .specfile import load_spec, save_spec
+from .specfile import canonical_json, load_spec, save_spec
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -103,9 +103,9 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     doc = load_spec(args.spec)
     sol = value_iteration(doc.game, epsilon=args.epsilon, max_iters=args.max_iters)
+    text = canonical_json(solution_payload(sol))  # rendered first: a refusal leaves no partial file
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(solution_payload(sol), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
     status = "converged" if sol.converged else f"NOT converged (residual {sol.residual!r})"
     print(f"{status} after {sol.iterations} sweeps; {len(sol.safe_set)}/{doc.game.num_states} states safe")
     return EXIT_OK
@@ -123,8 +123,9 @@ def _cmd_rollout(args) -> int:
         seed=args.seed,
     )
     trace = rollout(config)
+    data = trace.to_jsonl()  # rendered first: a refusal leaves no partial file
     with open(args.output, "wb") as fh:
-        fh.write(trace.to_jsonl())
+        fh.write(data)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:
             fh.write(summary_csv([trace]))

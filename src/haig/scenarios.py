@@ -23,6 +23,10 @@ exists to avoid.
 Random games.  Uniform dense dynamics from a seeded SplitMix64 stream,
 with a requested fraction of failure states.  Identical seeds give
 identical documents, byte for byte.
+
+Every builder refuses a game that the parser would refuse for its size,
+more than ``haig.specfile.MAX_JOINT_ENTRIES`` joint entries, with the
+parser's ``SchemaError`` and before allocating any array.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .model import GameSpec, GroundTruthSystem
 from .rng import SplitMix64
-from .specfile import SpecDocument
+from .specfile import SpecDocument, check_joint_entries
 
 
 def _mirror_ground_truth(game: GameSpec, failure_margins: np.ndarray | None = None) -> GroundTruthSystem:
@@ -78,6 +82,7 @@ def build_chain(length: int, human_reach: int = 1, odd_reach: int | None = None)
     nz = length + 1
     ai_deltas = (-1, 0, 1)
     human_deltas = tuple(range(-human_reach, human_reach + 1))
+    check_joint_entries((nz, len(ai_deltas), len(human_deltas), 1))
     transitions = np.empty((nz, 3, len(human_deltas), 1), dtype=np.int64)
     for z in range(nz):
         for ia, da in enumerate(ai_deltas):
@@ -220,8 +225,9 @@ def random_game(
     if not 0.0 <= failure_fraction <= 1.0:
         raise ValueError(f"failure_fraction must be in [0, 1], got {failure_fraction}")
 
-    stream = SplitMix64(seed)
     shape = (states, ai_actions, human_actions, observations)
+    check_joint_entries(shape)
+    stream = SplitMix64(seed)
     transitions = np.empty(shape, dtype=np.int64)
     for idx in np.ndindex(shape):
         transitions[idx] = stream.randint(states)

@@ -43,6 +43,15 @@ order, floats in shortest round-trip form, ASCII output, one trailing
 newline.  Structurally equal documents serialize to identical bytes, and
 ``parse_spec(serialize(doc)) == doc``.  NaN and infinity are rejected in
 both directions.
+
+One writer, ``canonical_json``, emits both documents and the value files of
+``haig solve``, in the layout of ``json.dumps(payload, sort_keys=True,
+indent=2, allow_nan=False)`` plus a newline, byte for byte.  It renders
+each regular numeric or boolean array from its shape and its leaves, which
+the C encoder converts in one call.  Parsing likewise reads an array whose
+leaves all have the JSON type its reader expects with one ``np.array``
+call, and leaves every other array, and every error, to the per-leaf
+readers.
 """
 
 from __future__ import annotations
@@ -50,6 +59,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -69,6 +80,8 @@ FORMAT_VERSION = "1"
 # 34 MB at the limit, and the check runs before any of them is allocated.
 MAX_JOINT_ENTRIES = 1 << 22
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# Leaf types whose JSON text the C encoder writes exactly as the indenting one does.
+_LEAF_TYPES = {int, float, bool}
 # Exception raised for a validate_model error code; other codes raise SchemaError.
 _ERROR_CLASSES = {"distribution": DistributionError, "range": SpecReferenceError}
 
@@ -226,10 +239,52 @@ def _boolean(value, path) -> bool:
 def _dense(raw, shape, path, read, dtype) -> np.ndarray:
     """Read the nested JSON array ``raw`` into an array of ``shape`` and ``dtype``.
 
-    Every level must be an array of the declared length, and every leaf goes
-    through ``read(value, path)``.  The index path of an entry, such as
-    ``game.transition[3][0][1][0]``, is formatted only once that entry fails.
+    Every level must be an array of the declared length, and every leaf must
+    pass ``read(value, path)``.  A well-formed array of plain numbers or
+    booleans is read by ``_read_typed`` at C speed; anything else, errors
+    included, goes through ``_read_per_leaf``, which names the failing entry.
     """
+    try:
+        values = _read_typed(raw, shape, read)
+    except OverflowError:  # the per-leaf reader names the entry beyond int64 or float range
+        values = None
+    return _read_per_leaf(raw, shape, path, read, dtype) if values is None else values
+
+
+def _read_typed(raw, shape, read) -> np.ndarray | None:
+    """``raw`` as an array if every leaf has the one JSON type ``read`` accepts unchanged, else None.
+
+    The array equals what ``_read_per_leaf`` returns, bit for bit, in the
+    dtype that goes with ``read``: a JSON integer becomes the float that
+    ``float()`` rounds it to.  A value that ``read`` would refuse makes this
+    return None (out of a resolver's range) or raise ``OverflowError``
+    (beyond int64 or float range).
+    """
+    nodes = [raw]
+    for size in shape:
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {size}:
+            return None
+        nodes = list(chain.from_iterable(nodes))
+    kinds = set(map(type, nodes))
+    if read is _number:  # np.array raises OverflowError for an int exactly where float() does
+        if not kinds <= {int, float}:
+            return None
+        values = np.array(nodes, dtype=np.float64)
+    elif read is _boolean:
+        if kinds != {bool}:
+            return None
+        values = np.array(nodes, dtype=bool)
+    else:  # _integer or a _Resolver; beyond int64, np.array raises OverflowError
+        if kinds != {int}:
+            return None
+        values = np.array(nodes, dtype=np.int64)
+        if isinstance(read, _Resolver) and (values.min() < 0 or values.max() >= read.size):
+            return None
+    return values.reshape(shape)
+
+
+def _read_per_leaf(raw, shape, path, read, dtype) -> np.ndarray:
+    """``_dense`` one node and one leaf at a time; the index path of an entry is formatted only once it fails."""
     nodes = [raw]
     for depth, size in enumerate(shape):
         for i, node in enumerate(nodes):
@@ -245,6 +300,16 @@ def _dense(raw, shape, path, read, dtype) -> np.ndarray:
             read(value, path + _index_path(i, shape))
         raise
     return np.array(values, dtype=dtype).reshape(shape)
+
+
+def check_joint_entries(shape) -> None:
+    """Refuse a game of ``shape`` (states, ai actions, human actions, observations) above ``MAX_JOINT_ENTRIES``."""
+    entries = math.prod(shape)
+    if entries > MAX_JOINT_ENTRIES:
+        raise SchemaError(
+            f"game declares {entries} (state, ai action, human action, observation) "
+            f"entries, more than the limit of {MAX_JOINT_ENTRIES}"
+        )
 
 
 def _index_path(flat: int, shape) -> str:
@@ -270,12 +335,7 @@ def _parse_game(game: dict) -> GameSpec:
     observations = _label_list(_require(game, "observations", "game"), "game.observations")
 
     shape = (num_states, len(ai_actions), len(human_actions), len(observations))
-    entries = math.prod(shape)
-    if entries > MAX_JOINT_ENTRIES:
-        raise SchemaError(
-            f"game declares {entries} (state, ai action, human action, observation) "
-            f"entries, more than the limit of {MAX_JOINT_ENTRIES}"
-        )
+    check_joint_entries(shape)
 
     res_state = _Resolver("state", num_states, state_labels)
     res_ai = _Resolver("ai action", len(ai_actions), ai_actions)
@@ -300,12 +360,14 @@ def _parse_game(game: dict) -> GameSpec:
     bound_raw = _require(game, "action_bound", "game")
     if not isinstance(bound_raw, list) or len(bound_raw) != num_states:
         raise SchemaError(f"game.action_bound must be an array of {num_states} rows")
-    bound = []
-    for z, row in enumerate(bound_raw):
-        path = f"game.action_bound[{z}]"
-        if not isinstance(row, list):
-            raise SchemaError(f"{path} must be an array")
-        bound.append(tuple(sorted({res_human(b, path) for b in row})))
+    bound = _bound_typed(bound_raw, res_human)
+    if bound is None:
+        bound = []
+        for z, row in enumerate(bound_raw):
+            path = f"game.action_bound[{z}]"
+            if not isinstance(row, list):
+                raise SchemaError(f"{path} must be an array")
+            bound.append(tuple(sorted({res_human(b, path) for b in row})))
 
     annotations = None
     if "annotations" in game:
@@ -342,6 +404,16 @@ def _parse_game(game: dict) -> GameSpec:
         scenario=scenario,
         annotations=annotations,
     )
+
+
+def _bound_typed(rows, resolver):
+    """The action bound's rows as sorted distinct indices when every entry is an in-range index, else None."""
+    if set(map(type, rows)) != {list}:
+        return None
+    entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= resolver.size:
+        return None
+    return list(map(tuple, map(sorted, map(set, rows))))
 
 
 def _parse_transition(raw, shape, res_state, res_ai, res_human, res_obs) -> np.ndarray:
@@ -472,11 +544,7 @@ def serialize(doc: SpecDocument) -> bytes:
         if doc.human_policies:
             policies["human"] = {k: list(v) for k, v in doc.human_policies.items()}
         payload["policies"] = policies
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise SerializationError(f"document contains non-finite numbers: {exc}") from None
-    return (text + "\n").encode("utf-8")
+    return canonical_json(payload).encode("utf-8")
 
 
 def save_spec(doc: SpecDocument, path) -> None:
@@ -490,9 +558,9 @@ def _game_payload(game: GameSpec) -> dict:
         "ai_actions": list(game.ai_actions),
         "human_actions": list(game.human_actions),
         "observations": list(game.observations),
-        "transition": game.transitions.tolist(),
-        "observation_probs": game.observation_probs.tolist(),
-        "margin": game.margins.tolist(),
+        "transition": game.transitions,
+        "observation_probs": game.observation_probs,
+        "margin": game.margins,
         "action_bound": [list(row) for row in game.action_bound],
     }
     if game.scenario is not None:
@@ -507,10 +575,145 @@ def _ground_truth_payload(gt: GroundTruthSystem) -> dict:
         "world_states": gt.num_world_states,
         "human_states": gt.num_human_states,
         "human_observations": gt.num_human_observations,
-        "world_dynamics": gt.world_transitions.tolist(),
-        "human_dynamics": gt.human_transitions.tolist(),
-        "human_observation": gt.human_observation.tolist(),
-        "ai_observation": gt.ai_observation.tolist(),
-        "privileged_failure": gt.failure.tolist(),
-        "projection": gt.projection.tolist(),
+        "world_dynamics": gt.world_transitions,
+        "human_dynamics": gt.human_transitions,
+        "human_observation": gt.human_observation,
+        "ai_observation": gt.ai_observation,
+        "privileged_failure": gt.failure,
+        "projection": gt.projection,
     }
+
+
+def canonical_json(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` plus a newline.
+
+    The text is the same, byte for byte, but the regular numeric and boolean
+    arrays in ``payload`` (numpy arrays, and nested lists whose levels each
+    hold lists of one length) are rendered at C speed: one ``json.dumps``
+    call converts all of an array's leaves, and the brackets, commas and
+    indents between two leaves are looked up by how many dimensions close
+    there.  Dicts, ragged lists, strings and scalars are written one item at
+    a time, as ``json`` does.
+
+    Raises:
+        SerializationError: ``payload`` holds a NaN or an infinity; the
+            message names the first one's path, such as ``game.margin[2]``.
+    """
+    parts = []
+    try:
+        _write(payload, 0, parts)
+    except ValueError:  # json.dumps refuses NaN and infinity; nothing else here raises it
+        path, value = _first_non_finite(payload, "")
+        raise SerializationError(f"cannot write the non-finite number {value!r} at {path}") from None
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, level, parts) -> None:
+    """Append the indented JSON text of ``value``, whose first line sits at ``level``, to ``parts``."""
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = "{" + pad
+        for key, item in sorted(value.items()):
+            parts.append(sep + _quote(key) + ": ")
+            _write(item, level + 1, parts)
+            sep = "," + pad
+        parts.append("\n" + "  " * level + "}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        grid = _grid(value)
+        if grid is not None:
+            parts.append(_render_grid(*grid, level))
+        elif not len(value):
+            parts.append("[]")
+        else:
+            pad = "\n" + "  " * (level + 1)
+            sep = "[" + pad
+            for item in value.tolist() if isinstance(value, np.ndarray) else value:
+                parts.append(sep)
+                _write(item, level + 1, parts)
+                sep = "," + pad
+            parts.append("\n" + "  " * level + "]")
+    elif isinstance(value, str):
+        parts.append(_quote(value))
+    else:
+        parts.append(json.dumps(value, allow_nan=False))
+
+
+def _grid(value):
+    """``(shape, leaf texts)`` of a non-empty regular array of numbers or booleans, else None.
+
+    The texts are in row-major order.
+    """
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0 or value.size == 0 or value.dtype.kind not in "biuf":
+            return None
+        return value.shape, _leaf_texts(value.ravel())
+    if type(value) is not list:
+        return None
+    shape, nodes = [], [value]
+    while True:
+        kinds = set(map(type, nodes))
+        if kinds != {list}:
+            break
+        lengths = set(map(len, nodes))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        nodes = list(chain.from_iterable(nodes))
+    if kinds == {float}:
+        return tuple(shape), _leaf_texts(np.array(nodes))
+    return (tuple(shape), _leaf_texts(nodes)) if kinds <= _LEAF_TYPES else None
+
+
+def _leaf_texts(flat) -> list[str]:
+    """JSON text of each entry of ``flat``, a list of plain numbers and booleans or a 1-D array.
+
+    The C encoder converts every leaf in one call.  A float's repr is the
+    slow part, and value tables repeat a few margins many times over, so a
+    float64 array formats each distinct bit pattern (-0.0 is not 0.0) once.
+    """
+    if isinstance(flat, np.ndarray) and flat.dtype == np.float64:
+        distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        texts = json.dumps(distinct.view(np.float64).tolist(), allow_nan=False)[1:-1].split(", ")
+        return np.array(texts, dtype=object)[inverse].tolist()
+    if isinstance(flat, np.ndarray):
+        flat = flat.tolist()
+    return json.dumps(flat, allow_nan=False)[1:-1].split(", ")
+
+
+def _render_grid(shape, texts, level) -> str:
+    """The indented JSON array of ``shape`` whose leaves read ``texts``, opening at ``level``."""
+    k = len(shape)
+    pads = ["\n" + "  " * i for i in range(level + k + 1)]
+    # closes[j] ends the j innermost open arrays; opens[j] starts j new ones
+    # and the line of the next leaf.
+    closes = ["".join(pads[level + k - 1 - m] + "]" for m in range(j)) for j in range(k + 1)]
+    opens = ["".join(pads[level + k - j + m] + "[" for m in range(j)) + pads[level + k] for j in range(k)]
+    seps = []  # the separators between the leaves of one sub-array, innermost first
+    for d in range(k - 1, -1, -1):
+        seps = (seps + [closes[k - 1 - d] + "," + opens[k - 1 - d]]) * shape[d]
+        seps.pop()
+    out = [""] * (2 * len(texts) - 1)
+    out[0::2] = texts
+    out[1::2] = seps
+    return "[" + opens[k - 1] + "".join(out) + closes[k]
+
+
+def _first_non_finite(value, path):
+    """``(path, value)`` of the first NaN or infinity in ``value`` in document order, else None."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return (path, value) if isinstance(value, float) and not math.isfinite(value) else None
+    for item_path, item in items:
+        found = _first_non_finite(item, item_path)
+        if found is not None:
+            return found
+    return None

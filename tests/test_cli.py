@@ -8,10 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import haig
-from haig import build_chain, load_spec, parse_spec, random_game, save_spec
+from haig import (
+    GameSpec, SpecDocument, build_chain, build_dialogue, load_spec, parse_spec, random_game, save_spec,
+)
 from haig.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, main
 
 
@@ -134,6 +137,88 @@ def test_verify_output_is_pinned(tmp_path, capsys, build, extra, code, digest):
     save_spec(build(), path)
     assert main(["verify", str(path), "--filter", "none", *extra]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _corridors(length, seed):
+    """Two shuffled corridors stepping toward their sinks, one safe and one failing."""
+    rng = np.random.default_rng(seed)
+    n = 2 * length
+    index = rng.permutation(n).reshape(2, length)  # index[c, i]: corridor c, i steps from its sink
+    transitions = np.empty((n, 2, 2, 1), dtype=np.int64)
+    margins = np.empty(n)
+    for c, sink in enumerate((rng.uniform(0.1, 1.0), -rng.uniform(0.1, 1.0))):
+        transitions[index[c]] = index[c, np.maximum(np.arange(length) - 1, 0)][:, None, None, None]
+        margins[index[c]] = sink + np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, length - 1))))
+    return SpecDocument(game=GameSpec(
+        num_states=n,
+        ai_actions=("left", "right"),
+        human_actions=("push", "pull"),
+        observations=("none",),
+        transitions=transitions,
+        observation_probs=np.ones((n, 2, 2, 1)),
+        margins=margins,
+        action_bound=((0, 1),) * n,
+    ))
+
+
+# sha256 of the value file `haig solve` writes, so its layout keeps every byte
+_PINNED_SOLVE = [
+    (lambda: build_chain(5), "80f00715f31019ccea859f70452d9516e8e78d4c1d1c519dbddb94cd0a470d63"),
+    (build_dialogue, "750adb755e5cff8fd56a4812774ae84d53f35bbbe9817cd679059e8c58dc518c"),
+    (lambda: random_game(2, states=1000, ai_actions=4, human_actions=4, failure_fraction=0.05),
+     "e3461098b9fdac6275faaff77a0bfac2b4942b65c7050c291ba7a0ebf3c8e7fa"),
+    (lambda: random_game(7, states=30, observations=3, failure_fraction=0.05),
+     "8c4ac3270e0f7c1706a7fdb6b1a8088f079a8b0100b83b46025671ca891abef7"),
+    (lambda: _corridors(150, 4), "d21005af267fe1c377ecf43f4f9e26734d968d7dec887349e08792f0cb82374d"),
+]
+
+
+@pytest.mark.parametrize("build, digest", _PINNED_SOLVE)
+def test_solve_output_is_pinned(tmp_path, build, digest):
+    spec, out = tmp_path / "game.haig.json", tmp_path / "values.json"
+    save_spec(build(), spec)
+    assert main(["solve", str(spec), "-o", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_refused_outputs_are_never_opened(tmp_path, capsys, monkeypatch):
+    """A value file or trace that cannot be written exits 3 and creates or truncates no file."""
+    spec_path = _chain(tmp_path)
+    out = tmp_path / "values.json"
+    for earlier in (None, b"earlier"):
+        if earlier is not None:
+            out.write_bytes(earlier)
+        assert main(["solve", str(spec_path), "-o", str(out), "--max-iters", "0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: cannot write the non-finite number inf at residual\n"
+        assert (out.read_bytes() if out.exists() else None) == earlier
+
+    def refuse(trace):
+        raise haig.SerializationError("trace refused")
+
+    monkeypatch.setattr(haig.RolloutTrace, "to_jsonl", refuse)
+    trace = tmp_path / "trace.jsonl"
+    for earlier in (None, b"earlier"):
+        if earlier is not None:
+            trace.write_bytes(earlier)
+        assert main(["filter-rollout", str(spec_path), "-o", str(trace)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: trace refused\n"
+        assert (trace.read_bytes() if trace.exists() else None) == earlier
+
+
+@pytest.mark.parametrize("argv, entries", [
+    (["random", "--states", "270000", "--ai-actions", "4", "--human-actions", "4"], 4_320_000),
+    (["chain", "--length", "99999", "--human-reach", "7"], 4_500_000),
+])
+def test_generate_refuses_a_game_the_parser_refuses(tmp_path, capsys, argv, entries):
+    out = tmp_path / "big.haig.json"
+    start = time.perf_counter()
+    assert main(["generate", *argv, "-o", str(out)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: game declares {entries} (state, ai action, human action, observation) "
+        f"entries, more than the limit of {haig.specfile.MAX_JOINT_ENTRIES}\n"
+    )
+    assert not out.exists()
 
 
 def test_input_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
@@ -23,7 +24,13 @@ from haig import (
     save_spec,
     serialize,
 )
-from haig.specfile import MAX_JOINT_ENTRIES
+from haig import specfile
+from haig.solver import solution_payload, value_iteration
+from haig.specfile import (
+    MAX_JOINT_ENTRIES, _boolean, _game_payload, _ground_truth_payload, _integer, _number, _read_per_leaf,
+    _Resolver, canonical_json,
+)
+from test_acceptance import _oracle_corpus, _scenario_docs, _stochastic_corpus, _verify_corpus
 
 _MINIMAL = {
     "format_version": "1",
@@ -357,8 +364,72 @@ def test_serialize_rejects_non_finite():
         margins=np.array([np.nan, 0.0, 1.0, 2.0]),
         action_bound=game.action_bound,
     )
-    with pytest.raises(SerializationError):
+    with pytest.raises(SerializationError, match=r"non-finite number nan at game\.margin\[0\]$"):
         serialize(SpecDocument(game=broken))
+    with pytest.raises(SerializationError, match=r"-inf at ground_truth\.x\[1\]\[0\]$"):
+        canonical_json({"ground_truth": {"x": [[1.0], [-np.inf]]}, "y": 2})
+
+
+def _reference_text(payload) -> str:
+    """The canonical layout as ``json`` writes it, arrays given as lists."""
+    def listed(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, dict):
+            return {key: listed(item) for key, item in value.items()}
+        return value
+    return json.dumps(listed(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _edge_document() -> SpecDocument:
+    """The dialogue with edge-case floats, non-ASCII labels, ground truth, policies and annotations."""
+    doc = build_dialogue()
+    margins = np.array([-0.0, 5e-324, 1e16, 2**53 + 1, -1e-7, 1.5e300, 0.1, -1.0])
+    game = dataclasses.replace(
+        doc.game, margins=margins, state_labels=("café", "naïve", "日本", "🚀", "a, b", "x\"y", "\\", "\n"),
+        scenario="Ünïcode", annotations=((), ("é",), (), (), (), (), ("a", "b, c"), ()),
+    )
+    return dataclasses.replace(doc, game=game)
+
+
+def _single_state_document() -> SpecDocument:
+    ones = np.ones((1, 1, 1, 1))
+    game = GameSpec(
+        num_states=1, ai_actions=("a",), human_actions=("b",), observations=("o",),
+        transitions=np.zeros((1, 1, 1, 1), dtype=np.int64), observation_probs=ones,
+        margins=np.array([2**53 + 1.0]), action_bound=((0,),),
+    )
+    return SpecDocument(game=game, task_policies={"only": (0,)})
+
+
+def test_canonical_writer_matches_json_on_documents_and_value_files():
+    docs = [*_scenario_docs(), *_oracle_corpus()[::5], *_verify_corpus()[::10], *_stochastic_corpus(),
+            _edge_document(), _single_state_document()]
+    for doc in docs:
+        payload = {"format_version": "1", "game": _game_payload(doc.game)}
+        if doc.ground_truth is not None:
+            payload["ground_truth"] = _ground_truth_payload(doc.ground_truth)
+        policies = {key: {name: list(table) for name, table in tables.items()}
+                    for key, tables in (("task", doc.task_policies), ("human", doc.human_policies)) if tables}
+        if policies:
+            payload["policies"] = policies
+        assert serialize(doc) == _reference_text(payload).encode("ascii"), doc.game.scenario
+        values = solution_payload(value_iteration(doc.game))
+        assert canonical_json(values) == _reference_text(values), doc.game.scenario
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"a": []},
+    {"a": [[], []], "b": {}, "c": None, "d": "x, y", "e": ["a, b", "c"], "f": (1, (2, 3))},
+    {"ragged": [[1], [2, 3]], "mixed": [[1, 2.5], [True, 0]], "deep": [[[[[0.5]]]]]},
+    {"ints": [2**53 + 1, -(2**70), 0], "floats": [-0.0, 0.0, 5e-324, 1e16, 1e-5, 123456789.0]},
+    {"array": np.array([[-0.0, 0.0], [5e-324, 2.0**53 + 1]]), "int64": np.array([2**53 + 1, -1]),
+     "bools": np.array([[True], [False]]), "empty": np.zeros((2, 0)), "strings": np.array(["a", "b"])},
+    {"nested": {"z": [1.0, 1.0, 1.0], "a": [[0.1, 0.1], [0.2, 0.1]]}, "list_of_dicts": [{"k": [1]}, {}]},
+])
+def test_canonical_writer_matches_json_on_edge_payloads(payload):
+    assert canonical_json(payload) == _reference_text(payload)
 
 
 def test_save_and_load(tmp_path):
@@ -397,3 +468,83 @@ def test_every_mutation_is_rejected_with_a_haig_error():
     for i, fn in enumerate(mutations):
         with pytest.raises(HaigError):
             parse_spec(mutate(fn))
+
+
+def _parse_outcome(text):
+    """What ``parse_spec`` makes of ``text``: the error's class and message, or every array bit for bit."""
+    try:
+        doc = parse_spec(text)
+    except HaigError as exc:
+        return type(exc), str(exc)
+    arrays = [doc.game.transitions, doc.game.observation_probs, doc.game.margins]
+    gt = doc.ground_truth
+    arrays += [gt.world_transitions, gt.human_transitions, gt.human_observation, gt.ai_observation,
+               gt.failure, gt.projection]
+    return doc.game.action_bound, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("path, value", [
+    (None, None),
+    (("ground_truth", "human_dynamics", 0, 1, 2, 0), True),
+    (("ground_truth", "human_dynamics", 0, 1, 2, 0), 0.0),
+    (("game", "transition", 0, 0, 0, 0), True),
+    (("game", "transition", 3, 1, 2, 0), "metal_in_microwave"),
+    (("game", "transition", 3, 1, 2, 0), "nowhere"),
+    (("game", "transition", 7, 2, 3, 0), 8),
+    (("game", "transition", 7, 2, 3, 0), -1),
+    (("game", "transition", 2, 1), [[0], [0]]),
+    (("game", "transition", 2, 1, 0), 5),
+    (("ground_truth", "projection", 5, 0), 10**30),
+    (("ground_truth", "projection", 7, 0), 2**63),
+    (("ground_truth", "privileged_failure", 0, 0), 1),
+    (("game", "margin", 2), 10**400),
+    (("game", "margin", 2), "1e999"),
+    (("game", "margin", 2), True),
+    (("game", "margin", 5), 2**53 + 1),
+    (("game", "margin", 5), 2**63 + 1),
+    (("game", "margin", 5), 10**30 + 1),
+    (("game", "margin", 5), 2**1024 - 2**970 - 1),
+    (("game", "margin", 5), -(2**1024 - 2**970)),
+    (("game", "observation_probs", 1, 1, 1, 0), 1),
+    (("game", "action_bound", 3), ["grab_glass", 0, 0]),
+    (("game", "action_bound", 7), [3, 1, 1, 0]),
+    (("game", "action_bound", 7), [4]),
+    (("game", "action_bound", 7), [-1]),
+    (("game", "action_bound", 7), [True]),
+    (("game", "action_bound", 2), []),
+    (("game", "action_bound", 2), 3),
+    (("game", "action_bound"), [[]] * 8),
+])
+def test_typed_parse_agrees_with_the_per_leaf_readers(monkeypatch, path, value):
+    """Arrays bit for bit, or the same error class, message and index path, with or without the fast paths."""
+    raw = json.loads(serialize(build_dialogue()))
+    raw["game"]["margin"] = [1e-300 * (i + 1) * (-1) ** (i == 7) for i in range(8)]  # floats, not ints
+    if path is not None:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    text = json.dumps(raw).replace('"1e999"', "1e999")
+    typed = _parse_outcome(text)
+    monkeypatch.setattr(specfile, "_read_typed", lambda *args: None)
+    monkeypatch.setattr(specfile, "_bound_typed", lambda *args: None)
+    assert typed == _parse_outcome(text)
+
+
+def test_typed_parse_reads_well_formed_arrays():
+    """The fast path accepts every array of a well-formed document, so the per-leaf readers never run."""
+    raw = json.loads(serialize(build_dialogue()))
+    game, gt = raw["game"], raw["ground_truth"]
+    labels = _Resolver("state", 8, tuple(game["states"]))
+    cases = [
+        (game["transition"], (8, 3, 4, 1), labels, np.int64),
+        (game["observation_probs"], (8, 3, 4, 1), _number, np.float64),
+        (game["margin"], (8,), _number, np.float64),
+        (gt["human_dynamics"], (1, 3, 4, 1), _integer, np.int64),
+        (gt["privileged_failure"], (8, 1), _boolean, bool),
+    ]
+    for nodes, shape, read, dtype in cases:
+        fast = specfile._read_typed(nodes, shape, read)
+        slow = _read_per_leaf(nodes, shape, "x", read, dtype)
+        assert fast is not None and fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes()
+    assert specfile._bound_typed(game["action_bound"], _Resolver("human action", 4, None)) is not None
