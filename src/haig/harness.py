@@ -30,26 +30,32 @@ solution's ``scores`` table, no ground-truth flags.
 
 Each search costs what its answer needs, and its reports are bit for bit
 those of a plain per-root search and of sequences drawn one after
-another.  Exhaustively, one backward search over the distinct successor
-sets finds the roots within ``depth`` of a failure; only these run the
-ordered, parent-tracking search, the one place that builds
-counterexamples.  Every other root expands its whole ball of radius
-``depth - 1``, counted with one set union per level.  Sampled sequences
-read their draws in blocks straight off the stream's counter and run in
-lockstep windows with numpy, cut at the first failure or rejected draw
-in stream order.
+another.  Exhaustively, one successor relation, ``_successor_edges``,
+serves every part.  One backward search over its edges finds the roots
+within ``depth`` of a failure; only these run the ordered,
+parent-tracking search, which walks each state's edges in search order
+and decodes ``(z, a_task, a_exec, b, o)`` only along a counterexample's
+path.  Every other root expands its whole ball of radius ``depth - 1``,
+counted with one set union per level.  Sampled sequences read their
+draws in blocks straight off the stream's counter and run in lockstep
+windows with numpy, cut at the first failure or rejected draw in stream
+order.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
 the others); rollout reads it and the monitor scores as plain Python
-lists.  The scalar paths read the dynamics, and rollout the ground
-truth, through per-state list views, each row built on first use.
+lists.  One table, ``_observation_thresholds``, picks every sampled
+observation: in rollout, the scalar sampled path and the lockstep
+windows.  The scalar paths read the transitions and that table, and
+rollout the ground truth, through per-state list views, each row built
+on first use.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import floor, isfinite
 from typing import NamedTuple
@@ -221,10 +227,10 @@ class RolloutTrace:
 
     def check_conservation(self) -> None:
         """Every consecutive record pair must satisfy the transition function."""
-        dynamics = _dynamics(self.spec)
+        rows = _PerState(lambda z: self.spec.transitions[z].tolist())
         states = [s.state for s in self.steps] + [self.final_state]
         for step, nxt in zip(self.steps, states[1:]):
-            recomputed = dynamics[step.state][0][step.executed_action][step.human_action][step.observation]
+            recomputed = rows[step.state][step.executed_action][step.human_action][step.observation]
             if recomputed != nxt:
                 raise RuntimeError(
                     f"trace violates the dynamics at t={step.t}: "
@@ -309,19 +315,6 @@ def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution, stream:
     raise PolicyResolutionError(f"unknown human policy {selector!r}")
 
 
-def _sample_observation(stream: SplitMix64, row) -> int:
-    draw = stream.uniform()
-    cumulative = 0.0
-    last_positive = 0
-    for o, p in enumerate(row):
-        if p > 0.0:
-            last_positive = o
-            cumulative += p
-            if draw < cumulative:
-                return o
-    return last_positive
-
-
 def _initial_ground_truth(doc: SpecDocument, z0: int):
     gt = doc.ground_truth
     for s in range(gt.num_world_states):
@@ -343,9 +336,25 @@ class _PerState(dict):
         return row
 
 
-def _dynamics(spec: GameSpec) -> _PerState:
-    """Each state's transitions and observation probabilities as lists, ``[a][b][o]``."""
-    return _PerState(lambda z: (spec.transitions[z].tolist(), spec.observation_probs[z].tolist()))
+def _observation_thresholds(spec: GameSpec) -> np.ndarray:
+    """Each ``(z, a, b)`` observation row's running sums, +inf from its last positive entry on.
+
+    Every row is sorted, and a uniform draw ``u`` picks ``bisect_right(row,
+    u)``: the first positive entry whose running sum exceeds ``u`` (a zero
+    entry repeats the sum before it, so it is never the first), or the last
+    positive entry when rounding leaves the sum at or below ``u``.
+    """
+    probs = spec.observation_probs
+    no = probs.shape[3]
+    thresholds = np.cumsum(probs, axis=3)
+    last = np.where(probs > 0.0, np.arange(no), 0).max(axis=3, keepdims=True)
+    thresholds[np.arange(no) >= last] = np.inf
+    return thresholds
+
+
+def _dynamics(spec: GameSpec, thresholds: np.ndarray) -> _PerState:
+    """Each state's transitions and observation thresholds as lists, ``[a][b][o]``."""
+    return _PerState(lambda z: (spec.transitions[z].tolist(), thresholds[z].tolist()))
 
 
 def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> RolloutTrace:
@@ -360,7 +369,7 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     sol = solution if solution is not None else value_iteration(spec)
     flt = perfect_filter(sol, config.filter_mode)
     decided = [list(zip(e, m)) for e, m in zip(flt.executed.tolist(), flt.scores.tolist())]
-    dynamics = _dynamics(spec)
+    dynamics = _dynamics(spec, _observation_thresholds(spec))
     stream = SplitMix64(config.seed)
     task = _task_chooser(doc, config.task_policy, stream)
     human = _human_chooser(doc, config.human_policy, sol, stream)
@@ -393,8 +402,8 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
                 "use the off_odd policy to simulate non-compliant humans"
             )
 
-        trans, probs = dynamics[z]
-        o = _sample_observation(stream, probs[executed][b])
+        trans, thresholds = dynamics[z]
+        o = bisect_right(thresholds[executed][b], stream.uniform())
         gt_failed = None
         if gt_state is not None:
             s, h = gt_state
@@ -430,42 +439,26 @@ class VerificationReport:
         return not self.counterexamples
 
 
-def _successors(z: int, dynamics: tuple, bound: tuple[int, ...], executed: list[int]) -> list[tuple[int, tuple]]:
-    """The distinct successors of ``z`` with the first step that reaches each.
+def _successor_edges(spec: GameSpec, executed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``(z, z2)`` steps of a deterministic game under ``executed``, in search order.
 
-    ``dynamics`` is the state's ``(transitions, observation_probs)`` row as
-    the ``_dynamics`` view builds it.  Enumeration order is task action, then
-    admissible human action, then positive-probability observation; each
-    entry is ``(z2, (z, a_task, a_exec, b, o))``.  A task action whose
-    executed action already appeared adds nothing new.
+    Returns ``(src, dst, via)``, sorted by ``src``.  A state's steps come in
+    the order the ordered search meets them, task action then admissible
+    human action (bounds are sorted), and ``via`` is ``a_task * nb + b`` of
+    the first step that reaches ``dst``.
     """
-    trans, probs = dynamics
-    row = []
-    seen = set()
-    done = set()
-    for a_task, a_exec in enumerate(executed):
-        if a_exec in done:
-            continue
-        done.add(a_exec)
-        for b in bound:
-            for o, p in enumerate(probs[a_exec][b]):
-                if p <= 0.0:
-                    continue
-                z2 = trans[a_exec][b][o]
-                if z2 not in seen:
-                    seen.add(z2)
-                    row.append((z2, (z, a_task, a_exec, b, o)))
-    return row
-
-
-def _successor_edges(spec: GameSpec, executed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``(z, z2)`` steps of a deterministic game under ``executed``, sorted."""
-    nz = spec.num_states
-    zs, bs = np.nonzero(spec.bound_mask)
-    succ = _det_successors(spec)[zs[:, None], executed[zs], bs[:, None]]  # (admissible (z, b), task action)
-    keys = np.sort((zs[:, None] * nz + succ).ravel())
-    keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
-    return keys // nz, keys % nz
+    nz, na, nb = spec.transitions.shape[:3]
+    zbits, sbits = nz.bit_length(), (na * nb).bit_length()
+    zmask, smask = (1 << zbits) - 1, (1 << sbits) - 1
+    succ = _det_successors(spec)[np.arange(nz)[:, None], executed]  # (z, a_task, b)
+    # one int64 packs z, z2 and the step (2 * zbits + sbits bits, far below 63
+    # for any game that fits in memory); one sort keeps the first step of each (z, z2) ...
+    keys = (np.arange(nz)[:, None, None] << zbits | succ) << sbits | np.arange(na * nb).reshape(na, nb)
+    keys = np.sort(keys[np.broadcast_to(spec.bound_mask[:, None, :], succ.shape)])
+    keys = keys[np.flatnonzero(np.diff(keys >> sbits, prepend=-1))]
+    # ... and one of (z, step, z2) keys puts them back in search order
+    keys = np.sort((keys >> (zbits + sbits) << sbits | keys & smask) << zbits | keys >> sbits & zmask)
+    return keys >> (zbits + sbits), keys & zmask, keys >> zbits & smask
 
 
 class _Budget:
@@ -508,9 +501,10 @@ def verify_safety(
     Exhaustive mode (deterministic games with at most ``exhaustive_limit``
     joint entries) searches breadth-first from each certified root and
     stops at the first failure state it meets; ``expanded`` sums the states
-    expanded.  One backward search from the failure states finds the roots
-    within ``depth`` of one, and only those run the ordered search that
-    builds a counterexample.  Any other root expands every state within
+    expanded.  It reads only the edges of ``_successor_edges``.  One
+    backward search from the failure states finds the roots within
+    ``depth`` of one, and only those run the ordered search that builds a
+    counterexample.  Any other root expands every state within
     ``depth - 1`` steps, so its count is the size of that ball, grown by
     set unions.
 
@@ -518,7 +512,8 @@ def verify_safety(
     sequences per root, roots in order, from one SplitMix64 stream seeded
     with ``seed``; the first sequence that reaches failure ends its root.
     ``expanded`` counts the sequences started.  ``_sample_sequences`` runs
-    them in lockstep windows, with the draws of the scalar stream calls.
+    them in lockstep windows, with the draws of the scalar stream calls;
+    observations are picked as in rollout.
 
     Raises BudgetExceededError (carrying the partial report in ``partial``)
     if ``max_nodes`` expansions are exceeded.
@@ -559,7 +554,7 @@ def verify_safety(
 def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
     """The ordered search from each root within ``depth`` of a failure; ball sizes for the others."""
     spec = sol.spec
-    src, dst = _successor_edges(spec, executed)
+    src, dst, via = _successor_edges(spec, executed)
     # one backward breadth-first search: the states within depth steps of a failure
     near = spec.margins < 0.0
     layer = near
@@ -575,12 +570,8 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
     starts = np.searchsorted(src, np.arange(spec.num_states + 1)).tolist()
     targets = dst.tolist()
     succ_sets = _PerState(lambda z: set(targets[starts[z]:starts[z + 1]]))
-    executed = executed.tolist()
     unsafe = (spec.margins < 0.0).tolist()
-    dynamics = _dynamics(spec)
-    bound = spec.action_bound
-    # each state's successors are built once, so its dynamics row is not kept
-    successors = _PerState(lambda z: _successors(z, dynamics.build(z), bound[z], executed[z]))
+    nb = spec.num_human_actions
     for z0 in roots:
         if not near[z0]:
             ball = ring = {z0}
@@ -592,7 +583,7 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
                 ball |= ring
             budget.spend(len(ball))
             continue
-        parent: dict[int, tuple | None] = {z0: None}
+        parent = {z0: None}  # state -> the edge that first reached it
         frontier = [z0]
         hit = None
         for _ in range(depth):
@@ -601,10 +592,11 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
             nxt = []
             for z in frontier:
                 budget.spend(1)
-                for z2, via in successors[z]:
+                for k in range(starts[z], starts[z + 1]):
+                    z2 = targets[k]
                     if z2 in parent:
                         continue
-                    parent[z2] = via
+                    parent[z2] = k
                     if unsafe[z2]:
                         hit = z2
                         break
@@ -613,11 +605,15 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
                     break
             frontier = nxt
         if hit is not None:
+            # the steps back to the root, each decoded from its edge
             path = []
             z = hit
             while parent[z] is not None:
-                path.append(parent[z])
-                z = parent[z][0]
+                k = parent[z]
+                z = int(src[k])
+                a_task, b = divmod(int(via[k]), nb)
+                a_exec = int(executed[z, a_task])
+                path.append((z, a_task, a_exec, b, int(spec.observation_probs[z, a_exec, b].argmax())))
             found.append(_counterexample(sol, path[::-1], hit))
 
 
@@ -635,22 +631,17 @@ class _Lockstep:
 
     A step's ``row`` is ``(z * na + a_exec) * nb + b``, the flat index of its
     observation row; ``rows`` finds it from ``(z * na + a_task) * nb + i``,
-    where ``i`` indexes the bound of ``z``.
+    where ``i`` indexes the bound of ``z``.  ``thresholds`` is the table of
+    ``_observation_thresholds`` by flat row, which the scalar path reads
+    too: a row is sorted, so the first ``o`` with ``u < thresholds[row, o]``
+    is ``bisect_right`` of the row.
     """
 
-    def __init__(self, spec: GameSpec, executed: np.ndarray):
+    def __init__(self, spec: GameSpec, executed: np.ndarray, thresholds: np.ndarray):
         nz, na, nb, no = spec.transitions.shape
         self.shape = na, nb, no
         self.trans = spec.transitions.ravel()  # by row * no + o
-        # u < thresholds[row, o] first holds at the o that _sample_observation
-        # picks: the running sums it builds (a cumsum adds in sequence, and
-        # a zero entry repeats the sum before it, so the first hit is never
-        # at a zero), with +inf at the last positive entry for its fallback
-        positive = (spec.observation_probs > 0.0).reshape(-1, no)
-        thresholds = np.cumsum(spec.observation_probs, axis=3).reshape(-1, no)
-        full = np.flatnonzero(positive.any(axis=1))
-        thresholds[full, no - 1 - positive[full, ::-1].argmax(axis=1)] = np.inf
-        self.thresholds = thresholds
+        self.thresholds = thresholds.reshape(-1, no)
         self.unsafe = spec.margins < 0.0
         bound = spec.action_bound
         # each bound padded to nb actions; no index reaches the padding
@@ -726,7 +717,8 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
     fails often, a numpy step costs more than the scalar steps it replaces.
     """
     spec = sol.spec
-    num_ai, bound, dynamics = spec.num_ai_actions, spec.action_bound, _dynamics(spec)
+    thresholds = _observation_thresholds(spec)
+    num_ai, bound, dynamics = spec.num_ai_actions, spec.action_bound, _dynamics(spec, thresholds)
     exec_rows = executed.tolist()
     unsafe = (spec.margins < 0.0).tolist()
     total = len(roots) * per_state
@@ -743,8 +735,8 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
                 a_task = stream.randint(num_ai)
                 a_exec = exec_rows[z][a_task]
                 b = stream.choice(bound[z])
-                trans, probs = dynamics[z]
-                o = _sample_observation(stream, probs[a_exec][b])
+                trans, rows = dynamics[z]
+                o = bisect_right(rows[a_exec][b], stream.uniform())
                 path.append((z, a_task, a_exec, b, o))
                 z = trans[a_exec][b][o]
                 if unsafe[z]:
@@ -774,7 +766,7 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
                 size = min(_LOCKSTEP_MIN, largest)
             continue
         if lockstep is None:
-            lockstep, root_of = _Lockstep(spec, executed), np.array(roots)
+            lockstep, root_of = _Lockstep(spec, executed, thresholds), np.array(roots)
         count = int(min(size, total - start, room))
         counter = stream.counter
         clean, outcome = lockstep.run(root_of[np.arange(start, start + count) // per_state], counter, depth)

@@ -16,6 +16,7 @@ from haig import (
     GameSpec, SpecDocument, build_chain, build_dialogue, load_spec, parse_spec, random_game, save_spec,
 )
 from haig.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, main
+from test_filtering import one_hot_observations
 
 
 def _chain(tmp_path, name="chain.haig.json", extra=()):
@@ -113,7 +114,9 @@ def test_deep_oracle_horizon_is_a_budget_error(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["compare-oracle", str(path)]) == EXIT_BUDGET
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err.startswith("error: brute force horizon 1201 ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: brute force horizon 1201 ")
+    assert captured.out == ""
 
 
 # sha256 of verify's stdout, so the counterexample listing keeps its bytes:
@@ -128,6 +131,13 @@ _PINNED_VERIFY = [
     (lambda: random_game(7, states=30, observations=3, failure_fraction=0.05),
      ("--samples", "2000", "--depth", "3"), EXIT_COUNTEREXAMPLE,
      "f323ceed7199cd98b21184b46e45e7c2757572fdfa10185cf368cd8659f317f4"),
+    # the exhaustive control arm on a 4x4 game, and on one-hot observations
+    (lambda: random_game(2, states=200, ai_actions=4, human_actions=4, failure_fraction=0.05),
+     ("--depth", "3"), EXIT_COUNTEREXAMPLE,
+     "c06ad3076f0bbad61173c7b25844931debd2b57746a23e8898f91eaee21948e9"),
+    (lambda: one_hot_observations(random_game(3, states=60, observations=3, failure_fraction=0.05), 3),
+     ("--depth", "3"), EXIT_COUNTEREXAMPLE,
+     "b44ddf9c5921dbc3b461eb6612d024aebcb06be908e2202905c2ba2df246e677"),
 ]
 
 

@@ -12,6 +12,7 @@ from haig import (
     LEAST_RESTRICTIVE,
     NotConvergedError,
     SWITCH,
+    SpecDocument,
     build_chain,
     build_dialogue,
     certified_actions,
@@ -308,11 +309,16 @@ def reference_rollout_monitor(sol, horizon):
     return lambda z, a: min(float(spec.margins[z]), worst_branch_min(z, a, horizon))
 
 
+def one_hot_observations(doc, seed):
+    """The game with one-hot observation rows: the observation is a function of the step."""
+    spec = doc.game
+    pick = np.random.default_rng(seed).integers(spec.num_observations, size=spec.observation_probs.shape[:3])
+    return SpecDocument(game=replace(spec, observation_probs=np.eye(spec.num_observations)[pick]))
+
+
 def _dead_branches(seed):
     """A 3-observation game whose observation is a function of the step: two dead branches each."""
-    spec = random_game(seed, states=10, observations=3, failure_fraction=0.3).game
-    pick = np.random.default_rng(seed).integers(3, size=spec.observation_probs.shape[:3])
-    return replace(spec, observation_probs=np.eye(3)[pick])
+    return one_hot_observations(random_game(seed, states=10, observations=3, failure_fraction=0.3), seed).game
 
 
 def test_rollout_monitor_matches_the_recursion():

@@ -29,7 +29,7 @@ from haig import (
 from haig.filtering import InterventionRecord
 from haig.harness import RolloutStep, VerificationReport
 from haig.rng import SplitMix64, splitmix_block
-from test_filtering import _signed_zero_chain, reference_table
+from test_filtering import _signed_zero_chain, one_hot_observations, reference_table
 from test_rng import seed_with_draw
 
 _STEP_KEYS = {
@@ -565,10 +565,15 @@ def _reference_games():
             ]
             doc = SpecDocument(game=replace(spec, action_bound=bound))
         yield doc
+    for seed in range(8):  # three observations, one-hot: counterexamples record observations 1 and 2
+        doc = random_game(140 + seed, states=6 + seed, ai_actions=1 + seed % 3, human_actions=2 + seed % 2,
+                          observations=3, failure_fraction=(0.15, 0.3)[seed % 2])
+        yield one_hot_observations(doc, seed)
 
 
 def test_verify_matches_the_reference_search():
     compared = budget_hits = 0
+    observed = set()
     for doc in _reference_games():
         sol = value_iteration(doc.game)
         for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
@@ -583,9 +588,11 @@ def test_verify_matches_the_reference_search():
                         budget_hits += 1
                     else:
                         assert verify_safety(doc, **kwargs) == expected
+                    observed.update(s.observation for ce in expected.counterexamples for s in ce.steps)
                     compared += 1
-    assert compared == 40 * 4 * 3 * 3
+    assert compared == 48 * 4 * 3 * 3
     assert budget_hits > 100
+    assert observed == {0, 1, 2}
 
 
 def test_sampled_verify_matches_the_reference_sequences():
@@ -679,19 +686,24 @@ def test_sampled_verify_matches_the_reference_on_varied_games(monkeypatch):
     assert max(windows) >= 128
 
 
-@pytest.mark.parametrize("draw", ["task", "human", "observation"])
-def test_sampled_verify_on_a_planted_draw(draw):
+@pytest.mark.parametrize("draw, rows", [
+    pytest.param("task", None, id="task"),
+    pytest.param("human", None, id="human"),
+    pytest.param("observation", (0.06, 0.57, 0.37), id="observation"),
+    pytest.param("observation", (0.06, 0.57, 0.37, 0.0), id="observation-trailing-zero"),
+])
+def test_sampled_verify_on_a_planted_draw(draw, rows):
     """The largest draw, planted in a lockstep window before the first failure.
 
     ``randint(3)`` rejects it, so a task or human draw is replayed.  As an
     observation draw it is the largest uniform, 1 - 2**-53, which is the
     running sum of the rows (0.06, 0.57, 0.37): the draw falls through to
-    the last positive entry.
+    the last positive entry, observation 2, also when a zero entry follows.
     """
-    doc = random_game(9, states=30, observations=3, failure_fraction=0.05)
-    if draw == "observation":
-        rows = np.broadcast_to([0.06, 0.57, 0.37], doc.game.observation_probs.shape)
-        doc = SpecDocument(game=replace(doc.game, observation_probs=rows.copy()))
+    doc = random_game(9, states=30, observations=3 if rows is None else len(rows), failure_fraction=0.05)
+    if rows is not None:
+        probs = np.broadcast_to(rows, doc.game.observation_probs.shape)
+        doc = SpecDocument(game=replace(doc.game, observation_probs=probs.copy()))
         assert (0.06 + 0.57) + 0.37 == 1.0 - 2.0**-53
     sol = value_iteration(doc.game)
     depth, samples, sequence = 8, 4000, 100
@@ -703,6 +715,28 @@ def test_sampled_verify_on_a_planted_draw(draw):
     assert partial.counterexamples == ()  # sequences 0 to 100 of the first root run clean
     report = _compare_sampled(doc, sol, "switch", depth, None, samples, seed)
     assert len(report.counterexamples) >= 5
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param((0.06, 0.57, 0.37, 0.0), id="one-trailing-zero"),
+    pytest.param((0.06, 0.57, 0.37, 0.0, 0.0, 0.0), id="three-trailing-zeros"),
+])
+def test_rollout_on_a_planted_largest_observation_draw(rows):
+    """A rollout's first draw is its first observation draw; planted as 1 - 2**-53, it picks observation 2.
+
+    The rows sum to that draw, so it falls through to their last positive
+    entry, whatever number of zero entries follows it.
+    """
+    doc = random_game(9, states=30, observations=len(rows), failure_fraction=0.05)
+    probs = np.broadcast_to(rows, doc.game.observation_probs.shape)
+    doc = SpecDocument(game=replace(doc.game, observation_probs=probs.copy()))
+    cfg = RolloutConfig(document=doc, task_policy="constant:0", human_policy="worst_case", filter_mode="none",
+                        max_steps=40, seed=seed_with_draw(2**64 - 1, 0))
+    trace = rollout(cfg)
+    observations = [s.observation for s in trace.steps]
+    assert observations[0] == 2
+    assert set(observations) == {0, 1, 2}
+    assert trace.to_jsonl() == _reference_jsonl(trace)
 
 
 def test_exhaustive_verify_matches_the_reference_on_a_larger_game():
