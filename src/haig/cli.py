@@ -34,6 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a built-in scenario document")
+    gen.set_defaults(handler=_cmd_generate)
     gen.add_argument("scenario", choices=["chain", "dialogue", "random"])
     gen.add_argument("-o", "--output", required=True)
     gen.add_argument("--length", type=int, default=5, help="chain: highest state index")
@@ -48,12 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--failure-fraction", type=float, default=0.2)
 
     solve = sub.add_parser("solve", help="solve a document and write the value tables")
+    solve.set_defaults(handler=_cmd_solve)
     solve.add_argument("spec")
     solve.add_argument("-o", "--output", required=True)
     solve.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     solve.add_argument("--max-iters", type=int, default=None)
 
     roll = sub.add_parser("filter-rollout", help="run one filtered rollout")
+    roll.set_defaults(handler=_cmd_rollout)
     roll.add_argument("spec")
     roll.add_argument("-o", "--output", required=True, help="JSONL trace path")
     roll.add_argument("--task", default="random")
@@ -65,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     roll.add_argument("--summary", default=None, help="also write a CSV metrics row")
 
     ver = sub.add_parser("verify", help="check the safety guarantee to a depth")
+    ver.set_defaults(handler=_cmd_verify)
     ver.add_argument("spec")
     ver.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     ver.add_argument("--filter", default=SWITCH, choices=FILTER_MODES)
@@ -73,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
 
     cmp = sub.add_parser("compare-oracle", help="cross-check the solver against brute force")
+    cmp.set_defaults(handler=_cmd_compare)
     cmp.add_argument("spec")
     cmp.add_argument("--horizon", type=int, default=None)
     cmp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
@@ -172,17 +177,13 @@ def _cmd_compare(args) -> int:
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
+_PARSER = _build_parser()  # built once; each verb's subparser sets its handler
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "solve": _cmd_solve,
-        "filter-rollout": _cmd_rollout,
-        "verify": _cmd_verify,
-        "compare-oracle": _cmd_compare,
-    }
+    args = _PARSER.parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

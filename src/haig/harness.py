@@ -36,10 +36,11 @@ within ``depth`` of a failure; only these run the ordered,
 parent-tracking search, which walks each state's edges in search order
 and decodes ``(z, a_task, a_exec, b, o)`` only along a counterexample's
 path.  Every other root expands its whole ball of radius ``depth - 1``,
-counted with one set union per level.  Sampled sequences read their
-draws in blocks straight off the stream's counter and run in lockstep
-windows with numpy, cut at the first failure or rejected draw in stream
-order.
+counted with one set union per level.  Sampled sequences run through the
+scalar stream calls, and after a clean run of them in lockstep windows
+with numpy that read their draws in blocks straight off the stream's
+counter.  A window is cut at its first failure or rejected draw in stream
+order, and the scalar calls take over from there.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
@@ -65,7 +66,7 @@ import numpy as np
 from .errors import BudgetExceededError, PolicyResolutionError
 from .filtering import FILTER_MODES, SWITCH, InterventionRecord, _certified, perfect_filter
 from .model import GameSpec, _int_index
-from .rng import _GOLDEN, _MASK64, SplitMix64, rejection_limit, splitmix_block
+from .rng import SplitMix64, advance, rejection_limit, splitmix_block
 from .solver import (
     DEFAULT_EPSILON,
     DEFAULT_NODE_BUDGET,
@@ -512,8 +513,8 @@ def verify_safety(
     sequences per root, roots in order, from one SplitMix64 stream seeded
     with ``seed``; the first sequence that reaches failure ends its root.
     ``expanded`` counts the sequences started.  ``_sample_sequences`` runs
-    them in lockstep windows, with the draws of the scalar stream calls;
-    observations are picked as in rollout.
+    them through the scalar stream calls or in lockstep windows on the same
+    draws; observations are picked as in rollout.
 
     Raises BudgetExceededError (carrying the partial report in ``partial``)
     if ``max_nodes`` expansions are exceeded.
@@ -619,11 +620,6 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
 
 _LOCKSTEP_MIN = 32  # clean sequences in a row before the first window, and its size
 _WINDOW_DRAWS = 1 << 15  # draws in a window at most
-_REPLAY = "replay"
-
-
-def _advance(counter: int, draws: int) -> int:
-    return (counter + draws * _GOLDEN) & _MASK64
 
 
 class _Lockstep:
@@ -656,10 +652,11 @@ class _Lockstep:
     def run(self, z: np.ndarray, counter: int, depth: int):
         """Run sequences from the roots ``z`` on the draws after ``counter``, one after another.
 
-        Returns how many lead sequences run clean to ``depth``, and what the
-        next one met: ``None`` if every sequence ran clean, its
-        ``(path, final_state)`` if it reached failure, ``_REPLAY`` if one
-        of its ``randint`` draws is rejected.
+        The window is cut at its first failure or rejected ``randint`` draw
+        in stream order.  Returns how many lead sequences run clean to
+        ``depth``, and the ``(path, final_state)`` of the next one if the cut
+        is a failure, else ``None``: all of them ran clean, or the next one
+        draws a value that ``randint`` rejects.
         """
         na, nb, no = self.shape
         count = len(z)
@@ -670,7 +667,7 @@ class _Lockstep:
         # most windows hold no draw that any bound of the game rejects
         rejects = bool((task > self.task_max).any() or (human > self.human_min).any())
         steps = []
-        cut = None
+        failed = None  # the step of the cut, if it is a failure
         live = count
         for t in range(depth):
             a = a_task[t, :live]
@@ -685,20 +682,18 @@ class _Lockstep:
                 event |= rejected
             if event.any():
                 live = int(event.argmax())
-                cut = live, t, rejects and bool(rejected[live])
+                # a rejected draw comes before the failure of its step
+                failed = None if rejects and rejected[live] else t
                 if not live:
                     break
             z = z2[:live]
-        if cut is None:
-            return count, None
-        k, t, replay = cut
-        if replay:
-            return k, _REPLAY
+        if failed is None:
+            return live, None
         path = []
-        for z, a, row, o, _ in steps[:t + 1]:
-            r = int(row[k])
-            path.append((int(z[k]), int(a[k]), r // nb % na, r % nb, int(o[k])))
-        return k, (path, int(steps[t][4][k]))
+        for z, a, row, o, _ in steps[:failed + 1]:
+            r = int(row[live])
+            path.append((int(z[live]), int(a[live]), r // nb % na, r % nb, int(o[live])))
+        return live, (path, int(steps[failed][4][live]))
 
 
 def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budget) -> None:
@@ -706,15 +701,16 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
 
     A step draws ``randint`` for the task action, ``choice`` over the bound
     for the human action and ``uniform`` for the observation: three draws
-    unless ``randint`` rejects one.  So a window of sequences can take its
-    draws in one block off the stream's counter, and ``_Lockstep`` runs
-    them together.  The first event in stream order ends the window: a
-    failure settles its root, and a rejected draw cuts the window before
-    its sequence, which alone is replayed through the scalar stream calls.
-    A clean window grows the next one four-fold, up to ``_WINDOW_DRAWS``
-    draws.  At the start and after each failure, sequences run through the
-    scalar calls until ``_LOCKSTEP_MIN`` in a row run clean: on a game that
-    fails often, a numpy step costs more than the scalar steps it replaces.
+    unless ``randint`` rejects one.  Each pass of the loop runs one sequence
+    through these calls, or, once ``_LOCKSTEP_MIN`` in a row have run clean,
+    one window of sequences whose draws ``_Lockstep`` takes in one block off
+    the stream's counter.  A window is cut at its first failure or rejected
+    draw; the stream resumes after the draws its clean sequences and its
+    failing path consumed, and the scalar calls take over again: they run a
+    sequence with a rejected draw as they run any other.  A failure settles
+    its root.  A clean window grows the next one four-fold, up to
+    ``_WINDOW_DRAWS`` draws.  On a game that fails often, a numpy step costs
+    more than the scalar steps it replaces.
     """
     spec = sol.spec
     thresholds = _observation_thresholds(spec)
@@ -723,12 +719,16 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
     unsafe = (spec.margins < 0.0).tolist()
     total = len(roots) * per_state
     stream = SplitMix64(seed)
-
-    def scalar(start: int, stop: int) -> tuple[int, int]:
-        """Run sequences from ``start`` until ``stop`` or ``_LOCKSTEP_MIN`` clean in a row: (next, clean run)."""
-        started = run = 0
-        while start < stop:
-            started += 1
+    lockstep = None
+    largest = _WINDOW_DRAWS // (3 * depth)  # sequences in a window; none if one is too deep
+    size = run = 0  # the next window, 0 while sequences run through the scalar calls; clean ones in a row
+    start = 0  # the next sequence
+    while start < total:
+        room = budget.room()
+        if room < 1:
+            budget.spend(1)
+        if not size:
+            budget.spend(1)
             z = roots[start // per_state]
             path = []
             for _ in range(depth):
@@ -748,43 +748,25 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
                 start += 1
                 run += 1
                 if run == _LOCKSTEP_MIN:
-                    break
-        budget.spend(started)
-        return start, run
-
-    lockstep = None
-    largest = _WINDOW_DRAWS // (3 * depth)  # sequences in a window; none if one is too deep
-    size = 0  # the next window; 0 while the sequences run through the scalar calls
-    start = 0  # the next sequence
-    while start < total:
-        room = budget.room()
-        if room < 1:
-            budget.spend(1)
-        if not size:
-            start, run = scalar(start, int(min(total, start + room)))
-            if run == _LOCKSTEP_MIN:
-                size = min(_LOCKSTEP_MIN, largest)
+                    size = min(_LOCKSTEP_MIN, largest)
             continue
         if lockstep is None:
             lockstep, root_of = _Lockstep(spec, executed, thresholds), np.array(roots)
         count = int(min(size, total - start, room))
         counter = stream.counter
-        clean, outcome = lockstep.run(root_of[np.arange(start, start + count) // per_state], counter, depth)
-        budget.spend(clean)
+        clean, failure = lockstep.run(root_of[np.arange(start, start + count) // per_state], counter, depth)
+        budget.spend(clean + (failure is not None))
         start += clean
-        counter = _advance(counter, clean * depth * 3)
-        stream = SplitMix64(counter)
-        if outcome is None:
-            size = min(4 * size, largest)
-        elif outcome is _REPLAY:
-            start, run = scalar(start, start + 1)
-            size = size if run else 0
-        else:
-            budget.spend(1)
-            found.append(_counterexample(sol, *outcome))
-            stream = SplitMix64(_advance(counter, len(outcome[0]) * 3))
+        draws = clean * depth
+        if failure is not None:
+            found.append(_counterexample(sol, *failure))
             start = (start // per_state + 1) * per_state
-            size = 0
+            draws += len(failure[0])
+        stream = SplitMix64(advance(counter, 3 * draws))
+        if clean < count:  # a cut: back to the scalar calls
+            size = run = 0
+        else:
+            size = min(4 * size, largest)
 
 
 def _counterexample(sol: ValueSolution, path: list[tuple], final_state: int) -> RolloutTrace:
@@ -817,7 +799,7 @@ class OracleReport:
 
 
 def compare_oracle(
-    doc: SpecDocument | GameSpec,
+    doc: SpecDocument,
     horizon: int | None = None,
     *,
     epsilon: float = DEFAULT_EPSILON,
@@ -836,7 +818,7 @@ def compare_oracle(
     allowance for rounding and for stopping at the residual ``epsilon``, not
     a proven bound on the error.
     """
-    spec = doc.game if isinstance(doc, SpecDocument) else doc
+    spec = doc.game
     sol = value_iteration(spec, epsilon=epsilon)
     if horizon is None:
         horizon = sol.iterations

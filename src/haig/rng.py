@@ -14,7 +14,8 @@ takes its next ``_BLOCK`` outputs from it and each draw takes the next one.
 The outputs are bit-identical to the scalar definition, one state advance
 and one mix per draw.  Since the stream seeded with ``counter`` continues
 any stream at that counter, a caller may read draws off the counter in
-bulk and resume the scalar calls anywhere.
+bulk and resume the scalar calls anywhere, at the counter ``advance``
+gives.
 
 Reference: Steele, Lea, Flood, "Fast splittable pseudorandom number
 generators" (the java.util.SplittableRandom mixing constants).
@@ -30,6 +31,11 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _BLOCK = 256  # outputs computed per refill
+
+
+def advance(counter: int, draws: int) -> int:
+    """The counter ``draws`` outputs on from ``counter``: ``SplitMix64(advance(counter, n))`` skips ``n`` outputs."""
+    return (counter + draws * _GOLDEN) & _MASK64
 
 
 def splitmix_block(counter: int, count: int) -> np.ndarray:
@@ -63,12 +69,12 @@ class SplitMix64:
     @property
     def counter(self) -> int:
         """The counter of the last output taken: ``SplitMix64(counter)`` continues this stream."""
-        return (self._state - len(self._pending) * _GOLDEN) & _MASK64
+        return advance(self._state, -len(self._pending))
 
     def _refill(self) -> int:
         """Compute the next ``_BLOCK`` outputs into the empty pending list; take the first."""
         self._pending += splitmix_block(self._state, _BLOCK)[::-1].tolist()
-        self._state = (self._state + _BLOCK * _GOLDEN) & _MASK64
+        self._state = advance(self._state, _BLOCK)
         return self._pending.pop()
 
     def next_u64(self) -> int:

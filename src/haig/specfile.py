@@ -92,7 +92,6 @@ class SpecDocument:
     ground_truth: GroundTruthSystem | None = None
     task_policies: dict[str, tuple[int, ...]] = field(default_factory=dict)
     human_policies: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    format_version: str = FORMAT_VERSION
 
     def __post_init__(self):
         object.__setattr__(
@@ -158,7 +157,6 @@ def parse_spec(data: bytes | str) -> SpecDocument:
         ground_truth=ground_truth,
         task_policies=task_policies,
         human_policies=human_policies,
-        format_version=version,
     )
 
 
@@ -534,7 +532,7 @@ def _parse_policies(raw, game: GameSpec):
 
 def serialize(doc: SpecDocument) -> bytes:
     """Canonical bytes for ``doc``. See the module docstring for the form."""
-    payload = {"format_version": doc.format_version, "game": _game_payload(doc.game)}
+    payload = {"format_version": FORMAT_VERSION, "game": _game_payload(doc.game)}
     if doc.ground_truth is not None:
         payload["ground_truth"] = _ground_truth_payload(doc.ground_truth)
     if doc.task_policies or doc.human_policies:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -268,6 +269,48 @@ def test_input_errors(tmp_path, capsys):
     overflow.write_text(json.dumps(raw))
     assert main(["solve", str(overflow), "-o", str(out)]) == EXIT_INPUT
     assert "projection[0][0]" in capsys.readouterr().err
+
+
+def test_filter_rollout_refuses_an_action_index_out_of_range(tmp_path, capsys):
+    spec_path = _chain(tmp_path)
+    trace = tmp_path / "t.jsonl"
+    for flag, message in (("--task=constant:7", "ai action index 7 out of range [0, 3)"),
+                          ("--human=scripted:0,9", "human action index 9 out of range [0, 3)")):
+        assert main(["filter-rollout", str(spec_path), flag, "-o", str(trace)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trace.exists()
+
+
+def test_filter_rollout_refuses_a_state_outside_the_ground_truth(tmp_path, capsys):
+    """Chain 5 plus an isolated self-looping state 6, which its mirror ground truth does not project to."""
+    doc = build_chain(5)
+    spec = doc.game
+    transitions = np.concatenate([spec.transitions, np.full((1, 3, 3, 1), 6)])
+    game = dataclasses.replace(
+        spec,
+        num_states=7,
+        transitions=transitions,
+        observation_probs=np.ones(transitions.shape),
+        margins=np.append(spec.margins, 1.0),
+        action_bound=spec.action_bound + spec.action_bound[:1],
+    )
+    spec_path = tmp_path / "island.haig.json"
+    save_spec(SpecDocument(game=game, ground_truth=doc.ground_truth), spec_path)
+    trace = tmp_path / "t.jsonl"
+    assert main(["filter-rollout", str(spec_path), "--state", "5", "-o", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["filter-rollout", str(spec_path), "--state", "6", "-o", str(trace)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: ground truth has no configuration projecting to state 6\n"
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    """The parser is built once; each call parses its own arguments from the defaults."""
+    spec_path = _chain(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(spec_path), "--depth", "2"]) == EXIT_OK
+    assert "to depth 2 " in capsys.readouterr().out
+    assert main(["verify", str(spec_path)]) == EXIT_OK
+    assert "to depth 8 " in capsys.readouterr().out
 
 
 def test_console_entry_point(tmp_path):

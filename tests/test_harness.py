@@ -692,14 +692,25 @@ def test_sampled_verify_matches_the_reference_on_varied_games(monkeypatch):
     pytest.param("observation", (0.06, 0.57, 0.37), id="observation"),
     pytest.param("observation", (0.06, 0.57, 0.37, 0.0), id="observation-trailing-zero"),
 ])
-def test_sampled_verify_on_a_planted_draw(draw, rows):
+def test_sampled_verify_on_a_planted_draw(monkeypatch, draw, rows):
     """The largest draw, planted in a lockstep window before the first failure.
 
-    ``randint(3)`` rejects it, so a task or human draw is replayed.  As an
-    observation draw it is the largest uniform, 1 - 2**-53, which is the
-    running sum of the rows (0.06, 0.57, 0.37): the draw falls through to
-    the last positive entry, observation 2, also when a zero entry follows.
+    ``randint(3)`` rejects it, so a task or human draw cuts its window
+    without a failure; the scalar calls run that sequence, and windows
+    resume after it.  As an observation draw it is the largest uniform,
+    1 - 2**-53, which is the running sum of the rows (0.06, 0.57, 0.37):
+    the draw falls through to the last positive entry, observation 2, also
+    when a zero entry follows.
     """
+    windows = []  # (sequences, clean ones, failure) per window
+    run = haig.harness._Lockstep.run
+
+    def recording(self, z, *args):
+        clean, failure = run(self, z, *args)
+        windows.append((len(z), clean, failure))
+        return clean, failure
+
+    monkeypatch.setattr(haig.harness._Lockstep, "run", recording)
     doc = random_game(9, states=30, observations=3 if rows is None else len(rows), failure_fraction=0.05)
     if rows is not None:
         probs = np.broadcast_to(rows, doc.game.observation_probs.shape)
@@ -713,8 +724,14 @@ def test_sampled_verify_on_a_planted_draw(draw, rows):
     assert max(splitmix_block(seed, index)) < 2**64 - 1  # no rejection before it
     partial = _compare_sampled(doc, sol, "switch", depth, sequence + 1, samples, seed)
     assert partial.counterexamples == ()  # sequences 0 to 100 of the first root run clean
+    windows.clear()
     report = _compare_sampled(doc, sol, "switch", depth, None, samples, seed)
     assert len(report.counterexamples) >= 5
+    cuts = [k for k, (count, clean, failure) in enumerate(windows) if clean < count and failure is None]
+    if rows is None:
+        assert len(cuts) == 1 and cuts[0] < len(windows) - 1  # the rejected draw, then more windows
+    else:
+        assert cuts == []
 
 
 @pytest.mark.parametrize("rows", [

@@ -136,6 +136,19 @@ def test_validate_flags_shape_mismatch():
     assert "transitions shape" in report.errors[0].message
 
 
+def test_validate_flags_degenerate_shapes():
+    """Directly built specs: no states, an empty action set, a wrong probability shape, missing bound rows."""
+    cases = [
+        (dict(num_states=0), "game must have at least one state, has 0"),
+        (dict(ai_actions=()), "action and observation sets must be non-empty"),
+        (dict(observation_probs=np.ones((2, 2, 2, 2))), "observation_probs shape (2, 2, 2, 2) != (2, 2, 2, 1)"),
+        (dict(action_bound=((0, 1),)), "action_bound has 1 rows, expected 2"),
+    ]
+    for overrides, message in cases:
+        report = validate_model(_tiny_game(**overrides))
+        assert [(e.code, e.message) for e in report.errors] == [("shape", message)]
+
+
 def test_validate_flags_nonfinite_margin():
     report = validate_model(_tiny_game(margins=np.array([np.nan, 0.5])))
     assert any(e.code == "margin" for e in report.errors)

@@ -80,6 +80,13 @@ def test_round_trip_is_identity():
         assert serialize(back) == data, doc.game.scenario
 
 
+def test_a_document_has_no_version_of_its_own():
+    """Every document serializes as ``FORMAT_VERSION``, the one version ``parse_spec`` reads back."""
+    with pytest.raises(TypeError):
+        SpecDocument(game=build_chain(3).game, format_version="2")
+    assert json.loads(serialize(build_chain(3)))["format_version"] == specfile.FORMAT_VERSION
+
+
 def test_serialization_is_canonical():
     data = serialize(build_chain(5))
     assert data.endswith(b"\n")
