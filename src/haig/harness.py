@@ -5,16 +5,19 @@ SplitMix64 stream seeded by the config, consumed in a fixed order per step
 (task policy draw if randomized, then human policy draw if randomized,
 then the observation draw, which happens even when the observation is
 deterministic).  Identical configs therefore produce byte-identical JSONL
-traces.
+traces.  The rollout reads these draws in windows of steps straight off
+the stream's counter, one numpy block per window; a draw that ``randint``
+may reject ends its window, and that step draws through the scalar stream
+calls, so every trace is the one the scalar calls give step by step.
 
 A rollout trace stores its steps and its end state.  Each step is an
 immutable named tuple, ``RolloutStep``: the filter's decision (the fields
-of ``InterventionRecord``) plus the human's response, built positionally
-once per step.  The summary metrics are derived from the steps, and the
-dynamics are checked once, when ``to_jsonl`` serializes the trace.
-``to_jsonl`` writes each step with one format string, byte for byte what
-``json.dumps(step.to_json_dict(), sort_keys=True, allow_nan=False)``
-writes.
+of ``InterventionRecord``) plus the human's response, built from one
+plain tuple per step.  The summary metrics are derived from the steps,
+and the dynamics are checked once, when ``to_jsonl`` serializes the
+trace.  ``to_jsonl`` writes each step with one format string, byte for
+byte what ``json.dumps(step.to_json_dict(), sort_keys=True,
+allow_nan=False)`` writes.
 
 ``verify_safety`` checks the filter's guarantee: from every initial
 state the filter certifies, no reachable state within the given depth has
@@ -44,12 +47,15 @@ order, and the scalar calls take over from there.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
-the others); rollout reads it and the monitor scores as plain Python
-lists.  One table, ``_observation_thresholds``, picks every sampled
+the others).  One table, ``_observation_thresholds``, picks every sampled
 observation: in rollout, the scalar sampled path and the lockstep
-windows.  The scalar paths read the transitions and that table, and
-rollout the ground truth, through per-state list views, each row built
-on first use.
+windows.  Rollout reads everything it needs of a state (its
+``(executed, score)`` pairs, transitions, thresholds, margin, bound and
+policy entries) from one per-state view of plain Python lists, and the
+ground truth from views like it; the scalar sampled path reads the
+transitions and thresholds the same way.  Each row is built on its
+state's first visit, so a short rollout pays only for the states it
+visits.
 """
 
 from __future__ import annotations
@@ -272,35 +278,39 @@ def _resolve_action(labels: tuple[str, ...], value: str, kind: str) -> int:
     return index
 
 
-def _task_chooser(doc: SpecDocument, selector: str, stream: SplitMix64):
+def _task_chooser(doc: SpecDocument, selector: str):
+    """``None`` for "random", which draws; otherwise fn(z) -> the task action at ``z``, checked."""
     spec = doc.game
     if selector == "random":
-        return lambda z, t: stream.randint(spec.num_ai_actions)
+        return None
     if selector.startswith("constant:"):
         action = _resolve_action(spec.ai_actions, selector.split(":", 1)[1], "ai")
-        return lambda z, t: action
+        return lambda z: action
     if selector in doc.task_policies:
         table = doc.task_policies[selector]
-        return lambda z, t: table[z]
+        return lambda z: _int_index(table[z], spec.num_ai_actions, "ai action")
     raise PolicyResolutionError(f"unknown task policy {selector!r}")
 
 
-def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution, stream: SplitMix64):
-    """Returns fn(z, executed_ai_action, t) -> human action index."""
-    spec = doc.game
-    if selector == "worst_case":
-        return lambda z, a, t: int(sol.adversary_policy[z, a])
-    if selector == "uniform":
-        return lambda z, a, t: stream.choice(spec.action_bound[z])
-    if selector == "off_odd":
-        def violator(z, a, t):
-            allowed = set(spec.action_bound[z])
-            for b in range(spec.num_human_actions):
-                if b not in allowed:
-                    return b
-            return spec.action_bound[z][0]
+def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution):
+    """Returns ``(script, row)``: a scripted policy's action cycle, or fn(z) -> the human's row at ``z``.
 
-        return violator
+    A row is the human action per executed AI action, except for "uniform",
+    which draws: its row is the length of the bound to draw from.
+    """
+    spec = doc.game
+    bound, na = spec.action_bound, spec.num_ai_actions
+    if selector == "worst_case":
+        return None, lambda z: sol.adversary_policy[z].tolist()
+    if selector == "uniform":
+        return None, lambda z: len(bound[z])
+    if selector == "off_odd":
+        def violator(z):
+            allowed = set(bound[z])
+            b = next((b for b in range(spec.num_human_actions) if b not in allowed), bound[z][0])
+            return [b] * na
+
+        return None, violator
     if selector.startswith("scripted:"):
         script = [
             _resolve_action(spec.human_actions, item.strip(), "human")
@@ -309,20 +319,20 @@ def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution, stream:
         ]
         if not script:
             raise PolicyResolutionError("scripted human policy needs at least one action")
-        return lambda z, a, t: script[t % len(script)]
+        return script, lambda z: None
     if selector in doc.human_policies:
         table = doc.human_policies[selector]
-        return lambda z, a, t: table[z]
+        return None, lambda z: [table[z]] * na
     raise PolicyResolutionError(f"unknown human policy {selector!r}")
 
 
-def _initial_ground_truth(doc: SpecDocument, z0: int):
-    gt = doc.ground_truth
-    for s in range(gt.num_world_states):
-        for h in range(gt.num_human_states):
-            if int(gt.projection[s, h]) == z0:
-                return s, h
-    raise ValueError(f"ground truth has no configuration projecting to state {z0}")
+def _initial_ground_truth(doc: SpecDocument, z0: int) -> tuple[int, int]:
+    """The first ``(s, h)`` in row-major order that projects to ``z0``."""
+    pairs = np.argwhere(doc.ground_truth.projection == z0)
+    if not len(pairs):
+        raise ValueError(f"ground truth has no configuration projecting to state {z0}")
+    s, h = pairs[0].tolist()
+    return s, h
 
 
 class _PerState(dict):
@@ -353,13 +363,26 @@ def _observation_thresholds(spec: GameSpec) -> np.ndarray:
     return thresholds
 
 
-def _dynamics(spec: GameSpec, thresholds: np.ndarray) -> _PerState:
-    """Each state's transitions and observation thresholds as lists, ``[a][b][o]``."""
-    return _PerState(lambda z: (spec.transitions[z].tolist(), thresholds[z].tolist()))
+def _dynamics(spec: GameSpec, thresholds: np.ndarray):
+    """fn(z) -> the state's transitions and observation thresholds as lists, ``[a][b][o]``."""
+    return lambda z: (spec.transitions[z].tolist(), thresholds[z].tolist())
+
+
+# steps whose draws one block off the stream's counter holds, at most: a window's draws
+# and columns take about 100 kB, and larger windows save little time per step
+_WINDOW_STEPS = 1024
 
 
 def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> RolloutTrace:
-    """Run one seeded rollout and return its trace."""
+    """Run one seeded rollout and return its trace.
+
+    Every step takes the same draws, so the steps run in windows whose
+    draws are one ``splitmix_block`` off the stream's counter, a row per
+    step.  A window ends before its first task or human draw at or above
+    the smallest rejection limit that draw could meet; that step takes its
+    draws through the scalar stream calls, which skip a rejected draw as
+    ``randint`` does, and the next window starts at that stream's counter.
+    """
     doc = config.document
     spec = doc.game
     if config.max_steps < 1:
@@ -369,20 +392,30 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
 
     sol = solution if solution is not None else value_iteration(spec)
     flt = perfect_filter(sol, config.filter_mode)
-    decided = [list(zip(e, m)) for e, m in zip(flt.executed.tolist(), flt.scores.tolist())]
-    dynamics = _dynamics(spec, _observation_thresholds(spec))
-    stream = SplitMix64(config.seed)
-    task = _task_chooser(doc, config.task_policy, stream)
-    human = _human_chooser(doc, config.human_policy, sol, stream)
+    task = _task_chooser(doc, config.task_policy)
+    script, human = _human_chooser(doc, config.human_policy, sol)
+    uniform = config.human_policy == "uniform"
     off_odd = config.human_policy == "off_odd"
-    num_ai = spec.num_ai_actions
-    margins = spec.margins.tolist()
+    dynamics = _dynamics(spec, _observation_thresholds(spec))
+    bound, num_ai = spec.action_bound, spec.num_ai_actions
+
+    def row(z):
+        return (
+            list(zip(flt.executed[z].tolist(), flt.scores[z].tolist())),
+            *dynamics(z),
+            float(spec.margins[z]),
+            bound[z],
+            None if task is None else task(z),
+            human(z),
+        )
+
+    view = _PerState(row)
 
     z = _resolve_state(spec, config.initial_state)
     gt = doc.ground_truth
     if gt is not None:
         gt_state = _initial_ground_truth(doc, z)
-        # per-state rows as lists, like _dynamics: [s][h], [s], [s][a][b], [h][a][b][o]
+        # per-state rows as lists, like the view: [s][h], [s], [s][a][b], [h][a][b][o]
         gt_failure = _PerState(lambda s: gt.failure[s].tolist())
         gt_observation = gt.human_observation.tolist()
         gt_world = _PerState(lambda s: gt.world_transitions[s].tolist())
@@ -390,30 +423,69 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     else:
         gt_state = None
 
+    # a step's draws: the task draw if it draws, the human draw if it draws, the observation draw;
+    # a draw above its column's largest kept value may be rejected
+    largest = [rejection_limit(num_ai) - 1] if task is None else []
+    if uniform:
+        lengths = sorted(set(map(len, bound)))
+        largest.append(min(map(rejection_limit, lengths)) - 1)
+    largest = np.array(largest + [(1 << 64) - 1], dtype=np.uint64)
+    draws = len(largest)
+    counter = SplitMix64(config.seed).counter
     steps: list[RolloutStep] = []
-    for t in range(config.max_steps):
-        a_task = _int_index(task(z, t), num_ai, "ai action")
-        executed, score = decided[z][a_task]
+    new_step = tuple.__new__  # a RolloutStep without the named tuple's Python-level __new__
+    t = 0
+    cut = False  # whether the next step takes its draws through the scalar stream calls
+    while t < config.max_steps:
+        if cut:
+            stream = SplitMix64(counter)
+            tasks = [stream.randint(num_ai)] if task is None else None
+            if uniform:
+                residues = {len(bound[z]): [stream.randint(len(bound[z]))]}
+            us = [stream.uniform()]
+            counter, n, cut = stream.counter, 1, False
+        else:
+            n = min(_WINDOW_STEPS, config.max_steps - t)
+            raw = splitmix_block(counter, n * draws).reshape(n, draws)
+            rejected = np.flatnonzero((raw > largest).any(axis=1))
+            if len(rejected):
+                n, cut = int(rejected[0]), True
+            counter = advance(counter, n * draws)
+            columns = raw[:n].T
+            tasks = (columns[0] % np.uint64(num_ai)).tolist() if task is None else None
+            if uniform:
+                residues = {m: (columns[-2] % np.uint64(m)).tolist() for m in lengths}
+            us = ((columns[-1] >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
-        b = int(human(z, executed, t))
-        in_bound = b in spec.action_bound[z]
-        if not in_bound and not off_odd:
-            raise ValueError(
-                f"human policy {config.human_policy!r} left the admissible bound at t={t}; "
-                "use the off_odd policy to simulate non-compliant humans"
-            )
+        for i in range(n):
+            decided, trans, thresholds, margin, bound_z, a_task, human_z = view[z]
+            if a_task is None:
+                a_task = tasks[i]
+            executed, score = decided[a_task]
+            if uniform:
+                b = bound_z[residues[human_z][i]]
+            elif script:
+                b = script[t % len(script)]
+            else:
+                b = human_z[executed]
+            in_bound = b in bound_z
+            if not in_bound and not off_odd:
+                raise ValueError(
+                    f"human policy {config.human_policy!r} left the admissible bound at t={t}; "
+                    "use the off_odd policy to simulate non-compliant humans"
+                )
 
-        trans, thresholds = dynamics[z]
-        o = bisect_right(thresholds[executed][b], stream.uniform())
-        gt_failed = None
-        if gt_state is not None:
-            s, h = gt_state
-            gt_failed = gt_failure[s][h]
-            gt_state = gt_world[s][executed][b], gt_human[h][executed][b][gt_observation[s]]
+            o = bisect_right(thresholds[executed][b], us[i])
+            gt_failed = None
+            if gt_state is not None:
+                s, h = gt_state
+                gt_failed = gt_failure[s][h]
+                gt_state = gt_world[s][executed][b], gt_human[h][executed][b][gt_observation[s]]
 
-        steps.append(RolloutStep(t, z, a_task, score, executed != a_task, executed,
-                                 b, o, margins[z], not in_bound, gt_failed))
-        z = trans[executed][b][o]
+            steps.append(new_step(RolloutStep, (t, z, a_task, score, executed != a_task, executed,
+                                                b, o, margin, not in_bound, gt_failed)))
+            z = trans[executed][b][o]
+            t += 1
 
     final_gt_failure = None
     if gt_state is not None:
@@ -714,7 +786,7 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
     """
     spec = sol.spec
     thresholds = _observation_thresholds(spec)
-    num_ai, bound, dynamics = spec.num_ai_actions, spec.action_bound, _dynamics(spec, thresholds)
+    num_ai, bound, dynamics = spec.num_ai_actions, spec.action_bound, _PerState(_dynamics(spec, thresholds))
     exec_rows = executed.tolist()
     unsafe = (spec.margins < 0.0).tolist()
     total = len(roots) * per_state

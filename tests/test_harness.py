@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import haig.harness
+import haig.rng
 from haig import (
     BudgetExceededError,
     FILTER_MODES,
@@ -30,7 +31,7 @@ from haig.filtering import InterventionRecord
 from haig.harness import RolloutStep, VerificationReport
 from haig.rng import SplitMix64, splitmix_block
 from test_filtering import _signed_zero_chain, one_hot_observations, reference_table
-from test_rng import seed_with_draw
+from test_rng import _ScalarSplitMix64, seed_with_draw
 
 _STEP_KEYS = {
     "t", "z", "task_a", "monitor", "intervened", "executed_a",
@@ -839,6 +840,227 @@ def test_long_rollout_traces_are_pinned(mode, human, build, start, digest):
     cfg = RolloutConfig(document=build(), task_policy="random", human_policy=human,
                         filter_mode=mode, initial_state=start, max_steps=2500, seed=29)
     assert hashlib.sha256(rollout(cfg).to_jsonl()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("window", [1, 7])
+def test_pinned_traces_in_small_windows(monkeypatch, window):
+    """The pinned traces, their draws read a window of one or seven steps at a time."""
+    monkeypatch.setattr(haig.harness, "_WINDOW_STEPS", window)
+    cases = [(case, 40, 17) for case in _PINNED_TRACES] + [(case, 2500, 29) for case in _PINNED_LONG_TRACES]
+    for (mode, human, build, start, digest), steps, seed in cases:
+        cfg = RolloutConfig(document=build(), task_policy="random", human_policy=human,
+                            filter_mode=mode, initial_state=start, max_steps=steps, seed=seed)
+        assert hashlib.sha256(rollout(cfg).to_jsonl()).hexdigest() == digest
+
+
+def _reference_rollout(cfg, sol, rejections=None):
+    """The rollout as a plain per-step loop over the scalar stream definition and ``reference_table``.
+
+    A step draws the task action if it is "random", the human action if it
+    is "uniform", then the observation; each integer draw skips raw draws
+    at or above ``rejection_limit``, and the step of each skipped draw is
+    appended to ``rejections``.  Start states are indices.
+    """
+    doc = cfg.document
+    spec, gt = doc.game, doc.ground_truth
+    executed, scores = reference_table(sol, cfg.filter_mode)
+    stream = _ScalarSplitMix64(cfg.seed)
+
+    def randint(n):
+        while True:
+            x = stream.next_u64()
+            if x < haig.rng.rejection_limit(n):
+                return x % n
+            if rejections is not None:
+                rejections.append(t)
+
+    kind, _, items = cfg.human_policy.partition(":")
+    z = cfg.initial_state
+    if gt is not None:
+        s, h = next((s, h) for s in range(gt.num_world_states) for h in range(gt.num_human_states)
+                    if gt.projection[s, h] == z)
+    steps = []
+    for t in range(cfg.max_steps):
+        a_task = randint(spec.num_ai_actions) if cfg.task_policy == "random" else int(cfg.task_policy[9:])
+        a_exec = executed[z][a_task]
+        bound = spec.action_bound[z]
+        if kind == "uniform":
+            b = bound[randint(len(bound))]
+        elif kind == "worst_case":
+            b = int(sol.adversary_policy[z, a_exec])
+        elif kind == "off_odd":
+            b = next((b for b in range(spec.num_human_actions) if b not in bound), bound[0])
+        else:
+            script = [spec.human_actions.index(x) if x in spec.human_actions else int(x) for x in items.split(",")]
+            b = script[t % len(script)]
+        u = (stream.next_u64() >> 11) * 2.0**-53
+        probs = spec.observation_probs[z, a_exec, b]
+        positive = [o for o in range(spec.num_observations) if probs[o] > 0.0]
+        o, cumulative = positive[-1], 0.0
+        for candidate in positive:
+            cumulative += probs[candidate]
+            if u < cumulative:
+                o = candidate
+                break
+        gt_failed = None
+        if gt is not None:
+            gt_failed = bool(gt.failure[s, h])
+            o_h = gt.human_observation[s]
+            s, h = int(gt.world_transitions[s, a_exec, b]), int(gt.human_transitions[h, a_exec, b, o_h])
+        steps.append(RolloutStep(t, z, a_task, scores[z][a_task], a_exec != a_task, a_exec,
+                                 b, o, float(spec.margins[z]), b not in bound, gt_failed))
+        z = int(spec.transitions[z, a_exec, b, o])
+    return RolloutTrace(spec, tuple(steps), z, None if gt is None else bool(gt.failure[s, h]))
+
+
+def _three_action_game():
+    """Three AI actions, bounds of three human actions: ``randint`` rejects only the largest draw."""
+    assert haig.rng.rejection_limit(3) == 2**64 - 1
+    return random_game(19, states=30, ai_actions=3, human_actions=3, observations=3, failure_fraction=0.1)
+
+
+# (task policy, human policy, draws per step, the planted draw's place in its step)
+_PLANTED_DRAWS = [
+    ("random", "worst_case", 2, 0),
+    ("constant:1", "uniform", 2, 0),
+    ("random", "uniform", 3, 0),
+    ("random", "uniform", 3, 1),
+]
+
+
+@pytest.mark.parametrize("task, human, draws, place", _PLANTED_DRAWS)
+@pytest.mark.parametrize("window, step", [
+    pytest.param(7, 0, id="first-step"),
+    pytest.param(7, 3, id="mid-window-of-7"),
+    pytest.param(7, 6, id="window-of-7-last"),
+    pytest.param(7, 7, id="window-of-7-first"),
+    pytest.param(None, 110, id="mid-window"),
+    pytest.param(None, haig.harness._WINDOW_STEPS - 1, id="window-last"),
+    pytest.param(None, haig.harness._WINDOW_STEPS, id="window-first"),
+])
+def test_rollout_on_a_planted_rejected_draw(monkeypatch, task, human, draws, place, window, step):
+    """A task or human draw that ``randint`` rejects, planted at a step: the trace of the scalar reference."""
+    if window is not None:
+        monkeypatch.setattr(haig.harness, "_WINDOW_STEPS", window)
+    doc = _three_action_game()
+    sol = value_iteration(doc.game)
+    seed = seed_with_draw(2**64 - 1, step * draws + place)
+    for mode in FILTER_MODES:
+        cfg = RolloutConfig(document=doc, task_policy=task, human_policy=human, filter_mode=mode,
+                            initial_state=2, max_steps=step + 9, seed=seed)
+        rejections = []
+        expected = _reference_rollout(cfg, sol, rejections)
+        assert rejections == [step]
+        assert rollout(cfg, sol).to_jsonl() == expected.to_jsonl()
+
+
+@pytest.mark.parametrize("window", [None, 1, 7])
+def test_rollouts_match_the_scalar_reference(monkeypatch, window):
+    """Every filter and human policy; rejected draws planted, or in adjacent steps at a coarser rejection limit."""
+    if window is not None:
+        monkeypatch.setattr(haig.harness, "_WINDOW_STEPS", window)
+    odd = build_chain(5, 3, 1)  # bounds of three of seven human actions, and a ground truth
+    cases = [(odd, 3, human) for human in ("uniform", "worst_case", "off_odd", "scripted:+1,-1,0")]
+    cases += [(_three_action_game(), 2, human) for human in ("uniform", "worst_case", "off_odd", "scripted:0,2")]
+    seeds = [5, seed_with_draw(2**64 - 1, 0), seed_with_draw(2**64 - 1, 41), seed_with_draw(2**64 - 1, 100)]
+    rejected = 0
+    for doc, start, human in cases:
+        sol = value_iteration(doc.game)
+        for mode in FILTER_MODES:
+            for seed in seeds:
+                cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode=mode,
+                                    initial_state=start, max_steps=60, seed=seed)
+                rejections = []
+                assert rollout(cfg, sol).to_jsonl() == _reference_rollout(cfg, sol, rejections).to_jsonl()
+                rejected += len(rejections)
+    assert rejected > 50
+
+    # a limit that rejects a quarter of all raw draws, in the stream and the rollout alike
+    def coarse(n):
+        return (3 << 62) // n * n
+
+    monkeypatch.setattr(haig.rng, "rejection_limit", coarse)
+    monkeypatch.setattr(haig.harness, "rejection_limit", coarse)
+    adjacent = 0
+    for doc, start, human in cases:
+        sol = value_iteration(doc.game)
+        for mode in FILTER_MODES:
+            cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode=mode,
+                                initial_state=start, max_steps=80, seed=11)
+            rejections = []
+            assert rollout(cfg, sol).to_jsonl() == _reference_rollout(cfg, sol, rejections).to_jsonl()
+            adjacent += sum(t2 == t1 + 1 for t1, t2 in zip(rejections, rejections[1:]))
+    assert adjacent > 100
+
+
+def test_rollout_raises_where_the_scalar_loop_raises(monkeypatch):
+    """A table's bad task action and a human leaving the bound fail at their step, in any window."""
+    bad = SpecDocument(game=build_chain(5).game, task_policies={"bad": (2, 2, 2, 2, 2, 7)})
+    narrowed = build_chain(5, human_reach=3, odd_reach=1)
+    for window in (1, 7, haig.harness._WINDOW_STEPS):
+        monkeypatch.setattr(haig.harness, "_WINDOW_STEPS", window)
+        # two steps up from state 1, then state 5's entry
+        with pytest.raises(IndexError, match=r"ai action index 7 out of range \[0, 3\)"):
+            rollout(_chain_cfg(document=bad, task_policy="bad", human_policy="scripted:+1", initial_state=1,
+                               filter_mode="none", max_steps=3))
+        rollout(_chain_cfg(document=bad, task_policy="bad", human_policy="scripted:+1", initial_state=1,
+                           filter_mode="none", max_steps=2))
+        with pytest.raises(ValueError, match=r"'scripted:-1,-1,-1,\+3' left the admissible bound at t=3;"):
+            rollout(_chain_cfg(document=narrowed, task_policy="random", human_policy="scripted:-1,-1,-1,+3",
+                               initial_state=5, max_steps=30))
+
+
+class _RowLog(np.ndarray):
+    """A table that logs each row read from it and refuses to be read whole."""
+
+    def __getitem__(self, key):
+        self.rows.append(key)
+        return np.asarray(self)[key]
+
+    def tolist(self):
+        raise AssertionError("the whole table was read")
+
+    def __iter__(self):
+        raise AssertionError("the whole table was read")
+
+
+def test_a_short_rollout_decides_only_the_states_it_visits(monkeypatch):
+    """Row counts, not timings: a 20-step rollout on a 40001-state chain reads a decision row per visited state."""
+    rows = []
+
+    def logged(sol, intervention):
+        flt = perfect_filter(sol, intervention)
+        tables = {}
+        for name in ("executed", "scores"):
+            tables[name] = getattr(flt, name).view(_RowLog)
+            tables[name].rows = rows
+        return replace(flt, **tables)
+
+    monkeypatch.setattr(haig.harness, "perfect_filter", logged)
+    doc = build_chain(40000)
+    sol = value_iteration(doc.game)
+    for human in ("uniform", "worst_case"):
+        rows.clear()
+        cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode="switch",
+                            initial_state=20000, max_steps=20, seed=4)
+        visited = {s.state for s in rollout(cfg, sol).steps}
+        assert len(rows) == 2 * len(visited)
+        assert set(rows) == visited
+
+
+def test_initial_ground_truth_takes_the_first_pair_in_row_major_order():
+    doc = build_chain(5)
+    # four world states and three human states; state 2 first appears at (1, 1), and at (2, 0) after it
+    projection = np.array([[4, 1, 0], [0, 2, 2], [2, 0, 5], [1, 4, 4]])
+    gt = replace(doc.ground_truth, num_world_states=4, num_human_states=3, projection=projection)
+    doc = replace(doc, ground_truth=gt)
+    for z in (0, 1, 2, 4, 5):
+        s, h = haig.harness._initial_ground_truth(doc, z)
+        assert (s, h) == next((s, h) for s in range(4) for h in range(3) if projection[s, h] == z)
+        assert type(s) is int and type(h) is int
+    assert haig.harness._initial_ground_truth(doc, 2) == (1, 1)
+    with pytest.raises(ValueError, match="no configuration projecting to state 3"):
+        haig.harness._initial_ground_truth(doc, 3)
 
 
 def test_each_state_is_decided_once(monkeypatch):
