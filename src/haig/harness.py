@@ -49,18 +49,23 @@ order, and the scalar calls take over from there.
 and read its executed-action table (``"none"`` is a filter mode like
 the others).  One table, ``_observation_thresholds``, picks every sampled
 observation: in rollout, the scalar sampled path and the lockstep
-windows.  Rollout reads everything it needs of a state (its
-``(executed, score)`` pairs, transitions, thresholds, margin, bound and
-policy entries) from one per-state view of plain Python lists, and the
-ground truth from views like it; the scalar sampled path reads the
-transitions and thresholds the same way.  Each row is built on its
-state's first visit, so a short rollout pays only for the states it
-visits.
+windows.  Rollout reads a state's executed actions and scores,
+transitions, thresholds, margin and bound from one row of plain Python
+values, built for a block of ``_BLOCK_STATES`` states at once on the first
+visit to any of them, the transitions and thresholds as flat lists that
+the block's rows share.  A game of up to a block converts whole, and a
+short rollout on a larger one pays only for the blocks it visits.  Policy
+entries and the ground truth come from per-state views built on a state's
+first visit; the scalar sampled path reads the transitions and thresholds
+from a view of nested lists.  A rollout runs with the garbage collector
+paused: nothing it builds is in a reference cycle, and a collection would
+only rescan what it builds and whatever else the process holds.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -295,15 +300,15 @@ def _task_chooser(doc: SpecDocument, selector: str):
 def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution):
     """Returns ``(script, row)``: a scripted policy's action cycle, or fn(z) -> the human's row at ``z``.
 
-    A row is the human action per executed AI action, except for "uniform",
-    which draws: its row is the length of the bound to draw from.
+    A row is the human action per executed AI action.  "uniform", which
+    draws, has neither.
     """
     spec = doc.game
     bound, na = spec.action_bound, spec.num_ai_actions
     if selector == "worst_case":
         return None, lambda z: sol.adversary_policy[z].tolist()
     if selector == "uniform":
-        return None, lambda z: len(bound[z])
+        return None, None
     if selector == "off_odd":
         def violator(z):
             allowed = set(bound[z])
@@ -319,7 +324,7 @@ def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution):
         ]
         if not script:
             raise PolicyResolutionError("scripted human policy needs at least one action")
-        return script, lambda z: None
+        return script, None
     if selector in doc.human_policies:
         table = doc.human_policies[selector]
         return None, lambda z: [table[z]] * na
@@ -371,6 +376,9 @@ def _dynamics(spec: GameSpec, thresholds: np.ndarray):
 # steps whose draws one block off the stream's counter holds, at most: a window's draws
 # and columns take about 100 kB, and larger windows save little time per step
 _WINDOW_STEPS = 1024
+# states whose rows a rollout builds at once: a game this small converts whole, on the first
+# step, and a larger one only the blocks its rollout visits
+_BLOCK_STATES = 4096
 
 
 def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> RolloutTrace:
@@ -382,7 +390,27 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     the smallest rejection limit that draw could meet; that step takes its
     draws through the scalar stream calls, which skip a rejected draw as
     ``randint`` does, and the next window starts at that stream's counter.
+
+    The cyclic garbage collector is paused meanwhile, and resumed after if
+    it was running.  A rollout builds a step object per step and a row per
+    state of each block it visits, none of them in a reference cycle.
+    With the collector running, every few hundred of them would set off a
+    young collection that only moves them on, and every few rollouts a
+    full collection would rescan everything the process holds: a rollout
+    would cost more the more the process holds besides, and more in one
+    call than the next by chance.  The one young collection they are due
+    runs at the caller's next allocation, over what is still alive then.
     """
+    running = gc.isenabled()
+    gc.disable()
+    try:
+        return _rollout(config, solution)
+    finally:
+        if running:
+            gc.enable()
+
+
+def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTrace:
     doc = config.document
     spec = doc.game
     if config.max_steps < 1:
@@ -396,26 +424,32 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     script, human = _human_chooser(doc, config.human_policy, sol)
     uniform = config.human_policy == "uniform"
     off_odd = config.human_policy == "off_odd"
-    dynamics = _dynamics(spec, _observation_thresholds(spec))
-    bound, num_ai = spec.action_bound, spec.num_ai_actions
+    bound, num_ai, nh, no = spec.action_bound, spec.num_ai_actions, spec.num_human_actions, spec.num_observations
+    thresholds = _observation_thresholds(spec)
+    width = num_ai * nh * no
 
-    def row(z):
-        return (
-            list(zip(flt.executed[z].tolist(), flt.scores[z].tolist())),
-            *dynamics(z),
-            float(spec.margins[z]),
-            bound[z],
-            None if task is None else task(z),
-            human(z),
-        )
+    rows = [None] * spec.num_states
+    tasks_at = None if task is None else _PerState(task)
+    humans_at = None if human is None else _PerState(human)
 
-    view = _PerState(row)
+    def fill(j):
+        # a block of states' rows, built at once: each state's decisions, margin and bound, and the
+        # block's transitions and observation thresholds as flat lists, in which its i-th state's
+        # (a, b, o) entry is at i * width + (a * nh + b) * no + o
+        states = slice(j * _BLOCK_STATES, (j + 1) * _BLOCK_STATES)
+        trans, thresholds_j = spec.transitions[states].ravel().tolist(), thresholds[states].ravel().tolist()
+        rows[states] = [
+            (executed_z, scores_z, trans, thresholds_j, i * width, margin, bound_z)
+            for i, (executed_z, scores_z, margin, bound_z) in enumerate(zip(
+                flt.executed[states].tolist(), flt.scores[states].tolist(), spec.margins[states].tolist(),
+                bound[states]))
+        ]
 
     z = _resolve_state(spec, config.initial_state)
     gt = doc.ground_truth
     if gt is not None:
         gt_state = _initial_ground_truth(doc, z)
-        # per-state rows as lists, like the view: [s][h], [s], [s][a][b], [h][a][b][o]
+        # per-state rows as lists, built on first visit: [s][h], [s], [s][a][b], [h][a][b][o]
         gt_failure = _PerState(lambda s: gt.failure[s].tolist())
         gt_observation = gt.human_observation.tolist()
         gt_world = _PerState(lambda s: gt.world_transitions[s].tolist())
@@ -458,16 +492,19 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
             us = ((columns[-1] >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
         for i in range(n):
-            decided, trans, thresholds, margin, bound_z, a_task, human_z = view[z]
-            if a_task is None:
-                a_task = tasks[i]
-            executed, score = decided[a_task]
+            row = rows[z]
+            if row is None:
+                fill(z // _BLOCK_STATES)
+                row = rows[z]
+            executed_z, scores_z, trans, thresholds_z, base, margin, bound_z = row
+            a_task = tasks[i] if task is None else tasks_at[z]
+            executed = executed_z[a_task]
             if uniform:
-                b = bound_z[residues[human_z][i]]
+                b = bound_z[residues[len(bound_z)][i]]
             elif script:
                 b = script[t % len(script)]
             else:
-                b = human_z[executed]
+                b = humans_at[z][executed]
             in_bound = b in bound_z
             if not in_bound and not off_odd:
                 raise ValueError(
@@ -475,16 +512,18 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
                     "use the off_odd policy to simulate non-compliant humans"
                 )
 
-            o = bisect_right(thresholds[executed][b], us[i])
+            lo = base + (executed * nh + b) * no
+            k = bisect_right(thresholds_z, us[i], lo, lo + no)
+            o = k - lo
             gt_failed = None
             if gt_state is not None:
                 s, h = gt_state
                 gt_failed = gt_failure[s][h]
                 gt_state = gt_world[s][executed][b], gt_human[h][executed][b][gt_observation[s]]
 
-            steps.append(new_step(RolloutStep, (t, z, a_task, score, executed != a_task, executed,
+            steps.append(new_step(RolloutStep, (t, z, a_task, scores_z[a_task], executed != a_task, executed,
                                                 b, o, margin, not in_bound, gt_failed)))
-            z = trans[executed][b][o]
+            z = trans[k]
             t += 1
 
     final_gt_failure = None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import replace
@@ -993,6 +994,50 @@ def test_rollouts_match_the_scalar_reference(monkeypatch, window):
     assert adjacent > 100
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_rollouts_in_small_state_blocks(monkeypatch, block):
+    """The spec's rows read a block of one or seven states at a time: the pinned traces and the scalar reference."""
+    monkeypatch.setattr(haig.harness, "_BLOCK_STATES", block)
+    cases = [(case, 40, 17) for case in _PINNED_TRACES] + [(case, 2500, 29) for case in _PINNED_LONG_TRACES]
+    for (mode, human, build, start, digest), steps, seed in cases:
+        cfg = RolloutConfig(document=build(), task_policy="random", human_policy=human,
+                            filter_mode=mode, initial_state=start, max_steps=steps, seed=seed)
+        assert hashlib.sha256(rollout(cfg).to_jsonl()).hexdigest() == digest
+    # a 41-state chain with a ground truth and bounds narrower than the human's reach, walked across its blocks
+    for doc, start in ((build_chain(40, 3, 1), 20), (_three_action_game(), 2)):
+        sol = value_iteration(doc.game)
+        for human in ("uniform", "worst_case", "off_odd"):
+            for mode in FILTER_MODES:
+                cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode=mode,
+                                    initial_state=start, max_steps=300, seed=5)
+                assert rollout(cfg, sol).to_jsonl() == _reference_rollout(cfg, sol).to_jsonl()
+
+
+def test_rollout_runs_with_the_collector_paused(monkeypatch):
+    """Paused during a rollout, running again after it, also when it raises; a paused collector stays paused."""
+    running = []
+
+    def recording(sol, intervention):
+        running.append(gc.isenabled())
+        return perfect_filter(sol, intervention)
+
+    monkeypatch.setattr(haig.harness, "perfect_filter", recording)
+    leaving = _chain_cfg(document=build_chain(5, human_reach=3, odd_reach=1), task_policy="random",
+                         human_policy="scripted:-1,-1,-1,+3", initial_state=5, max_steps=30)
+    assert gc.isenabled()
+    rollout(_chain_cfg())
+    with pytest.raises(ValueError, match="left the admissible bound at t=3"):
+        rollout(leaving)
+    assert running == [False, False]
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        rollout(_chain_cfg())
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_rollout_raises_where_the_scalar_loop_raises(monkeypatch):
     """A table's bad task action and a human leaving the bound fail at their step, in any window."""
     bad = SpecDocument(game=build_chain(5).game, task_policies={"bad": (2, 2, 2, 2, 2, 7)})
@@ -1011,7 +1056,7 @@ def test_rollout_raises_where_the_scalar_loop_raises(monkeypatch):
 
 
 class _RowLog(np.ndarray):
-    """A table that logs each row read from it and refuses to be read whole."""
+    """A table that logs each read from it and refuses to be read whole."""
 
     def __getitem__(self, key):
         self.rows.append(key)
@@ -1024,28 +1069,29 @@ class _RowLog(np.ndarray):
         raise AssertionError("the whole table was read")
 
 
-def test_a_short_rollout_decides_only_the_states_it_visits(monkeypatch):
-    """Row counts, not timings: a 20-step rollout on a 40001-state chain reads a decision row per visited state."""
-    rows = []
+def test_a_short_rollout_reads_only_the_blocks_it_visits(monkeypatch):
+    """Read counts, not timings: a 20-step rollout on a 40001-state chain reads the decisions of its states' blocks."""
+    reads = []
 
     def logged(sol, intervention):
         flt = perfect_filter(sol, intervention)
         tables = {}
         for name in ("executed", "scores"):
             tables[name] = getattr(flt, name).view(_RowLog)
-            tables[name].rows = rows
+            tables[name].rows = reads
         return replace(flt, **tables)
 
     monkeypatch.setattr(haig.harness, "perfect_filter", logged)
     doc = build_chain(40000)
     sol = value_iteration(doc.game)
+    size = haig.harness._BLOCK_STATES
+    assert doc.game.num_states > 4 * size
     for human in ("uniform", "worst_case"):
-        rows.clear()
+        reads.clear()
         cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode="switch",
                             initial_state=20000, max_steps=20, seed=4)
-        visited = {s.state for s in rollout(cfg, sol).steps}
-        assert len(rows) == 2 * len(visited)
-        assert set(rows) == visited
+        blocks = {s.state // size for s in rollout(cfg, sol).steps}
+        assert sorted((key.start, key.stop) for key in reads) == sorted([(j * size, (j + 1) * size) for j in blocks] * 2)
 
 
 def test_initial_ground_truth_takes_the_first_pair_in_row_major_order():
