@@ -47,13 +47,14 @@ order, and the scalar calls take over from there.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
-the others).  One table, ``_observation_thresholds``, picks every sampled
-observation: in rollout, the scalar sampled path and the lockstep
-windows.  Rollout reads a state's executed actions and scores,
-transitions, thresholds, margin and bound from one row of plain Python
-values, built for a block of ``_BLOCK_STATES`` states at once on the first
-visit to any of them, the transitions and thresholds as flat lists that
-the block's rows share.  A game of up to a block converts whole, and a
+the others).  One rule, ``_observation_thresholds``, picks every sampled
+observation: sampled verify builds the whole game's table once, for its
+scalar path and its lockstep windows alike, and rollout builds a block's
+thresholds with the block's rows.  Rollout reads a state's executed
+actions and scores, transitions, thresholds, margin and bound from one
+row of plain Python values, built for a block of ``_BLOCK_STATES``
+states at once on the first visit to any of them, the transitions and
+thresholds as flat lists that the block's rows share.  A game of up to a block converts whole, and a
 short rollout on a larger one pays only for the blocks it visits.  Policy
 entries and the ground truth come from per-state views built on a state's
 first visit; the scalar sampled path reads the transitions and thresholds
@@ -352,18 +353,19 @@ class _PerState(dict):
         return row
 
 
-def _observation_thresholds(spec: GameSpec) -> np.ndarray:
-    """Each ``(z, a, b)`` observation row's running sums, +inf from its last positive entry on.
+def _observation_thresholds(probs: np.ndarray) -> np.ndarray:
+    """Each observation row's running sums, +inf from its last positive entry on.
 
-    Every row is sorted, and a uniform draw ``u`` picks ``bisect_right(row,
-    u)``: the first positive entry whose running sum exceeds ``u`` (a zero
-    entry repeats the sum before it, so it is never the first), or the last
-    positive entry when rounding leaves the sum at or below ``u``.
+    ``probs`` is a block of the spec's ``observation_probs``, whose last axis
+    holds the rows.  Every row is sorted, and a uniform draw ``u`` picks
+    ``bisect_right(row, u)``: the first positive entry whose running sum
+    exceeds ``u`` (a zero entry repeats the sum before it, so it is never the
+    first), or the last positive entry when rounding leaves the sum at or
+    below ``u``.
     """
-    probs = spec.observation_probs
-    no = probs.shape[3]
-    thresholds = np.cumsum(probs, axis=3)
-    last = np.where(probs > 0.0, np.arange(no), 0).max(axis=3, keepdims=True)
+    no = probs.shape[-1]
+    thresholds = np.cumsum(probs, axis=-1)
+    last = np.where(probs > 0.0, np.arange(no), 0).max(axis=-1, keepdims=True)
     thresholds[np.arange(no) >= last] = np.inf
     return thresholds
 
@@ -425,7 +427,6 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
     uniform = config.human_policy == "uniform"
     off_odd = config.human_policy == "off_odd"
     bound, num_ai, nh, no = spec.action_bound, spec.num_ai_actions, spec.num_human_actions, spec.num_observations
-    thresholds = _observation_thresholds(spec)
     width = num_ai * nh * no
 
     rows = [None] * spec.num_states
@@ -437,7 +438,8 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
         # block's transitions and observation thresholds as flat lists, in which its i-th state's
         # (a, b, o) entry is at i * width + (a * nh + b) * no + o
         states = slice(j * _BLOCK_STATES, (j + 1) * _BLOCK_STATES)
-        trans, thresholds_j = spec.transitions[states].ravel().tolist(), thresholds[states].ravel().tolist()
+        trans = spec.transitions[states].ravel().tolist()
+        thresholds_j = _observation_thresholds(spec.observation_probs[states]).ravel().tolist()
         rows[states] = [
             (executed_z, scores_z, trans, thresholds_j, i * width, margin, bound_z)
             for i, (executed_z, scores_z, margin, bound_z) in enumerate(zip(
@@ -824,7 +826,7 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
     more than the scalar steps it replaces.
     """
     spec = sol.spec
-    thresholds = _observation_thresholds(spec)
+    thresholds = _observation_thresholds(spec.observation_probs)
     num_ai, bound, dynamics = spec.num_ai_actions, spec.action_bound, _PerState(_dynamics(spec, thresholds))
     exec_rows = executed.tolist()
     unsafe = (spec.margins < 0.0).tolist()

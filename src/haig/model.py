@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -115,9 +116,9 @@ class GameSpec:
     @cached_property
     def bound_mask(self) -> np.ndarray:
         """Boolean (Z, B) mask of admissible human actions."""
+        lengths = list(map(len, self.action_bound))
         mask = np.zeros((self.num_states, self.num_human_actions), dtype=bool)
-        for z, row in enumerate(self.action_bound):
-            mask[z, list(row)] = True
+        mask[np.repeat(np.arange(len(lengths)), lengths), list(chain.from_iterable(self.action_bound))] = True
         mask.setflags(write=False)
         return mask
 
@@ -298,45 +299,39 @@ def _validate_ground_truth(spec, gt, items, err, warn):
     if any(i.severity == "error" for i in items):
         return
 
-    total = ns * nh * na * nb
-    if total <= COMMUTATION_EXHAUSTIVE_LIMIT:
-        tuples = (
-            (s, h, a, b)
-            for s in range(ns) for h in range(nh) for a in range(na) for b in range(nb)
-        )
+    # the checked (world state, human state, ai action, human action) tuples, one column each
+    if ns * nh * na * nb <= COMMUTATION_EXHAUSTIVE_LIMIT:
+        s, h, a, b = np.indices((ns, nh, na, nb)).reshape(4, -1)
     else:
         stream = SplitMix64(COMMUTATION_SEED)
-        tuples = (
+        s, h, a, b = np.array([
             (stream.randint(ns), stream.randint(nh), stream.randint(na), stream.randint(nb))
             for _ in range(COMMUTATION_SAMPLES)
-        )
+        ], dtype=np.int64).reshape(-1, 4).T
 
-    for s, h, a, b in tuples:
-        z = int(gt.projection[s, h])
-        o = int(gt.ai_observation[s, a, b])
-        if spec.observation_probs[z, a, b, o] <= 0.0:
+    z = gt.projection[s, h]
+    o = gt.ai_observation[s, a, b]
+    unseen = spec.observation_probs[z, a, b, o] <= 0.0
+    projected = gt.projection[gt.world_transitions[s, a, b], gt.human_transitions[h, a, b, gt.human_observation[s]]]
+    modeled = spec.transitions[z, a, b, o]
+    failing = np.stack([s, h, a, b, z, o, projected, modeled, unseen], axis=1)[unseen | (projected != modeled)]
+    for s, h, a, b, z, o, projected, modeled, unseen in failing.tolist():
+        if unseen:
             err(
                 "induced-observation",
                 f"ground truth induces observation {o} at (s={s}, zh={h}, a_ai={a}, a_h={b}) "
                 f"but the model gives it probability 0 at z={z}",
             )
-            continue
-        s2 = int(gt.world_transitions[s, a, b])
-        h2 = int(gt.human_transitions[h, a, b, int(gt.human_observation[s])])
-        projected = int(gt.projection[s2, h2])
-        modeled = int(spec.transitions[z, a, b, o])
-        if projected != modeled:
+        else:
             err(
                 "commutation",
                 f"projection does not commute at (s={s}, zh={h}, a_ai={a}, a_h={b}): "
                 f"ground truth steps to state {projected}, model steps to {modeled}",
             )
 
-    for s in range(ns):
-        for h in range(nh):
-            if gt.failure[s, h] and spec.margins[int(gt.projection[s, h])] >= 0.0:
-                warn(
-                    "privileged-failure-unsound",
-                    f"privileged failure (s={s}, zh={h}) projects to state "
-                    f"{int(gt.projection[s, h])} with non-negative margin",
-                )
+    for s, h in np.argwhere(gt.failure & (spec.margins[gt.projection] >= 0.0)).tolist():
+        warn(
+            "privileged-failure-unsound",
+            f"privileged failure (s={s}, zh={h}) projects to state "
+            f"{gt.projection[s, h]} with non-negative margin",
+        )

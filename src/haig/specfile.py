@@ -48,10 +48,12 @@ One writer, ``canonical_json``, emits both documents and the value files of
 ``haig solve``, in the layout of ``json.dumps(payload, sort_keys=True,
 indent=2, allow_nan=False)`` plus a newline, byte for byte.  It renders
 each regular numeric or boolean array from its shape and its leaves, which
-the C encoder converts in one call.  Parsing likewise reads an array whose
-leaves all have the JSON type its reader expects with one ``np.array``
-call, and leaves every other array, and every error, to the per-leaf
-readers.
+the C encoder converts in one call.  Parsing likewise walks a nested
+array's levels once, checking a whole level by the sets of its nodes'
+types and lengths, and converts the leaves with one ``np.array`` call when
+they all have the JSON type their reader expects; other leaves go through
+the reader one at a time, and an index path is formatted only for an
+error.
 """
 
 from __future__ import annotations
@@ -137,10 +139,7 @@ def parse_spec(data: bytes | str) -> SpecDocument:
     version = _require(root, "format_version", "document")
     if version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}")
-    known = {"format_version", "game", "ground_truth", "policies"}
-    extra = sorted(set(root) - known)
-    if extra:
-        raise SchemaError(f"unknown top-level keys: {extra}")
+    _known_keys(root, {"format_version", "game", "ground_truth", "policies"}, "top-level")
 
     game = _parse_game(_mapping(_require(root, "game", "document"), "game"))
     ground_truth = None
@@ -175,6 +174,12 @@ def _require(obj, key, path):
     if key not in obj:
         raise SchemaError(f"{path} is missing required key {key!r}")
     return obj[key]
+
+
+def _known_keys(obj, known, what) -> None:
+    extra = sorted(set(obj) - known)
+    if extra:
+        raise SchemaError(f"unknown {what} keys: {extra}")
 
 
 def _label_list(value, path) -> tuple[str, ...]:
@@ -238,66 +243,52 @@ def _dense(raw, shape, path, read, dtype) -> np.ndarray:
     """Read the nested JSON array ``raw`` into an array of ``shape`` and ``dtype``.
 
     Every level must be an array of the declared length, and every leaf must
-    pass ``read(value, path)``.  A well-formed array of plain numbers or
-    booleans is read by ``_read_typed`` at C speed; anything else, errors
-    included, goes through ``_read_per_leaf``, which names the failing entry.
+    pass ``read(value, path)``.  One walk down the levels checks each level
+    by the sets of its nodes' types and lengths, and looks for the first bad
+    node only to name it.  ``_read_typed`` converts the leaves at C speed;
+    when it declines, each leaf goes through ``read``, and after an error
+    through it again, naming each entry, to find the culprit.
     """
+    nodes = [raw]
+    for depth, size in enumerate(shape):
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {size}:
+            i = next(i for i, node in enumerate(nodes) if type(node) is not list or len(node) != size)
+            raise SchemaError(f"{path}{_index_path(i, shape[:depth])} must be an array of length {size}")
+        nodes = list(chain.from_iterable(nodes))
     try:
-        values = _read_typed(raw, shape, read)
-    except OverflowError:  # the per-leaf reader names the entry beyond int64 or float range
+        values = _read_typed(nodes, read)
+    except OverflowError:  # read names the entry beyond int64 or float range
         values = None
-    return _read_per_leaf(raw, shape, path, read, dtype) if values is None else values
+    if values is None:
+        try:
+            values = np.array([read(value, path) for value in nodes], dtype=dtype)
+        except HaigError:
+            for i, value in enumerate(nodes):
+                read(value, path + _index_path(i, shape))
+            raise
+    return values.reshape(shape)
 
 
-def _read_typed(raw, shape, read) -> np.ndarray | None:
-    """``raw`` as an array if every leaf has the one JSON type ``read`` accepts unchanged, else None.
+def _read_typed(leaves, read) -> np.ndarray | None:
+    """``leaves`` as a flat array if each has the one JSON type ``read`` accepts unchanged, else None.
 
-    The array equals what ``_read_per_leaf`` returns, bit for bit, in the
-    dtype that goes with ``read``: a JSON integer becomes the float that
+    The array equals the one ``read`` gives leaf by leaf, bit for bit, in
+    the dtype that goes with ``read``: a JSON integer becomes the float that
     ``float()`` rounds it to.  A value that ``read`` would refuse makes this
     return None (out of a resolver's range) or raise ``OverflowError``
     (beyond int64 or float range).
     """
-    nodes = [raw]
-    for size in shape:
-        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {size}:
-            return None
-        nodes = list(chain.from_iterable(nodes))
-    kinds = set(map(type, nodes))
+    kinds = set(map(type, leaves))
     if read is _number:  # np.array raises OverflowError for an int exactly where float() does
-        if not kinds <= {int, float}:
-            return None
-        values = np.array(nodes, dtype=np.float64)
-    elif read is _boolean:
-        if kinds != {bool}:
-            return None
-        values = np.array(nodes, dtype=bool)
-    else:  # _integer or a _Resolver; beyond int64, np.array raises OverflowError
-        if kinds != {int}:
-            return None
-        values = np.array(nodes, dtype=np.int64)
-        if isinstance(read, _Resolver) and (values.min() < 0 or values.max() >= read.size):
-            return None
-    return values.reshape(shape)
-
-
-def _read_per_leaf(raw, shape, path, read, dtype) -> np.ndarray:
-    """``_dense`` one node and one leaf at a time; the index path of an entry is formatted only once it fails."""
-    nodes = [raw]
-    for depth, size in enumerate(shape):
-        for i, node in enumerate(nodes):
-            if not isinstance(node, list) or len(node) != size:
-                raise SchemaError(
-                    f"{path}{_index_path(i, shape[:depth])} must be an array of length {size}"
-                )
-        nodes = [child for node in nodes for child in node]
-    try:
-        values = [read(value, path) for value in nodes]
-    except HaigError:
-        for i, value in enumerate(nodes):  # read again, naming each entry, to find the culprit
-            read(value, path + _index_path(i, shape))
-        raise
-    return np.array(values, dtype=dtype).reshape(shape)
+        return np.array(leaves, dtype=np.float64) if kinds <= {int, float} else None
+    if read is _boolean:
+        return np.array(leaves, dtype=bool) if kinds == {bool} else None
+    if kinds != {int}:  # _integer or a _Resolver; beyond int64, np.array raises OverflowError
+        return None
+    values = np.array(leaves, dtype=np.int64)
+    if isinstance(read, _Resolver) and (values.min() < 0 or values.max() >= read.size):
+        return None
+    return values
 
 
 def check_joint_entries(shape) -> None:
@@ -381,13 +372,10 @@ def _parse_game(game: dict) -> GameSpec:
     if scenario is not None and not isinstance(scenario, str):
         raise SchemaError("game.scenario must be a string")
 
-    known = {
+    _known_keys(game, {
         "states", "ai_actions", "human_actions", "observations", "transition",
         "observation_probs", "margin", "action_bound", "scenario", "annotations",
-    }
-    extra = sorted(set(game) - known)
-    if extra:
-        raise SchemaError(f"unknown game keys: {extra}")
+    }, "game")
 
     return GameSpec(
         num_states=num_states,
@@ -417,10 +405,7 @@ def _bound_typed(rows, resolver):
 def _parse_transition(raw, shape, res_state, res_ai, res_human, res_obs) -> np.ndarray:
     if not isinstance(raw, dict):
         return _dense(raw, shape, "game.transition", res_state, np.int64)
-    known = {"default", "entries"}
-    extra = sorted(set(raw) - known)
-    if extra:
-        raise SchemaError(f"unknown sparse transition keys: {extra}")
+    _known_keys(raw, {"default", "entries"}, "sparse transition")
     entries = _require(raw, "entries", "game.transition")
     if not isinstance(entries, list):
         raise SchemaError("game.transition.entries must be an array")
@@ -476,14 +461,11 @@ def _parse_ground_truth(gt: dict, game: GameSpec) -> GroundTruthSystem:
     projection = _array("projection", (ns, nh))
     failure = _array("privileged_failure", (ns, nh), _boolean, bool)
 
-    known = {
+    _known_keys(gt, {
         "world_states", "human_states", "human_observations", "world_dynamics",
         "human_dynamics", "human_observation", "ai_observation", "privileged_failure",
         "projection",
-    }
-    extra = sorted(set(gt) - known)
-    if extra:
-        raise SchemaError(f"unknown ground_truth keys: {extra}")
+    }, "ground_truth")
 
     return GroundTruthSystem(
         num_world_states=ns,
@@ -502,9 +484,7 @@ def _parse_policies(raw, game: GameSpec):
     if raw is None:
         return {}, {}
     raw = _mapping(raw, "policies")
-    extra = sorted(set(raw) - {"task", "human"})
-    if extra:
-        raise SchemaError(f"unknown policies keys: {extra}")
+    _known_keys(raw, {"task", "human"}, "policies")
 
     res_ai = _Resolver("ai action", game.num_ai_actions, game.ai_actions)
     res_human = _Resolver("human action", game.num_human_actions, game.human_actions)

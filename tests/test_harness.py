@@ -1094,6 +1094,25 @@ def test_a_short_rollout_reads_only_the_blocks_it_visits(monkeypatch):
         assert sorted((key.start, key.stop) for key in reads) == sorted([(j * size, (j + 1) * size) for j in blocks] * 2)
 
 
+def test_a_short_rollout_builds_observation_thresholds_per_block(monkeypatch):
+    """The thresholds come from probability blocks of at most ``_BLOCK_STATES`` states, not from the whole game."""
+    lengths = []
+    thresholds = haig.harness._observation_thresholds
+
+    def logged(probs):
+        lengths.append(len(probs))
+        return thresholds(probs)
+
+    monkeypatch.setattr(haig.harness, "_observation_thresholds", logged)
+    doc = build_chain(40000)
+    sol = value_iteration(doc.game)
+    for human in ("uniform", "worst_case"):
+        cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode="switch",
+                            initial_state=20000, max_steps=20, seed=4)
+        rollout(cfg, sol)
+    assert lengths and max(lengths) <= haig.harness._BLOCK_STATES
+
+
 def test_initial_ground_truth_takes_the_first_pair_in_row_major_order():
     doc = build_chain(5)
     # four world states and three human states; state 2 first appears at (1, 1), and at (2, 0) after it

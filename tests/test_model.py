@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from haig import (
     random_game,
     validate_model,
 )
-from haig.model import _int_index
+from haig.model import ValidationItem, _int_index
+from haig.rng import SplitMix64
 
 
 def _tiny_game(**overrides) -> GameSpec:
@@ -90,6 +93,16 @@ def test_bound_mask_matches_action_bound():
     assert mask.shape == (8, 4)
     for z, row in enumerate(spec.action_bound):
         assert tuple(np.flatnonzero(mask[z])) == row
+    # uneven and narrowed bounds, an empty row, and an index at or above B
+    uneven = _tiny_game(num_states=3, transitions=np.zeros((3, 2, 4, 1), dtype=np.int64),
+                        human_actions=("a", "b", "c", "d"), observation_probs=np.ones((3, 2, 4, 1)),
+                        margins=np.array([1.0, 2.0, -1.0]), action_bound=((1,), (0, 2, 3), ()))
+    assert uneven.bound_mask.tolist() == [[False, True, False, False], [True, False, True, True], [False] * 4]
+    assert not uneven.bound_mask.flags.writeable
+    narrowed = build_chain(6, 3, 1).game
+    assert [tuple(np.flatnonzero(row)) for row in narrowed.bound_mask] == list(narrowed.action_bound)
+    with pytest.raises(IndexError):
+        _ = _tiny_game(action_bound=((0, 2), (1,))).bound_mask
 
 
 def test_arrays_are_readonly():
@@ -249,3 +262,97 @@ def test_validate_samples_when_joint_space_is_large(monkeypatch):
 
     clean = validate_model(spec, _mirror_gt(spec))
     assert clean.ok
+
+
+def _reference_ground_truth_items(spec, gt):
+    """The ground-truth items of ``validate_model``, checked one tuple and one failure pair at a time."""
+    ns, nh, na, nb = gt.num_world_states, gt.num_human_states, spec.num_ai_actions, spec.num_human_actions
+    if ns * nh * na * nb <= haig.model.COMMUTATION_EXHAUSTIVE_LIMIT:
+        tuples = ((s, h, a, b) for s in range(ns) for h in range(nh) for a in range(na) for b in range(nb))
+    else:
+        stream = SplitMix64(haig.model.COMMUTATION_SEED)
+        tuples = [
+            (stream.randint(ns), stream.randint(nh), stream.randint(na), stream.randint(nb))
+            for _ in range(haig.model.COMMUTATION_SAMPLES)
+        ]
+    items = []
+    for s, h, a, b in tuples:
+        z = int(gt.projection[s, h])
+        o = int(gt.ai_observation[s, a, b])
+        if spec.observation_probs[z, a, b, o] <= 0.0:
+            items.append(ValidationItem(
+                "error", "induced-observation",
+                f"ground truth induces observation {o} at (s={s}, zh={h}, a_ai={a}, a_h={b}) "
+                f"but the model gives it probability 0 at z={z}",
+            ))
+            continue
+        s2 = int(gt.world_transitions[s, a, b])
+        h2 = int(gt.human_transitions[h, a, b, int(gt.human_observation[s])])
+        projected = int(gt.projection[s2, h2])
+        modeled = int(spec.transitions[z, a, b, o])
+        if projected != modeled:
+            items.append(ValidationItem(
+                "error", "commutation",
+                f"projection does not commute at (s={s}, zh={h}, a_ai={a}, a_h={b}): "
+                f"ground truth steps to state {projected}, model steps to {modeled}",
+            ))
+    for s in range(ns):
+        for h in range(nh):
+            if gt.failure[s, h] and spec.margins[int(gt.projection[s, h])] >= 0.0:
+                items.append(ValidationItem(
+                    "warning", "privileged-failure-unsound",
+                    f"privileged failure (s={s}, zh={h}) projects to state "
+                    f"{int(gt.projection[s, h])} with non-negative margin",
+                ))
+    return tuple(items)
+
+
+def _mutated_ground_truths(count, seed):
+    """(spec, ground truth) pairs whose world dynamics, projection, AI observations and failures are mutated.
+
+    Every second game has a second observation that some rows give probability 0, and every third
+    one two human states with random dynamics and observations.
+    """
+    rng = np.random.default_rng(seed)
+    docs = [build_chain(5), build_chain(6, 3, 1), build_chain(12, 2, 1), build_dialogue(True)]
+    for i in range(count):
+        doc = docs[i % len(docs)]
+        spec, gt = doc.game, doc.ground_truth
+        if i % 2:
+            p = rng.choice([0.0, 0.5, 1.0], size=spec.transitions.shape[:3])
+            trans = np.repeat(spec.transitions, 2, axis=3)
+            trans[..., 1] = rng.integers(0, spec.num_states, size=p.shape)
+            spec = replace(spec, observations=("ping", "pong"), transitions=trans,
+                           observation_probs=np.stack([p, 1.0 - p], axis=3))
+            ai_obs = (p == 0.0).astype(np.int64)  # the one positive observation where a row has one
+            world = np.take_along_axis(trans, ai_obs[..., None], axis=3)[..., 0]
+            gt = replace(gt, world_transitions=world, ai_observation=ai_obs)
+        if i % 3 == 0:
+            na, nb = spec.num_ai_actions, spec.num_human_actions
+            gt = replace(gt, num_human_states=2, num_human_observations=2,
+                         human_transitions=rng.integers(0, 2, size=(2, na, nb, 2)),
+                         human_observation=rng.integers(0, 2, size=gt.num_world_states),
+                         failure=np.repeat(gt.failure, 2, axis=1), projection=np.repeat(gt.projection, 2, axis=1))
+        sizes = {"world_transitions": gt.num_world_states, "projection": spec.num_states,
+                 "ai_observation": spec.num_observations, "failure": 2}
+        changed = {}
+        for name in rng.choice(sorted(sizes), size=rng.integers(1, 4)):
+            arr = changed.get(name, getattr(gt, name)).copy()
+            at = rng.integers(0, arr.size, size=rng.integers(1, arr.size // 4 + 2))
+            arr.reshape(-1)[at] = rng.integers(0, sizes[name], size=at.size)
+            changed[name] = arr
+        yield spec, replace(gt, **changed)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_validation_reports_match_the_per_tuple_reference(monkeypatch, sampled):
+    """Every item of the report, in order, on mutated ground truths, exhaustively checked or sampled."""
+    if sampled:
+        monkeypatch.setattr(haig.model, "COMMUTATION_EXHAUSTIVE_LIMIT", 0)
+        monkeypatch.setattr(haig.model, "COMMUTATION_SAMPLES", 300)
+    codes = set()
+    for spec, gt in _mutated_ground_truths(100, seed=5):
+        items = validate_model(spec, gt).items
+        assert items == _reference_ground_truth_items(spec, gt)
+        codes.update(item.code for item in items)
+    assert codes == {"commutation", "induced-observation", "privileged-failure-unsound"}

@@ -27,7 +27,7 @@ from haig import (
 from haig import specfile
 from haig.solver import solution_payload, value_iteration
 from haig.specfile import (
-    MAX_JOINT_ENTRIES, _boolean, _game_payload, _ground_truth_payload, _integer, _number, _read_per_leaf,
+    MAX_JOINT_ENTRIES, _boolean, _game_payload, _ground_truth_payload, _integer, _number,
     _Resolver, canonical_json,
 )
 from test_acceptance import _oracle_corpus, _scenario_docs, _stochastic_corpus, _verify_corpus
@@ -551,7 +551,9 @@ def test_typed_parse_reads_well_formed_arrays():
         (gt["privileged_failure"], (8, 1), _boolean, bool),
     ]
     for nodes, shape, read, dtype in cases:
-        fast = specfile._read_typed(nodes, shape, read)
-        slow = _read_per_leaf(nodes, shape, "x", read, dtype)
+        leaves = np.array(nodes, dtype=object).ravel().tolist()
+        assert len(leaves) == np.prod(shape)
+        fast = specfile._read_typed(leaves, read)
+        slow = np.array([read(value, "x") for value in leaves], dtype=dtype)
         assert fast is not None and fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes()
     assert specfile._bound_typed(game["action_bound"], _Resolver("human action", 4, None)) is not None
