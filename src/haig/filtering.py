@@ -26,7 +26,8 @@ read them.  A state is certified when some action scores >= 0 (then the
 fallback, the argmax, does too); ``_certified`` is that rule, and
 ``verify_safety`` reads it as well.  ``filter_action`` reports each
 decision as an ``InterventionRecord``, a named tuple whose six fields open
-every rollout step record (``harness.RolloutStep``).
+the step records that a rollout trace builds when its ``steps`` are read
+(``harness.RolloutStep``); the trace itself keeps the two tables.
 ``pluggable_monitor`` is a standalone tool for comparing monitors: the
 solved table ("critic") and a bounded rollout against the stored
 worst-case human ("rollout"), which for deterministic games agrees in
@@ -54,7 +55,8 @@ class InterventionRecord(NamedTuple):
     """The filter's decision for one proposed task action at step ``t``.
 
     An immutable tuple: built positionally or by keyword, copied with
-    ``_replace``.  ``harness.RolloutStep`` extends its fields.
+    ``_replace``.  ``harness.RolloutStep``, the record of one step read
+    from a rollout trace, extends its fields.
     """
 
     t: int

@@ -10,57 +10,41 @@ the stream's counter, one numpy block per window; a draw that ``randint``
 may reject ends its window, and that step draws through the scalar stream
 calls, so every trace is the one the scalar calls give step by step.
 
-A rollout trace stores its steps and its end state.  Each step is an
-immutable named tuple, ``RolloutStep``: the filter's decision (the fields
-of ``InterventionRecord``) plus the human's response, built from one
-plain tuple per step.  The summary metrics are derived from the steps,
-and the dynamics are checked once, when ``to_jsonl`` serializes the
-trace.  ``to_jsonl`` writes each step with one format string, byte for
-byte what ``json.dumps(step.to_json_dict(), sort_keys=True,
-allow_nan=False)`` writes.
+A rollout trace is columnar: per step it records only the state, the
+task action, the human action, the observation and, with a ground truth,
+the failure flag.  It keeps the executed-action and score tables of the
+filter that ran, and everything else in a step follows from them and the
+spec.  The summaries are array reductions; ``to_jsonl`` checks the
+dynamics with one gather and writes each distinct (state, task action)
+decision's text once, byte for byte what ``json.dumps(step.to_json_dict(),
+sort_keys=True, allow_nan=False)`` writes per step.  ``steps`` is a view
+that builds a ``RolloutStep`` record only when one is read.
 
 ``verify_safety`` checks the filter's guarantee: from every initial
 state the filter certifies, no reachable state within the given depth has
 a negative margin, for any task-action choice at every step and any
-admissible human response.  On deterministic games under the size limit
-the check enumerates exhaustively (a breadth-first search over reachable
-states; filtering makes the task action's effect a function of the state,
-so state-level memoization loses nothing).  Larger or stochastic games
-fall back to seeded random sequences.  Running it with the filter off is
-the control arm.  Each counterexample is a ``RolloutTrace`` of its path
-to failure, built only for failing paths: monitor scores from the
-solution's ``scores`` table, no ground-truth flags.
-
-Each search costs what its answer needs, and its reports are bit for bit
-those of a plain per-root search and of sequences drawn one after
-another.  Exhaustively, one successor relation, ``_successor_edges``,
-serves every part.  One backward search over its edges finds the roots
-within ``depth`` of a failure; only these run the ordered,
-parent-tracking search, which walks each state's edges in search order
-and decodes ``(z, a_task, a_exec, b, o)`` only along a counterexample's
-path.  Every other root expands its whole ball of radius ``depth - 1``,
-counted with one set union per level.  Sampled sequences run through the
-scalar stream calls, and after a clean run of them in lockstep windows
-with numpy that read their draws in blocks straight off the stream's
-counter.  A window is cut at its first failure or rejected draw in stream
-order, and the scalar calls take over from there.
+admissible human response.  Deterministic games under the size limit are
+searched exhaustively over one successor relation, ``_successor_edges``
+(filtering makes the task action's effect a function of the state, so
+state-level memoization loses nothing); larger or stochastic games fall
+back to seeded random sequences, run through the scalar stream calls or
+in lockstep windows off the stream's counter.  Either way the report is
+bit for bit that of a plain per-root search or of sequences drawn one
+after another.  Running it with the filter off is the control arm.  Each
+counterexample is a ``RolloutTrace`` of its path to failure, without
+ground-truth flags.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
 the others).  One rule, ``_observation_thresholds``, picks every sampled
-observation: sampled verify builds the whole game's table once, for its
-scalar path and its lockstep windows alike, and rollout builds a block's
-thresholds with the block's rows.  Rollout reads a state's executed
-actions and scores, transitions, thresholds, margin and bound from one
-row of plain Python values, built for a block of ``_BLOCK_STATES``
-states at once on the first visit to any of them, the transitions and
-thresholds as flat lists that the block's rows share.  A game of up to a block converts whole, and a
-short rollout on a larger one pays only for the blocks it visits.  Policy
-entries and the ground truth come from per-state views built on a state's
-first visit; the scalar sampled path reads the transitions and thresholds
-from a view of nested lists.  A rollout runs with the garbage collector
-paused: nothing it builds is in a reference cycle, and a collection would
-only rescan what it builds and whatever else the process holds.
+observation.  Rollout reads a state's executed actions, transitions,
+thresholds and bound from one row of plain Python values, built for a
+block of states of about ``_BLOCK_ENTRIES`` joint entries on the first
+visit to any of them: a game of up to a block converts whole, and a short
+rollout on a larger one pays only for the blocks it visits.  A rollout
+runs with the garbage collector paused: nothing it builds is in a
+reference cycle, and a collection would only rescan what it builds and
+whatever else the process holds.
 """
 
 from __future__ import annotations
@@ -69,15 +53,17 @@ import csv
 import gc
 import io
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import floor, isfinite
+from functools import cached_property
+from math import floor
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, PolicyResolutionError
 from .filtering import FILTER_MODES, SWITCH, InterventionRecord, _certified, perfect_filter
-from .model import GameSpec, _int_index
+from .model import GameSpec, _fields_equal, _int_index
 from .rng import SplitMix64, advance, rejection_limit, splitmix_block
 from .solver import (
     DEFAULT_EPSILON,
@@ -128,12 +114,11 @@ _StepFields = NamedTuple("RolloutStep", [
 
 
 class RolloutStep(_StepFields):
-    """The filter's decision at one step, then the human's response to it.
+    """One step as a record: ``InterventionRecord``'s six fields, then the human's response.
 
-    An immutable tuple: ``InterventionRecord``'s six fields, then the
-    human's action, the observation, the margin of ``state``, whether the
-    human left the admissible bound, and the ground-truth failure flag of
-    the step's configuration (``None`` without ground truth).
+    That is the human's action, the observation, the margin of ``state``,
+    whether the human left the admissible bound, and the ground-truth
+    failure flag of the step's configuration (``None`` without ground truth).
     """
 
     __slots__ = ()
@@ -150,52 +135,56 @@ class RolloutStep(_StepFields):
         return record
 
 
-# A step's JSONL line, keys in sorted order: the optional "gt_failure"
-# sorts after "executed_a" and "odd_violation" after "obs".  The floats are
-# filled in by _FloatText.
-_JSONL_LINE = (
-    '{"a_human": %d, "executed_a": %d%s, "intervened": %s, "margin": %s, '
-    '"monitor": %s, "obs": %d%s, "t": %d, "task_a": %d, "z": %d}'
-)
-_GT_FAILURE = {None: "", False: ', "gt_failure": false', True: ', "gt_failure": true'}
-_ODD_VIOLATION = {False: "", True: ', "odd_violation": true'}
-_JSON_BOOL = ("false", "true")
+class _Steps(Sequence):
+    """A trace's steps, each built as a ``RolloutStep`` when it is read; ``len`` builds none."""
+
+    def __init__(self, trace: RolloutTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.z)
+
+    def __getitem__(self, t: int) -> RolloutStep:
+        trace, t = self._trace, range(len(self))[t]
+        z, a_task, b = trace.z[t], trace.a_task[t], trace.b[t]
+        executed = int(trace.executed[z, a_task])
+        return RolloutStep(t, z, a_task, float(trace.scores[z, a_task]), executed != a_task, executed, b,
+                           trace.o[t], float(trace.spec.margins[z]), not trace.spec.bound_mask[z, b],
+                           None if trace.gt_failure is None else trace.gt_failure[t])
 
 
-class _FloatText(dict):
-    """Each step float as ``json`` writes it, kept per value: a trace repeats few values.
-
-    ``float.__repr__`` is ``json``'s float format, so a numpy float prints
-    as ``0.5``, not ``np.float64(0.5)``.  Zeros are not kept, because
-    -0.0 == 0.0 would share one entry.  A value that is not finite raises
-    the error of ``json.dumps(..., allow_nan=False)``.
-    """
-
-    def __missing__(self, x: float) -> str:
-        if not isfinite(x):
-            raise ValueError("Out of range float values are not JSON compliant")
-        text = float.__repr__(x)
-        if x:
-            self[x] = text
-        return text
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RolloutTrace:
-    """A rollout's steps and the state it ended in; also a verify counterexample.
+    """A rollout's columns, its end state and the filter's tables; also a verify counterexample.
 
-    Traces compare by value.  The summaries are derived from the steps.
-    ``min_margin`` and ``violation_count`` range over every visited state,
-    the terminal one included.  ``gt_failure_count`` does the same against
-    the privileged failure set, and is ``None`` when the document has no
-    ground truth.  ``to_jsonl`` checks the steps against the dynamics
-    before it writes.
+    Step ``t`` was at state ``z[t]``, where the task proposed ``a_task[t]``,
+    the human played ``b[t]`` and the AI observed ``o[t]``; ``gt_failure``
+    is ``None`` without ground truth.  The columns are plain lists, and
+    ``steps`` is a view over them.  Traces compare by value.  ``min_margin``
+    and ``violation_count`` range over every visited state, the terminal
+    one included, as ``gt_failure_count`` does against the failure set.
     """
 
     spec: GameSpec
-    steps: tuple[RolloutStep, ...]
+    z: list[int]
+    a_task: list[int]
+    b: list[int]
+    o: list[int]
+    gt_failure: list[bool] | None
     final_state: int
     final_gt_failure: bool | None
+    executed: np.ndarray
+    scores: np.ndarray
+
+    __eq__ = _fields_equal
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """``z``, ``a_task``, ``b`` and ``o`` as arrays, then each step's executed action."""
+        z, a_task, b, o = (np.fromiter(c, np.int64, len(c)) for c in (self.z, self.a_task, self.b, self.o))
+        return z, a_task, b, o, self.executed[z, a_task]
+
+    steps = property(_Steps)
 
     @property
     def final_margin(self) -> float:
@@ -203,52 +192,82 @@ class RolloutTrace:
 
     @property
     def min_margin(self) -> float:
-        return min(*(s.margin_value for s in self.steps), self.final_margin)
+        margins = self.spec.margins[np.append(self._columns[0], self.final_state)]
+        return float(margins[margins.argmin()])  # the first of equal minima: a 0.0/-0.0 tie keeps its sign
 
     @property
     def violation_count(self) -> int:
-        return sum(s.margin_value < 0.0 for s in self.steps) + (self.final_margin < 0.0)
+        return int(np.count_nonzero(self.spec.margins[np.append(self._columns[0], self.final_state)] < 0.0))
 
     @property
     def intervention_count(self) -> int:
-        return sum(s.intervened for s in self.steps)
+        return int(np.count_nonzero(self._columns[4] != self._columns[1]))  # executed != proposed
 
     @property
     def gt_failure_count(self) -> int | None:
         if self.final_gt_failure is None:
             return None
-        return sum(s.gt_failure for s in self.steps) + self.final_gt_failure
+        return int(np.count_nonzero(self.gt_failure)) + self.final_gt_failure
 
     @property
     def odd_violation_steps(self) -> tuple[int, ...]:
-        return tuple(s.t for s in self.steps if s.odd_violation)
+        return tuple(np.flatnonzero(~self.spec.bound_mask[self._columns[0], self._columns[2]]).tolist())
 
     @property
     def intervention_rate(self) -> float:
-        return self.intervention_count / len(self.steps)
+        return self.intervention_count / len(self.z)
 
     def to_jsonl(self) -> bytes:
-        """One JSON object per step, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it."""
+        """One JSON object per step, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it.
+
+        A line joins six pieces of text, picked from small tables by fancy
+        indexing: per ``b``; per (z, a_task) key and ground-truth flag; per
+        ``o`` and odd-violation flag; ``t`` as its hundreds and its last two
+        digits, so that no step formats a number; and per key.
+        """
         self.check_conservation()
-        text = _FloatText()
-        lines = [
-            _JSONL_LINE % (b, a_exec, _GT_FAILURE[gt], _JSON_BOOL[intervened], text[margin],
-                           text[monitor], o, _ODD_VIOLATION[odd], t, a_task, z)
-            for t, z, a_task, monitor, intervened, a_exec, b, o, margin, odd, gt in self.steps
-        ]
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        z, a_task, b, o, _ = self._columns
+        n, na = len(z), self.executed.shape[1]
+        keys, key = np.unique(z * na + a_task, return_inverse=True)
+        key_z, key_a = np.divmod(keys, na)
+        floats = np.concatenate([self.spec.margins[key_z], self.scores[key_z, key_a]], dtype=np.float64)
+        if not np.isfinite(floats).all():  # the error of json.dumps(..., allow_nan=False)
+            raise ValueError("Out of range float values are not JSON compliant")
+        # float.__repr__ is json's float format, called once per distinct bit pattern: -0.0 keeps its sign
+        bits, which = np.unique(floats.view(np.int64), return_inverse=True)
+        floats = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)[which].tolist()
+        flags = ("",) if self.gt_failure is None else (', "gt_failure": false', ', "gt_failure": true')
+        middle = (
+            f'{e}{flag}, "intervened": {("false", "true")[e != a]}, "margin": {margin}, "monitor": {monitor}, "obs": '
+            for e, a, margin, monitor in zip(self.executed[key_z, key_a].tolist(), key_a.tolist(),
+                                             floats[:len(keys)], floats[len(keys):]) for flag in flags)
+        flagged = key if self.gt_failure is None else 2 * key + np.fromiter(self.gt_failure, bool, n)
+        t = np.arange(n)
+        pieces = np.empty((n, 6), dtype=object)
+        pieces[:, 0] = _texts(f'{{"a_human": {k}, "executed_a": ' for k in range(self.spec.num_human_actions))[b]
+        pieces[:, 1] = _texts(middle)[flagged]
+        pieces[:, 2] = _texts(f'{k}{flag}, "t": ' for k in range(self.spec.num_observations)
+                              for flag in ("", ', "odd_violation": true'))[2 * o + ~self.spec.bound_mask[z, b]]
+        pieces[:, 3] = _texts(["", *map(str, range(1, (n - 1) // 100 + 1))])[t // 100]
+        pieces[:, 4] = _texts([*map(str, range(100)), *(f"{k:02d}" for k in range(100))])[t % 100 + 100 * (t >= 100)]
+        pieces[:, 5] = _texts(f', "task_a": {a}, "z": {z}}}\n' for z, a in zip(key_z.tolist(), key_a.tolist()))[key]
+        return "".join(pieces.ravel().tolist()).encode()  # bytes.join would take 80 bytes a piece meanwhile
 
     def check_conservation(self) -> None:
-        """Every consecutive record pair must satisfy the transition function."""
-        rows = _PerState(lambda z: self.spec.transitions[z].tolist())
-        states = [s.state for s in self.steps] + [self.final_state]
-        for step, nxt in zip(self.steps, states[1:]):
-            recomputed = rows[step.state][step.executed_action][step.human_action][step.observation]
-            if recomputed != nxt:
-                raise RuntimeError(
-                    f"trace violates the dynamics at t={step.t}: "
-                    f"recorded successor {nxt}, dynamics give {recomputed}"
-                )
+        """Every step's successor under the dynamics must be the next recorded state."""
+        z, _, b, o, executed = self._columns
+        successors = self.spec.transitions[z, executed, b, o]
+        recorded = np.append(z[1:], self.final_state)
+        bad = np.flatnonzero(successors != recorded)
+        if len(bad):
+            t = bad[0]
+            raise RuntimeError(f"trace violates the dynamics at t={t}: "
+                               f"recorded successor {recorded[t]}, dynamics give {successors[t]}")
+
+
+def _texts(items) -> np.ndarray:
+    """Strings as an object array, for fancy indexing."""
+    return np.array(list(items), dtype=object)
 
 
 def summary_csv(traces) -> str:
@@ -370,17 +389,13 @@ def _observation_thresholds(probs: np.ndarray) -> np.ndarray:
     return thresholds
 
 
-def _dynamics(spec: GameSpec, thresholds: np.ndarray):
-    """fn(z) -> the state's transitions and observation thresholds as lists, ``[a][b][o]``."""
-    return lambda z: (spec.transitions[z].tolist(), thresholds[z].tolist())
-
-
 # steps whose draws one block off the stream's counter holds, at most: a window's draws
 # and columns take about 100 kB, and larger windows save little time per step
 _WINDOW_STEPS = 1024
-# states whose rows a rollout builds at once: a game this small converts whole, on the first
-# step, and a larger one only the blocks its rollout visits
-_BLOCK_STATES = 4096
+# (z, a, b, o) entries whose rows a rollout builds at once, in blocks of whole states: a game
+# this small, every bench game among them, converts whole on the first step, and a larger one
+# only the blocks its rollout visits
+_BLOCK_ENTRIES = 1 << 14
 
 
 def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> RolloutTrace:
@@ -393,15 +408,9 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     draws through the scalar stream calls, which skip a rejected draw as
     ``randint`` does, and the next window starts at that stream's counter.
 
-    The cyclic garbage collector is paused meanwhile, and resumed after if
-    it was running.  A rollout builds a step object per step and a row per
-    state of each block it visits, none of them in a reference cycle.
-    With the collector running, every few hundred of them would set off a
-    young collection that only moves them on, and every few rollouts a
-    full collection would rescan everything the process holds: a rollout
-    would cost more the more the process holds besides, and more in one
-    call than the next by chance.  The one young collection they are due
-    runs at the caller's next allocation, over what is still alive then.
+    The garbage collector is paused meanwhile, and resumed after if it was
+    running: the rows a rollout builds are in no reference cycle, and
+    collections would only rescan them and all else the process holds.
     """
     running = gc.isenabled()
     gc.disable()
@@ -428,27 +437,26 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
     off_odd = config.human_policy == "off_odd"
     bound, num_ai, nh, no = spec.action_bound, spec.num_ai_actions, spec.num_human_actions, spec.num_observations
     width = num_ai * nh * no
+    block = max(1, _BLOCK_ENTRIES // width)  # states per block
 
     rows = [None] * spec.num_states
     tasks_at = None if task is None else _PerState(task)
     humans_at = None if human is None else _PerState(human)
 
     def fill(j):
-        # a block of states' rows, built at once: each state's decisions, margin and bound, and the
+        # a block of states' rows, built at once: each state's executed actions and bound, and the
         # block's transitions and observation thresholds as flat lists, in which its i-th state's
         # (a, b, o) entry is at i * width + (a * nh + b) * no + o
-        states = slice(j * _BLOCK_STATES, (j + 1) * _BLOCK_STATES)
+        states = slice(j * block, (j + 1) * block)
         trans = spec.transitions[states].ravel().tolist()
         thresholds_j = _observation_thresholds(spec.observation_probs[states]).ravel().tolist()
         rows[states] = [
-            (executed_z, scores_z, trans, thresholds_j, i * width, margin, bound_z)
-            for i, (executed_z, scores_z, margin, bound_z) in enumerate(zip(
-                flt.executed[states].tolist(), flt.scores[states].tolist(), spec.margins[states].tolist(),
-                bound[states]))
+            (executed_z, trans, thresholds_j, i * width, bound_z)
+            for i, (executed_z, bound_z) in enumerate(zip(flt.executed[states].tolist(), bound[states]))
         ]
 
     z = _resolve_state(spec, config.initial_state)
-    gt = doc.ground_truth
+    gt, gt_state = doc.ground_truth, None
     if gt is not None:
         gt_state = _initial_ground_truth(doc, z)
         # per-state rows as lists, built on first visit: [s][h], [s], [s][a][b], [h][a][b][o]
@@ -456,8 +464,6 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
         gt_observation = gt.human_observation.tolist()
         gt_world = _PerState(lambda s: gt.world_transitions[s].tolist())
         gt_human = _PerState(lambda h: gt.human_transitions[h].tolist())
-    else:
-        gt_state = None
 
     # a step's draws: the task draw if it draws, the human draw if it draws, the observation draw;
     # a draw above its column's largest kept value may be rejected
@@ -468,8 +474,8 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
     largest = np.array(largest + [(1 << 64) - 1], dtype=np.uint64)
     draws = len(largest)
     counter = SplitMix64(config.seed).counter
-    steps: list[RolloutStep] = []
-    new_step = tuple.__new__  # a RolloutStep without the named tuple's Python-level __new__
+    zs, task_actions, human_actions, observations = [], [], [], []
+    gt_failures = None if gt_state is None else []
     t = 0
     cut = False  # whether the next step takes its draws through the scalar stream calls
     while t < config.max_steps:
@@ -496,9 +502,9 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
         for i in range(n):
             row = rows[z]
             if row is None:
-                fill(z // _BLOCK_STATES)
+                fill(z // block)
                 row = rows[z]
-            executed_z, scores_z, trans, thresholds_z, base, margin, bound_z = row
+            executed_z, trans, thresholds_z, base, bound_z = row
             a_task = tasks[i] if task is None else tasks_at[z]
             executed = executed_z[a_task]
             if uniform:
@@ -507,8 +513,7 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
                 b = script[t % len(script)]
             else:
                 b = humans_at[z][executed]
-            in_bound = b in bound_z
-            if not in_bound and not off_odd:
+            if not off_odd and b not in bound_z:
                 raise ValueError(
                     f"human policy {config.human_policy!r} left the admissible bound at t={t}; "
                     "use the off_odd policy to simulate non-compliant humans"
@@ -516,22 +521,23 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
 
             lo = base + (executed * nh + b) * no
             k = bisect_right(thresholds_z, us[i], lo, lo + no)
-            o = k - lo
-            gt_failed = None
             if gt_state is not None:
                 s, h = gt_state
-                gt_failed = gt_failure[s][h]
+                gt_failures.append(gt_failure[s][h])
                 gt_state = gt_world[s][executed][b], gt_human[h][executed][b][gt_observation[s]]
-
-            steps.append(new_step(RolloutStep, (t, z, a_task, scores_z[a_task], executed != a_task, executed,
-                                                b, o, margin, not in_bound, gt_failed)))
+            zs.append(z)
+            task_actions.append(a_task)
+            human_actions.append(b)
+            observations.append(k - lo)
             z = trans[k]
             t += 1
 
     final_gt_failure = None
     if gt_state is not None:
         final_gt_failure = gt_failure[gt_state[0]][gt_state[1]]
-    return RolloutTrace(spec=spec, steps=tuple(steps), final_state=z, final_gt_failure=final_gt_failure)
+    return RolloutTrace(spec=spec, z=zs, a_task=task_actions, b=human_actions, o=observations,
+                        gt_failure=gt_failures, final_state=z, final_gt_failure=final_gt_failure,
+                        executed=flt.executed, scores=flt.scores)
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +621,9 @@ def verify_safety(
     Exhaustive mode (deterministic games with at most ``exhaustive_limit``
     joint entries) searches breadth-first from each certified root and
     stops at the first failure state it meets; ``expanded`` sums the states
-    expanded.  It reads only the edges of ``_successor_edges``.  One
-    backward search from the failure states finds the roots within
-    ``depth`` of one, and only those run the ordered search that builds a
-    counterexample.  Any other root expands every state within
-    ``depth - 1`` steps, so its count is the size of that ball, grown by
-    set unions.
+    expanded.  Only the roots within ``depth`` of a failure, found by one
+    backward search, run the ordered search that builds a counterexample;
+    any other root counts the states within ``depth - 1`` steps.
 
     Sampled mode draws ``max(1, samples // len(certified))`` random
     sequences per root, roots in order, from one SplitMix64 stream seeded
@@ -726,9 +729,8 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
                 k = parent[z]
                 z = int(src[k])
                 a_task, b = divmod(int(via[k]), nb)
-                a_exec = int(executed[z, a_task])
-                path.append((z, a_task, a_exec, b, int(spec.observation_probs[z, a_exec, b].argmax())))
-            found.append(_counterexample(sol, path[::-1], hit))
+                path.append((z, a_task, b, int(spec.observation_probs[z, executed[z, a_task], b].argmax())))
+            found.append(_counterexample(sol, executed, path[::-1], hit))
 
 
 _LOCKSTEP_MIN = 32  # clean sequences in a row before the first window, and its size
@@ -804,8 +806,7 @@ class _Lockstep:
             return live, None
         path = []
         for z, a, row, o, _ in steps[:failed + 1]:
-            r = int(row[live])
-            path.append((int(z[live]), int(a[live]), r // nb % na, r % nb, int(o[live])))
+            path.append((int(z[live]), int(a[live]), int(row[live]) % nb, int(o[live])))
         return live, (path, int(steps[failed][4][live]))
 
 
@@ -827,7 +828,9 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
     """
     spec = sol.spec
     thresholds = _observation_thresholds(spec.observation_probs)
-    num_ai, bound, dynamics = spec.num_ai_actions, spec.action_bound, _PerState(_dynamics(spec, thresholds))
+    num_ai, bound = spec.num_ai_actions, spec.action_bound
+    # each state's transitions and observation thresholds as lists, [a][b][o]
+    dynamics = _PerState(lambda z: (spec.transitions[z].tolist(), thresholds[z].tolist()))
     exec_rows = executed.tolist()
     unsafe = (spec.margins < 0.0).tolist()
     total = len(roots) * per_state
@@ -850,10 +853,10 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
                 b = stream.choice(bound[z])
                 trans, rows = dynamics[z]
                 o = bisect_right(rows[a_exec][b], stream.uniform())
-                path.append((z, a_task, a_exec, b, o))
+                path.append((z, a_task, b, o))
                 z = trans[a_exec][b][o]
                 if unsafe[z]:
-                    found.append(_counterexample(sol, path, z))
+                    found.append(_counterexample(sol, executed, path, z))
                     start = (start // per_state + 1) * per_state
                     run = 0
                     break
@@ -872,7 +875,7 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
         start += clean
         draws = clean * depth
         if failure is not None:
-            found.append(_counterexample(sol, *failure))
+            found.append(_counterexample(sol, executed, *failure))
             start = (start // per_state + 1) * per_state
             draws += len(failure[0])
         stream = SplitMix64(advance(counter, 3 * draws))
@@ -882,15 +885,11 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
             size = min(4 * size, largest)
 
 
-def _counterexample(sol: ValueSolution, path: list[tuple], final_state: int) -> RolloutTrace:
-    """The trace of a path to failure, each step given as ``(z, a_task, a_exec, b, o)``."""
-    margins = sol.spec.margins
-    steps = tuple(
-        RolloutStep(t, z, a_task, float(sol.scores[z, a_task]), a_exec != a_task, a_exec,
-                    b, o, float(margins[z]), False, None)
-        for t, (z, a_task, a_exec, b, o) in enumerate(path)
-    )
-    return RolloutTrace(spec=sol.spec, steps=steps, final_state=final_state, final_gt_failure=None)
+def _counterexample(sol: ValueSolution, executed: np.ndarray, path: list[tuple], final_state: int) -> RolloutTrace:
+    """The trace of a path to failure under the ``executed`` table, each step given as ``(z, a_task, b, o)``."""
+    z, a_task, b, o = map(list, zip(*path))
+    return RolloutTrace(spec=sol.spec, z=z, a_task=a_task, b=b, o=o, gt_failure=None, final_state=final_state,
+                        final_gt_failure=None, executed=executed, scores=sol.scores)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from haig import (
     value_iteration,
     verify_safety,
 )
-from haig.filtering import InterventionRecord
+from haig.filtering import InterventionRecord, filter_action
 from haig.harness import RolloutStep, VerificationReport
 from haig.rng import SplitMix64, splitmix_block
 from test_filtering import _signed_zero_chain, one_hot_observations, reference_table
@@ -206,14 +207,12 @@ def test_trace_flags_appear_only_when_set():
 
 def test_tampered_trace_fails_conservation():
     trace = rollout(_chain_cfg(max_steps=3))
-    bad_steps = list(trace.steps)
-    bad_steps[1] = bad_steps[1]._replace(state=5)
-    tampered = RolloutTrace(
-        spec=trace.spec, steps=tuple(bad_steps), final_state=trace.final_state,
-        final_gt_failure=trace.final_gt_failure,
-    )
-    with pytest.raises(RuntimeError, match="dynamics"):
+    assert trace.z[1] != 5
+    tampered = replace(trace, z=[trace.z[0], 5, *trace.z[2:]])
+    with pytest.raises(RuntimeError, match="dynamics at t=0: recorded successor 5, dynamics give 3"):
         tampered.to_jsonl()
+    with pytest.raises(RuntimeError, match="dynamics at t=2: recorded successor 0, dynamics give 3"):
+        replace(trace, final_state=0).to_jsonl()
 
 
 def _reference_jsonl(trace):
@@ -248,12 +247,15 @@ def test_jsonl_matches_the_json_module():
 
 
 def test_jsonl_refuses_non_finite_floats():
+    """A non-finite monitor score or margin at a visited step, in the filter's table or the spec."""
     trace = rollout(_chain_cfg(max_steps=3))
-    for field in ("monitor_value", "margin_value"):
-        for value in (float("nan"), float("inf"), -float("inf")):
-            steps = list(trace.steps)
-            steps[1] = steps[1]._replace(**{field: value})
-            bad = RolloutTrace(trace.spec, tuple(steps), trace.final_state, trace.final_gt_failure)
+    z, a_task = trace.z[1], trace.a_task[1]
+    for value in (float("nan"), float("inf"), -float("inf")):
+        scores = trace.scores.copy()
+        scores[z, a_task] = value
+        margins = trace.spec.margins.copy()
+        margins[z] = value
+        for bad in (replace(trace, scores=scores), replace(trace, spec=replace(trace.spec, margins=margins))):
             with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
                 _reference_jsonl(bad)
             with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
@@ -261,13 +263,19 @@ def test_jsonl_refuses_non_finite_floats():
 
 
 def test_jsonl_prints_numpy_floats_as_json_does():
+    """A float32 score table's -0.0 and 0.1 and a float64 margin print as ``json`` prints them."""
     trace = rollout(_chain_cfg(max_steps=3))
-    steps = list(trace.steps)
-    steps[0] = steps[0]._replace(margin_value=np.float64(0.5), monitor_value=np.float64(-0.0))
-    hand_built = RolloutTrace(trace.spec, tuple(steps), trace.final_state, trace.final_gt_failure)
-    blob = hand_built.to_jsonl()
-    assert blob == _reference_jsonl(hand_built)
-    assert b'"margin": 0.5, "monitor": -0.0,' in blob.splitlines()[0]
+    z, a_task = trace.z[0], trace.a_task[0]
+    margins = trace.spec.margins.copy()
+    margins[z] = 0.5
+    for value, text in ((-0.0, b"-0.0"), (0.1, b"0.10000000149011612")):
+        scores = trace.scores.astype(np.float32)
+        scores[z, a_task] = value
+        hand_built = replace(trace, spec=replace(trace.spec, margins=margins), scores=scores)
+        blob = hand_built.to_jsonl()
+        assert blob == _reference_jsonl(hand_built)
+        assert b'"margin": 0.5, "monitor": ' + text + b"," in blob.splitlines()[0]
+        assert all(type(s.monitor_value) is float and type(s.margin_value) is float for s in hand_built.steps)
 
 
 def _replayed_summaries(doc, trace):
@@ -341,6 +349,61 @@ def test_trace_summaries_match_a_replay_of_the_steps():
             for step in trace.steps:
                 assert InterventionRecord.to_json_dict(step).items() <= step.to_json_dict().items()
     assert {"0.0", "-0.0", "-1.0"} <= signs
+
+
+def _view_cases():
+    """Rollouts with a ground truth, with an off-bound human, and with three observations, and their configs."""
+    odd = build_chain(5, human_reach=3, odd_reach=1)
+    stochastic = random_game(11, states=30, observations=3, failure_fraction=0.1)
+    for doc, human, start in ((build_chain(5), "uniform", 4), (odd, "off_odd", 3), (stochastic, "uniform", 0)):
+        sol = value_iteration(doc.game)
+        for mode in FILTER_MODES:
+            yield RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode=mode,
+                                initial_state=start, max_steps=150, seed=8), sol
+
+
+def test_len_and_summaries_build_no_step_records(monkeypatch):
+    """``len(trace.steps)``, every summary and ``to_jsonl`` read the columns; reading a step builds one record."""
+    built = []
+
+    class Counted(RolloutStep):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields[0])
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(haig.harness, "RolloutStep", Counted)
+    for cfg, sol in _view_cases():
+        trace = rollout(cfg, sol)
+        assert len(trace.steps) == cfg.max_steps
+        for name in ("final_margin", "min_margin", "violation_count", "intervention_count", "gt_failure_count",
+                     "odd_violation_steps", "intervention_rate"):
+            getattr(trace, name)
+        summary_csv([trace])
+        trace.to_jsonl()
+        assert built == []
+        assert type(trace.steps[-1]) is Counted and built == [cfg.max_steps - 1]
+        assert len(list(trace.steps)) == cfg.max_steps and len(built) == cfg.max_steps + 1
+        built.clear()
+
+
+def test_steps_view_equals_the_reference_steps():
+    """The view, read in order, by index and reversed, is the reference rollout's steps; the summaries are a replay's."""
+    for cfg, sol in _view_cases():
+        trace = rollout(cfg, sol)
+        expected = _reference_rollout(cfg, sol)
+        steps = trace.steps
+        assert len(steps) == len(expected.steps)
+        assert repr(tuple(steps)) == repr(expected.steps)
+        for t in range(-len(steps), len(steps)):
+            assert steps[t] == expected.steps[t] and type(steps[t]) is RolloutStep
+        assert list(reversed(steps)) == list(reversed(expected.steps))
+        with pytest.raises(IndexError):
+            steps[len(steps)]
+        assert (trace.final_state, trace.final_gt_failure) == (expected.final_state, expected.final_gt_failure)
+        expected_summaries = _replayed_summaries(cfg.document, trace)
+        assert {name: repr(getattr(trace, name)) for name in expected_summaries} == expected_summaries
 
 
 def test_summary_csv():
@@ -435,14 +498,12 @@ def _certified_states(sol):
     )
 
 
-def _reference_trace(spec, scores, path, final_state):
-    """A counterexample trace from ``(z, a_task, a_exec, b, o)`` steps and ``reference_table`` scores."""
-    steps = tuple(
-        RolloutStep(t, z, a_task, scores[z][a_task], a_exec != a_task, a_exec,
-                    b, o, float(spec.margins[z]), False, None)
-        for t, (z, a_task, a_exec, b, o) in enumerate(path)
-    )
-    return RolloutTrace(spec, steps, final_state, None)
+def _reference_trace(spec, executed, scores, path, final_state):
+    """A counterexample trace from ``(z, a_task, a_exec, b, o)`` steps and ``reference_table``'s decisions."""
+    assert all(a_exec == executed[z][a_task] for z, a_task, a_exec, _, _ in path)
+    z, a_task, _, b, o = (list(column) for column in zip(*path))
+    return RolloutTrace(spec=spec, z=z, a_task=a_task, b=b, o=o, gt_failure=None, final_state=final_state,
+                        final_gt_failure=None, executed=np.array(executed), scores=np.array(scores))
 
 
 def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
@@ -498,7 +559,7 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
             while parent[z] is not None:
                 path.append(parent[z])
                 z = parent[z][0]
-            counterexamples.append(_reference_trace(spec, scores, path[::-1], hit))
+            counterexamples.append(_reference_trace(spec, executed, scores, path[::-1], hit))
     return report(), False
 
 
@@ -540,7 +601,7 @@ def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
                 path.append((z, a_task, a_exec, b, o))
                 z = int(spec.transitions[z, a_exec, b, o])
                 if spec.margins[z] < 0.0:
-                    counterexamples.append(_reference_trace(spec, scores, path, z))
+                    counterexamples.append(_reference_trace(spec, executed, scores, path, z))
                     break
             else:
                 continue
@@ -854,17 +915,25 @@ def test_pinned_traces_in_small_windows(monkeypatch, window):
         assert hashlib.sha256(rollout(cfg).to_jsonl()).hexdigest() == digest
 
 
+class _ReferenceTrace(NamedTuple):
+    steps: tuple[RolloutStep, ...]
+    final_state: int
+    final_gt_failure: bool | None
+
+
 def _reference_rollout(cfg, sol, rejections=None):
-    """The rollout as a plain per-step loop over the scalar stream definition and ``reference_table``.
+    """The rollout as a plain per-step loop over the scalar stream definition and ``filter_action`` calls.
 
     A step draws the task action if it is "random", the human action if it
     is "uniform", then the observation; each integer draw skips raw draws
     at or above ``rejection_limit``, and the step of each skipped draw is
-    appended to ``rejections``.  Start states are indices.
+    appended to ``rejections``.  Start states are indices.  Returns the
+    steps as records, not a ``RolloutTrace``: ``_reference_jsonl`` writes
+    them one ``json.dumps`` at a time.
     """
     doc = cfg.document
     spec, gt = doc.game, doc.ground_truth
-    executed, scores = reference_table(sol, cfg.filter_mode)
+    flt = perfect_filter(sol, cfg.filter_mode)
     stream = _ScalarSplitMix64(cfg.seed)
 
     def randint(n):
@@ -883,7 +952,7 @@ def _reference_rollout(cfg, sol, rejections=None):
     steps = []
     for t in range(cfg.max_steps):
         a_task = randint(spec.num_ai_actions) if cfg.task_policy == "random" else int(cfg.task_policy[9:])
-        a_exec = executed[z][a_task]
+        a_exec, record = filter_action(flt, z, a_task, t=t)
         bound = spec.action_bound[z]
         if kind == "uniform":
             b = bound[randint(len(bound))]
@@ -908,10 +977,9 @@ def _reference_rollout(cfg, sol, rejections=None):
             gt_failed = bool(gt.failure[s, h])
             o_h = gt.human_observation[s]
             s, h = int(gt.world_transitions[s, a_exec, b]), int(gt.human_transitions[h, a_exec, b, o_h])
-        steps.append(RolloutStep(t, z, a_task, scores[z][a_task], a_exec != a_task, a_exec,
-                                 b, o, float(spec.margins[z]), b not in bound, gt_failed))
+        steps.append(RolloutStep(*record, b, o, float(spec.margins[z]), b not in bound, gt_failed))
         z = int(spec.transitions[z, a_exec, b, o])
-    return RolloutTrace(spec, tuple(steps), z, None if gt is None else bool(gt.failure[s, h]))
+    return _ReferenceTrace(tuple(steps), z, None if gt is None else bool(gt.failure[s, h]))
 
 
 def _three_action_game():
@@ -952,7 +1020,7 @@ def test_rollout_on_a_planted_rejected_draw(monkeypatch, task, human, draws, pla
         rejections = []
         expected = _reference_rollout(cfg, sol, rejections)
         assert rejections == [step]
-        assert rollout(cfg, sol).to_jsonl() == expected.to_jsonl()
+        assert rollout(cfg, sol).to_jsonl() == _reference_jsonl(expected)
 
 
 @pytest.mark.parametrize("window", [None, 1, 7])
@@ -972,7 +1040,7 @@ def test_rollouts_match_the_scalar_reference(monkeypatch, window):
                 cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode=mode,
                                     initial_state=start, max_steps=60, seed=seed)
                 rejections = []
-                assert rollout(cfg, sol).to_jsonl() == _reference_rollout(cfg, sol, rejections).to_jsonl()
+                assert rollout(cfg, sol).to_jsonl() == _reference_jsonl(_reference_rollout(cfg, sol, rejections))
                 rejected += len(rejections)
     assert rejected > 50
 
@@ -989,7 +1057,7 @@ def test_rollouts_match_the_scalar_reference(monkeypatch, window):
             cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode=mode,
                                 initial_state=start, max_steps=80, seed=11)
             rejections = []
-            assert rollout(cfg, sol).to_jsonl() == _reference_rollout(cfg, sol, rejections).to_jsonl()
+            assert rollout(cfg, sol).to_jsonl() == _reference_jsonl(_reference_rollout(cfg, sol, rejections))
             adjacent += sum(t2 == t1 + 1 for t1, t2 in zip(rejections, rejections[1:]))
     assert adjacent > 100
 
@@ -997,20 +1065,24 @@ def test_rollouts_match_the_scalar_reference(monkeypatch, window):
 @pytest.mark.parametrize("block", [1, 7])
 def test_rollouts_in_small_state_blocks(monkeypatch, block):
     """The spec's rows read a block of one or seven states at a time: the pinned traces and the scalar reference."""
-    monkeypatch.setattr(haig.harness, "_BLOCK_STATES", block)
+
+    def blocks_of(doc):
+        monkeypatch.setattr(haig.harness, "_BLOCK_ENTRIES", block * doc.game.transitions[0].size)
+        return doc
+
     cases = [(case, 40, 17) for case in _PINNED_TRACES] + [(case, 2500, 29) for case in _PINNED_LONG_TRACES]
     for (mode, human, build, start, digest), steps, seed in cases:
-        cfg = RolloutConfig(document=build(), task_policy="random", human_policy=human,
+        cfg = RolloutConfig(document=blocks_of(build()), task_policy="random", human_policy=human,
                             filter_mode=mode, initial_state=start, max_steps=steps, seed=seed)
         assert hashlib.sha256(rollout(cfg).to_jsonl()).hexdigest() == digest
     # a 41-state chain with a ground truth and bounds narrower than the human's reach, walked across its blocks
     for doc, start in ((build_chain(40, 3, 1), 20), (_three_action_game(), 2)):
-        sol = value_iteration(doc.game)
+        sol = value_iteration(blocks_of(doc).game)
         for human in ("uniform", "worst_case", "off_odd"):
             for mode in FILTER_MODES:
                 cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode=mode,
                                     initial_state=start, max_steps=300, seed=5)
-                assert rollout(cfg, sol).to_jsonl() == _reference_rollout(cfg, sol).to_jsonl()
+                assert rollout(cfg, sol).to_jsonl() == _reference_jsonl(_reference_rollout(cfg, sol))
 
 
 def test_rollout_runs_with_the_collector_paused(monkeypatch):
@@ -1070,47 +1142,74 @@ class _RowLog(np.ndarray):
 
 
 def test_a_short_rollout_reads_only_the_blocks_it_visits(monkeypatch):
-    """Read counts, not timings: a 20-step rollout on a 40001-state chain reads the decisions of its states' blocks."""
-    reads = []
+    """Read counts, not timings: a 20-step rollout on a 40001-state chain reads its blocks' executed actions.
+
+    A block's rows hold no scores: the rollout never reads the filter's score table.
+    """
+    reads = {"executed": [], "scores": []}
 
     def logged(sol, intervention):
         flt = perfect_filter(sol, intervention)
         tables = {}
-        for name in ("executed", "scores"):
+        for name, log in reads.items():
             tables[name] = getattr(flt, name).view(_RowLog)
-            tables[name].rows = reads
+            tables[name].rows = log
         return replace(flt, **tables)
 
     monkeypatch.setattr(haig.harness, "perfect_filter", logged)
     doc = build_chain(40000)
     sol = value_iteration(doc.game)
-    size = haig.harness._BLOCK_STATES
+    size = haig.harness._BLOCK_ENTRIES // doc.game.transitions[0].size
     assert doc.game.num_states > 4 * size
     for human in ("uniform", "worst_case"):
-        reads.clear()
+        for log in reads.values():
+            log.clear()
         cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode="switch",
                             initial_state=20000, max_steps=20, seed=4)
-        blocks = {s.state // size for s in rollout(cfg, sol).steps}
-        assert sorted((key.start, key.stop) for key in reads) == sorted([(j * size, (j + 1) * size) for j in blocks] * 2)
+        blocks = {z // size for z in rollout(cfg, sol).z}
+        assert sorted((key.start, key.stop) for key in reads["executed"]) == sorted(
+            (j * size, (j + 1) * size) for j in blocks)
+        assert reads["scores"] == []
 
 
-def test_a_short_rollout_builds_observation_thresholds_per_block(monkeypatch):
-    """The thresholds come from probability blocks of at most ``_BLOCK_STATES`` states, not from the whole game."""
-    lengths = []
+def _logged_threshold_inputs(monkeypatch):
+    """The number of entries of each probability block that ``_observation_thresholds`` is given, from now on."""
+    sizes = []
     thresholds = haig.harness._observation_thresholds
 
     def logged(probs):
-        lengths.append(len(probs))
+        sizes.append(probs.size)
         return thresholds(probs)
 
     monkeypatch.setattr(haig.harness, "_observation_thresholds", logged)
+    return sizes
+
+
+def test_a_short_rollout_builds_observation_thresholds_per_block(monkeypatch):
+    """The thresholds come from probability blocks of at most ``_BLOCK_ENTRIES`` entries, not from the whole game."""
+    sizes = _logged_threshold_inputs(monkeypatch)
     doc = build_chain(40000)
     sol = value_iteration(doc.game)
     for human in ("uniform", "worst_case"):
         cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode="switch",
                             initial_state=20000, max_steps=20, seed=4)
         rollout(cfg, sol)
-    assert lengths and max(lengths) <= haig.harness._BLOCK_STATES
+    assert sizes and max(sizes) <= haig.harness._BLOCK_ENTRIES
+
+
+def test_rollout_blocks_are_sized_by_entries(monkeypatch):
+    """On a game of 100 joint actions a block holds the states of ``_BLOCK_ENTRIES`` entries, not 100 times more."""
+    sizes = _logged_threshold_inputs(monkeypatch)
+    doc = random_game(3, states=2000, ai_actions=10, human_actions=10)
+    width = doc.game.transitions[0].size
+    sol = value_iteration(doc.game)
+    for human in ("uniform", "worst_case"):
+        cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human, filter_mode="switch",
+                            initial_state=7, max_steps=20, seed=4)
+        rollout(cfg, sol)
+    assert sizes and max(sizes) == haig.harness._BLOCK_ENTRIES // width * width
+    # every bench game, 16000 entries at most, converts in one block
+    assert haig.harness._BLOCK_ENTRIES >= 16000
 
 
 def test_initial_ground_truth_takes_the_first_pair_in_row_major_order():
