@@ -23,27 +23,45 @@ that builds a ``RolloutStep`` record only when one is read.
 ``verify_safety`` checks the filter's guarantee: from every initial
 state the filter certifies, no reachable state within the given depth has
 a negative margin, for any task-action choice at every step and any
-admissible human response.  Deterministic games under the size limit are
-searched exhaustively over one successor relation, ``_successor_edges``
-(filtering makes the task action's effect a function of the state, so
-state-level memoization loses nothing); larger or stochastic games fall
-back to seeded random sequences, run through the scalar stream calls or
-in lockstep windows off the stream's counter.  Either way the report is
-bit for bit that of a plain per-root search or of sequences drawn one
-after another.  Running it with the filter off is the control arm.  Each
-counterexample is a ``RolloutTrace`` of its path to failure, without
-ground-truth flags.
+admissible human response.  On deterministic games under the size limit
+the check enumerates exhaustively (a breadth-first search over reachable
+states; filtering makes the task action's effect a function of the state,
+so state-level memoization loses nothing).  Larger or stochastic games
+fall back to seeded random sequences.  Running it with the filter off is
+the control arm.  Each counterexample is a ``RolloutTrace`` of its path
+to failure, built only for failing paths: monitor scores from the
+solution's ``scores`` table, no ground-truth flags.
+
+Each search costs what its answer needs, and its reports are bit for bit
+those of a plain per-root search and of sequences drawn one after
+another.  Exhaustively, one successor relation, ``_successor_edges``,
+serves every part.  One backward search over its edges finds the roots
+within ``depth`` of a failure; only these run the ordered,
+parent-tracking search, which walks each state's edges in search order
+and decodes ``(z, a_task, b, o)`` only along a counterexample's path.
+Every other root expands its whole ball of radius ``depth - 1``,
+counted with one set union per level.  Sampled sequences run through the
+scalar stream calls, and after a clean run of them in lockstep windows
+with numpy that read their draws in blocks straight off the stream's
+counter.  A window is cut at its first failure or rejected draw in stream
+order, and the scalar calls take over from there.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
 the others).  One rule, ``_observation_thresholds``, picks every sampled
-observation.  Rollout reads a state's executed actions, transitions,
-thresholds and bound from one row of plain Python values, built for a
-block of states of about ``_BLOCK_ENTRIES`` joint entries on the first
-visit to any of them: a game of up to a block converts whole, and a short
-rollout on a larger one pays only for the blocks it visits.  A rollout
-runs with the garbage collector paused: nothing it builds is in a
-reference cycle, and a collection would only rescan what it builds and
+observation: sampled verify builds the whole game's table once, for its
+scalar path and its lockstep windows alike, and rollout builds a block's
+thresholds with the block's rows.  Rollout reads a state's executed
+actions, transitions, thresholds and bound from one row of plain Python
+values, built for a block of states of about ``_BLOCK_ENTRIES`` joint
+(a, b, o) entries on the first visit to any of them, the transitions and
+thresholds as flat lists that the block's rows share.  A game of up to a
+block converts whole, and a short rollout on a larger one pays only for
+the blocks it visits.  Policy entries and the ground truth come from
+per-state views built on a state's first visit; the scalar sampled path
+reads the transitions and thresholds from a view of nested lists.  A
+rollout runs with the garbage collector paused: nothing it builds is in
+a reference cycle, and a collection would only rescan what it builds and
 whatever else the process holds.
 """
 
@@ -114,11 +132,12 @@ _StepFields = NamedTuple("RolloutStep", [
 
 
 class RolloutStep(_StepFields):
-    """One step as a record: ``InterventionRecord``'s six fields, then the human's response.
+    """The filter's decision at one step, then the human's response to it.
 
-    That is the human's action, the observation, the margin of ``state``,
-    whether the human left the admissible bound, and the ground-truth
-    failure flag of the step's configuration (``None`` without ground truth).
+    An immutable tuple: ``InterventionRecord``'s six fields, then the
+    human's action, the observation, the margin of ``state``, whether the
+    human left the admissible bound, and the ground-truth failure flag of
+    the step's configuration (``None`` without ground truth).
     """
 
     __slots__ = ()
@@ -136,7 +155,11 @@ class RolloutStep(_StepFields):
 
 
 class _Steps(Sequence):
-    """A trace's steps, each built as a ``RolloutStep`` when it is read; ``len`` builds none."""
+    """A trace's steps, each built as a ``RolloutStep`` when it is read; ``len`` builds none.
+
+    As the tuple of records it stands for, a slice reads as a tuple, and
+    the view equals a tuple or a view of equal records.
+    """
 
     def __init__(self, trace: RolloutTrace):
         self._trace = trace
@@ -144,13 +167,21 @@ class _Steps(Sequence):
     def __len__(self) -> int:
         return len(self._trace.z)
 
-    def __getitem__(self, t: int) -> RolloutStep:
-        trace, t = self._trace, range(len(self))[t]
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return tuple(self[i] for i in range(len(self))[t])
+        trace = self._trace
+        t = range(len(self))[t]
         z, a_task, b = trace.z[t], trace.a_task[t], trace.b[t]
         executed = int(trace.executed[z, a_task])
-        return RolloutStep(t, z, a_task, float(trace.scores[z, a_task]), executed != a_task, executed, b,
-                           trace.o[t], float(trace.spec.margins[z]), not trace.spec.bound_mask[z, b],
-                           None if trace.gt_failure is None else trace.gt_failure[t])
+        gt_failed = None if trace.gt_failure is None else trace.gt_failure[t]
+        return RolloutStep(t, z, a_task, float(trace.scores[z, a_task]), executed != a_task, executed,
+                           b, trace.o[t], float(trace.spec.margins[z]), not trace.spec.bound_mask[z, b], gt_failed)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _Steps) else other)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +251,9 @@ class RolloutTrace:
     def to_jsonl(self) -> bytes:
         """One JSON object per step, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it.
 
-        A line joins six pieces of text, picked from small tables by fancy
-        indexing: per ``b``; per (z, a_task) key and ground-truth flag; per
-        ``o`` and odd-violation flag; ``t`` as its hundreds and its last two
-        digits, so that no step formats a number; and per key.
+        A line joins five pieces of text, each picked by fancy indexing from
+        a table of its values: per ``b``; per (z, a_task) key and
+        ground-truth flag; per ``o`` and odd-violation flag; ``t``; per key.
         """
         self.check_conservation()
         z, a_task, b, o, _ = self._columns
@@ -233,24 +263,26 @@ class RolloutTrace:
         floats = np.concatenate([self.spec.margins[key_z], self.scores[key_z, key_a]], dtype=np.float64)
         if not np.isfinite(floats).all():  # the error of json.dumps(..., allow_nan=False)
             raise ValueError("Out of range float values are not JSON compliant")
-        # float.__repr__ is json's float format, called once per distinct bit pattern: -0.0 keeps its sign
-        bits, which = np.unique(floats.view(np.int64), return_inverse=True)
-        floats = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)[which].tolist()
+        texts = list(map(float.__repr__, floats.tolist()))  # json's float format
+        margins, monitors = texts[:len(keys)], texts[len(keys):]
         flags = ("",) if self.gt_failure is None else (', "gt_failure": false', ', "gt_failure": true')
-        middle = (
-            f'{e}{flag}, "intervened": {("false", "true")[e != a]}, "margin": {margin}, "monitor": {monitor}, "obs": '
-            for e, a, margin, monitor in zip(self.executed[key_z, key_a].tolist(), key_a.tolist(),
-                                             floats[:len(keys)], floats[len(keys):]) for flag in flags)
+        middle = _texts(
+            f'{e}{flag}, "intervened": {"true" if e != a else "false"}, "margin": {m}, "monitor": {s}, "obs": '
+            for e, a, m, s in zip(self.executed[key_z, key_a].tolist(), key_a.tolist(), margins, monitors)
+            for flag in flags
+        )
         flagged = key if self.gt_failure is None else 2 * key + np.fromiter(self.gt_failure, bool, n)
-        t = np.arange(n)
-        pieces = np.empty((n, 6), dtype=object)
-        pieces[:, 0] = _texts(f'{{"a_human": {k}, "executed_a": ' for k in range(self.spec.num_human_actions))[b]
-        pieces[:, 1] = _texts(middle)[flagged]
-        pieces[:, 2] = _texts(f'{k}{flag}, "t": ' for k in range(self.spec.num_observations)
-                              for flag in ("", ', "odd_violation": true'))[2 * o + ~self.spec.bound_mask[z, b]]
-        pieces[:, 3] = _texts(["", *map(str, range(1, (n - 1) // 100 + 1))])[t // 100]
-        pieces[:, 4] = _texts([*map(str, range(100)), *(f"{k:02d}" for k in range(100))])[t % 100 + 100 * (t >= 100)]
-        pieces[:, 5] = _texts(f', "task_a": {a}, "z": {z}}}\n' for z, a in zip(key_z.tolist(), key_a.tolist()))[key]
+        heads = _texts(f'{{"a_human": {k}, "executed_a": ' for k in range(self.spec.num_human_actions))
+        observed = _texts(f'{k}{flag}, "t": ' for k in range(self.spec.num_observations)
+                          for flag in ("", ', "odd_violation": true'))
+        odd = ~self.spec.bound_mask[z, b]
+        tails = _texts(f', "task_a": {a}, "z": {z}}}\n' for z, a in zip(key_z.tolist(), key_a.tolist()))
+        pieces = np.empty((n, 5), dtype=object)
+        pieces[:, 0] = heads[b]
+        pieces[:, 1] = middle[flagged]
+        pieces[:, 2] = observed[2 * o + odd]
+        pieces[:, 3] = _texts(map(str, range(n)))
+        pieces[:, 4] = tails[key]
         return "".join(pieces.ravel().tolist()).encode()  # bytes.join would take 80 bytes a piece meanwhile
 
     def check_conservation(self) -> None:
@@ -408,9 +440,15 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     draws through the scalar stream calls, which skip a rejected draw as
     ``randint`` does, and the next window starts at that stream's counter.
 
-    The garbage collector is paused meanwhile, and resumed after if it was
-    running: the rows a rollout builds are in no reference cycle, and
-    collections would only rescan them and all else the process holds.
+    The cyclic garbage collector is paused meanwhile, and resumed after if
+    it was running.  A rollout builds a row per state of each block it
+    visits, none of them in a reference cycle.  With the collector
+    running, every few hundred of them would set off a young collection
+    that only moves them on, and every few rollouts a full collection
+    would rescan everything the process holds: a rollout would cost more
+    the more the process holds besides, and more in one call than the
+    next by chance.  The one young collection they are due runs at the
+    caller's next allocation, over what is still alive then.
     """
     running = gc.isenabled()
     gc.disable()
@@ -621,9 +659,12 @@ def verify_safety(
     Exhaustive mode (deterministic games with at most ``exhaustive_limit``
     joint entries) searches breadth-first from each certified root and
     stops at the first failure state it meets; ``expanded`` sums the states
-    expanded.  Only the roots within ``depth`` of a failure, found by one
-    backward search, run the ordered search that builds a counterexample;
-    any other root counts the states within ``depth - 1`` steps.
+    expanded.  It reads only the edges of ``_successor_edges``.  One
+    backward search from the failure states finds the roots within
+    ``depth`` of one, and only those run the ordered search that builds a
+    counterexample.  Any other root expands every state within
+    ``depth - 1`` steps, so its count is the size of that ball, grown by
+    set unions.
 
     Sampled mode draws ``max(1, samples // len(certified))`` random
     sequences per root, roots in order, from one SplitMix64 stream seeded

@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rng import SplitMix64, advance, rejection_limit, splitmix_block
+from .rng import SplitMix64
 
 OBS_ROW_TOLERANCE = 1e-12
 COMMUTATION_EXHAUSTIVE_LIMIT = 10_000
@@ -303,7 +303,11 @@ def _validate_ground_truth(spec, gt, items, err, warn):
     if ns * nh * na * nb <= COMMUTATION_EXHAUSTIVE_LIMIT:
         s, h, a, b = np.indices((ns, nh, na, nb)).reshape(4, -1)
     else:
-        s, h, a, b = _sampled_tuples((ns, nh, na, nb))
+        stream = SplitMix64(COMMUTATION_SEED)
+        s, h, a, b = np.array([
+            (stream.randint(ns), stream.randint(nh), stream.randint(na), stream.randint(nb))
+            for _ in range(COMMUTATION_SAMPLES)
+        ], dtype=np.int64).reshape(-1, 4).T
 
     z = gt.projection[s, h]
     o = gt.ai_observation[s, a, b]
@@ -331,23 +335,3 @@ def _validate_ground_truth(spec, gt, items, err, warn):
             f"privileged failure (s={s}, zh={h}) projects to state "
             f"{gt.projection[s, h]} with non-negative margin",
         )
-
-
-def _sampled_tuples(sizes: tuple[int, ...]) -> np.ndarray:
-    """``COMMUTATION_SAMPLES`` tuples, one column per size: entry ``j`` of each is ``randint(sizes[j])``.
-
-    The draws are those of the scalar calls on the stream seeded with
-    ``COMMUTATION_SEED``, tuple after tuple, read as one ``splitmix_block``.
-    A tuple holding a draw that ``randint`` may reject ends the block there,
-    and the scalar calls draw the rest from that tuple on.
-    """
-    count, width = COMMUTATION_SAMPLES, len(sizes)
-    counter = SplitMix64(COMMUTATION_SEED).counter
-    raw = splitmix_block(counter, count * width).reshape(count, width)
-    largest = np.array([rejection_limit(n) - 1 for n in sizes], dtype=np.uint64)
-    rejected = np.flatnonzero((raw > largest).any(axis=1))
-    kept = int(rejected[0]) if len(rejected) else count
-    stream = SplitMix64(advance(counter, kept * width))
-    rest = [[stream.randint(n) for n in sizes] for _ in range(count - kept)]
-    head = (raw[:kept] % np.array(sizes, dtype=np.uint64)).astype(np.int64)
-    return np.concatenate([head, np.array(rest, dtype=np.int64).reshape(-1, width)]).T

@@ -29,7 +29,7 @@ from haig import (
     value_iteration,
     verify_safety,
 )
-from haig.filtering import InterventionRecord, filter_action
+from haig.filtering import InterventionRecord
 from haig.harness import RolloutStep, VerificationReport
 from haig.rng import SplitMix64, splitmix_block
 from test_filtering import _signed_zero_chain, one_hot_observations, reference_table
@@ -389,7 +389,11 @@ def test_len_and_summaries_build_no_step_records(monkeypatch):
 
 
 def test_steps_view_equals_the_reference_steps():
-    """The view, read in order, by index and reversed, is the reference rollout's steps; the summaries are a replay's."""
+    """The view, read in order, by index, by slice and reversed, is the reference rollout's steps.
+
+    As a tuple would, the view equals a tuple or view of equal records and
+    no list, and a slice is a tuple.  The summaries are a replay's.
+    """
     for cfg, sol in _view_cases():
         trace = rollout(cfg, sol)
         expected = _reference_rollout(cfg, sol)
@@ -399,6 +403,10 @@ def test_steps_view_equals_the_reference_steps():
         for t in range(-len(steps), len(steps)):
             assert steps[t] == expected.steps[t] and type(steps[t]) is RolloutStep
         assert list(reversed(steps)) == list(reversed(expected.steps))
+        for part in (slice(2, 9, 3), slice(None, None, -1), slice(-5, None), slice(7, 3)):
+            assert type(steps[part]) is tuple and steps[part] == expected.steps[part]
+        assert steps == expected.steps and steps == rollout(cfg, sol).steps
+        assert steps != expected.steps[:-1] and steps != list(expected.steps)
         with pytest.raises(IndexError):
             steps[len(steps)]
         assert (trace.final_state, trace.final_gt_failure) == (expected.final_state, expected.final_gt_failure)
@@ -922,7 +930,7 @@ class _ReferenceTrace(NamedTuple):
 
 
 def _reference_rollout(cfg, sol, rejections=None):
-    """The rollout as a plain per-step loop over the scalar stream definition and ``filter_action`` calls.
+    """The rollout as a plain per-step loop over the scalar stream definition and ``reference_table``.
 
     A step draws the task action if it is "random", the human action if it
     is "uniform", then the observation; each integer draw skips raw draws
@@ -933,7 +941,7 @@ def _reference_rollout(cfg, sol, rejections=None):
     """
     doc = cfg.document
     spec, gt = doc.game, doc.ground_truth
-    flt = perfect_filter(sol, cfg.filter_mode)
+    executed, scores = reference_table(sol, cfg.filter_mode)
     stream = _ScalarSplitMix64(cfg.seed)
 
     def randint(n):
@@ -952,7 +960,7 @@ def _reference_rollout(cfg, sol, rejections=None):
     steps = []
     for t in range(cfg.max_steps):
         a_task = randint(spec.num_ai_actions) if cfg.task_policy == "random" else int(cfg.task_policy[9:])
-        a_exec, record = filter_action(flt, z, a_task, t=t)
+        a_exec = executed[z][a_task]
         bound = spec.action_bound[z]
         if kind == "uniform":
             b = bound[randint(len(bound))]
@@ -977,7 +985,8 @@ def _reference_rollout(cfg, sol, rejections=None):
             gt_failed = bool(gt.failure[s, h])
             o_h = gt.human_observation[s]
             s, h = int(gt.world_transitions[s, a_exec, b]), int(gt.human_transitions[h, a_exec, b, o_h])
-        steps.append(RolloutStep(*record, b, o, float(spec.margins[z]), b not in bound, gt_failed))
+        steps.append(RolloutStep(t, z, a_task, scores[z][a_task], a_exec != a_task, a_exec,
+                                 b, o, float(spec.margins[z]), b not in bound, gt_failed))
         z = int(spec.transitions[z, a_exec, b, o])
     return _ReferenceTrace(tuple(steps), z, None if gt is None else bool(gt.failure[s, h]))
 

@@ -16,7 +16,6 @@ from haig import (
 )
 from haig.model import ValidationItem, _int_index
 from haig.rng import SplitMix64
-from test_rng import seed_with_draw
 
 
 def _tiny_game(**overrides) -> GameSpec:
@@ -263,29 +262,6 @@ def test_validate_samples_when_joint_space_is_large(monkeypatch):
 
     clean = validate_model(spec, _mirror_gt(spec))
     assert clean.ok
-
-
-@pytest.mark.parametrize("sizes", [(3, 5, 7, 6), (4001, 11, 3, 9), (3, 3)])
-@pytest.mark.parametrize("count", [37, 10_000])
-def test_sampled_tuples_are_the_scalar_draws(monkeypatch, sizes, count):
-    """The block read of the sampled tuples gives the scalar ``randint`` calls' tuples, in order.
-
-    Also with a draw that ``randint(3)`` rejects planted in the first tuple,
-    in a middle one and as the very last draw, where the scalar calls take
-    over from the block.
-    """
-    monkeypatch.setattr(haig.model, "COMMUTATION_SAMPLES", count)
-    width = len(sizes)
-    place = sizes.index(3)
-    seeds = [haig.model.COMMUTATION_SEED]
-    seeds += [seed_with_draw(2**64 - 1, k) for k in (place, width * (count // 2) + place, width * count - 1)]
-    for seed in seeds:
-        monkeypatch.setattr(haig.model, "COMMUTATION_SEED", seed)
-        stream = SplitMix64(seed)
-        expected = [[stream.randint(n) for n in sizes] for _ in range(count)]
-        drawn = haig.model._sampled_tuples(sizes)
-        assert drawn.dtype == np.int64 and drawn.shape == (width, count)
-        assert drawn.T.tolist() == expected
 
 
 def _reference_ground_truth_items(spec, gt):
