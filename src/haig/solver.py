@@ -40,10 +40,17 @@ genuinely stochastic observations the iteration stops once the max-norm
 residual drops to ``epsilon``; if the sweep budget runs out the solution is
 returned with ``converged=False`` and the final residual.
 
-Sweep layout.  ``value_iteration`` reorders the successor and probability
-tensors once into C-contiguous (B, A, Z, O) arrays (``_sweep_layout``), so
-a sweep is one gather, one product, a sum over the last axis and two
-elementwise reductions over whole (A, Z) and (Z,) slices.  Each
+Sweep layout.  ``_sweep_layout`` gathers the successor and probability
+tensors once, straight from the spec, into C-contiguous (O, B, A, Z)
+arrays.  A sweep is then a gather of the values and a product, a reduce
+over the leading O axis, a min with the margins and reduces over B and A,
+each written into a buffer allocated once.  On small games a sweep costs
+about what these few numpy calls cost, whatever their arithmetic.  The O
+reduce adds the observation terms left to right, as the (Z, A, B, O) Q
+table's ``.sum(axis=-1)`` does over a contiguous axis of fewer than eight
+terms, so both give the same bits.  From eight terms on numpy sums a
+contiguous axis pairwise, so a game with eight or more observations keeps
+the (B, A, Z, O) order and sums its last axis as the Q table does.  Each
 inadmissible human column holds a copy of the state's last admissible
 column, so the min over human actions needs no mask: a duplicate of an
 admissible entry cannot change a min, and numpy's ``minimum`` keeps its
@@ -51,10 +58,15 @@ second operand on ties, so copies placed after the last admissible entry
 also keep the sign of a zero result as the masked reduction did.  (That
 holds for up to eight actions a side: numpy reduces a longer contiguous
 axis in SIMD lanes, whose order on ties between -0.0 and +0.0 depends on
-the machine.  Such ties need a margin of -0.0.)  O stays the last axis and
-is summed with ``.sum(axis=-1)``, the same reduction as the (Z, A, B, O)
-Q table: an accumulation in any other order differs in the last bit once
-numpy sums eight or more terms pairwise.
+the machine.  Such ties need a margin of -0.0.)
+
+Residual per block.  ``_sweeps`` writes the iterates of up to 32 sweeps
+into the rows of one buffer and checks them after the block: one
+difference of neighbouring rows shows whether a sweep raised a value and
+which sweep first meets the stop rule.  The sweeps after that one are
+discarded, so values, count and residual are those of a check after every
+sweep.  Above 2048 states the block shrinks to 2**16 // Z sweeps, at
+least one, so its buffer adds at most about 512 KB.
 
 Both routes end in the same tables.  The (Z, A) ``scores``, the worst
 admissible Q of each action, are computed once here: the fallback is
@@ -72,6 +84,8 @@ direct recursion over the game tree used as an oracle in tests and by
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +97,11 @@ DEFAULT_EPSILON = 1e-9
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_MAX_SWEEPS_STOCHASTIC = 100_000
 _UNREACHED = int(np.iinfo(np.int64).max)
+# numpy adds a contiguous axis of fewer than 8 terms left to right, as a
+# reduce over a leading axis does; from 8 terms on it sums pairwise.
+_LEFT_TO_RIGHT_SUMS = 8
+_BLOCK_SWEEPS = 32  # most sweeps between two residual checks
+_BLOCK_VALUES = 1 << 16  # most values a block writes, unless one sweep writes more
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +169,16 @@ def value_iteration(
     prefers, among equally bad responses, the one that realizes the bad
     outcome soonest; see ``_attainment_steps``.
 
-    Raises SchemaError, naming the first such state, if a margin is not
-    finite; ``validate_model`` refuses such a game too.
+    Raises ValueError, before any sweep, if ``epsilon`` is NaN, infinite or
+    negative or ``max_iters`` is negative, and TypeError if ``max_iters``
+    is not an integer.  Raises SchemaError, naming the
+    first such state, if a margin is not finite; ``validate_model`` refuses
+    such a game too.
     """
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if max_iters is not None and operator.index(max_iters) < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     ell = spec.margins.astype(np.float64, copy=True)
     nonfinite = np.flatnonzero(~np.isfinite(ell))
     if nonfinite.size:
@@ -201,28 +227,55 @@ def value_iteration(
 
 
 def _sweeps(spec, ell, deterministic, epsilon, max_iters, record_sweeps):
-    """Synchronous sweeps from the margins: (values, iterations, converged, residual, history)."""
-    succ, weight = _sweep_layout(spec)
-    values = ell.copy()
-    history = [values.copy()] if record_sweeps else None
+    """Synchronous sweeps from the margins: (values, iterations, converged, residual, history).
+
+    A block of sweeps writes its iterates into rows 1 to K of one (K + 1, Z)
+    buffer, whose row 0 holds the iterate the block starts from.  K is
+    ``_BLOCK_SWEEPS``, or ``_BLOCK_VALUES // Z`` but at least 1 on larger
+    games, which bounds the buffer near 512 KB.  After the block the
+    differences of neighbouring rows give every sweep's residual at once.
+    The first sweep that meets the stop rule ends the run and the rows after
+    it are discarded.  Every sweep up to it must not have raised a value (a
+    NaN fails too), so a corrupt backup raises before any solution is
+    returned, as when each sweep was checked on its own.  The residual is
+    then taken again from the last two 1-D rows, whose max gives a zero
+    residual the same sign as a check after each sweep did.
+    """
+    succ, weight, axis = _sweep_layout(spec)
+    nz = spec.num_states
+    block = max(1, min(_BLOCK_SWEEPS, _BLOCK_VALUES // nz))
+    rows = np.empty((block + 1, nz))
+    rows[0] = ell
+    products = np.empty(weight.shape)
+    q = np.empty((spec.num_human_actions, spec.num_ai_actions, nz))
+    worst = np.empty(q.shape[1:])
+    history = [ell.copy()] if record_sweeps else None
     iterations = 0
     converged = False
     residual = np.inf
-
     while iterations < max_iters:
-        new_values = _sweep(ell, succ, weight, values)
-        if not np.all(new_values <= values):
+        count = min(block, max_iters - iterations)
+        for k in range(count):
+            np.multiply(weight, rows[k][succ], out=products)
+            np.add.reduce(products, axis=axis, out=q)
+            np.minimum(ell, q, out=q)
+            np.minimum.reduce(q, axis=0, out=worst)
+            np.maximum.reduce(worst, axis=0, out=rows[k + 1])
+        drops = rows[:count] - rows[1:count + 1]
+        largest = drops.max(axis=1)
+        stops = np.flatnonzero(largest == 0.0 if deterministic else largest <= epsilon)
+        kept = int(stops[0]) + 1 if stops.size else count
+        if not np.all(drops[:kept] >= 0.0):
             raise RuntimeError("value sweep increased a state value; backup is corrupt")
-        residual = float(np.max(values - new_values))
-        values = new_values
-        iterations += 1
+        iterations += kept
         if history is not None:
-            history.append(values.copy())
-        done = (residual == 0.0) if deterministic else (residual <= epsilon)
-        if done:
+            history.extend(row.copy() for row in rows[1:kept + 1])
+        residual = float(np.max(rows[kept - 1] - rows[kept]))
+        rows[0] = rows[kept]
+        if stops.size:
             converged = True
             break
-    return values, iterations, converged, residual, history
+    return rows[0].copy(), iterations, converged, residual, history
 
 
 def _q_table(ell, trans, probs, values) -> np.ndarray:
@@ -230,28 +283,27 @@ def _q_table(ell, trans, probs, values) -> np.ndarray:
     return np.minimum(ell[:, None, None], expected)
 
 
-def _sweep_layout(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Successors and observation weights as C-contiguous (B, A, Z, O) arrays.
+def _sweep_layout(spec: GameSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """Successors, observation weights and the axis to sum them over.
 
-    Column (b, :, z) of an inadmissible human action b is a copy of column
-    (b_last, :, z), where b_last is the last admissible action at z; see the
-    module docstring for why the last one.
+    The arrays are C-contiguous (O, B, A, Z) when O < ``_LEFT_TO_RIGHT_SUMS``
+    and (B, A, Z, O) otherwise; the axis is that of O.  The entries of an
+    inadmissible human action b at state z copy those of b_last, the last
+    admissible action at z; see the module docstring for why the last one.
     """
+    nz, na, nb, no = spec.transitions.shape
     mask = spec.bound_mask
-    nz, nb = mask.shape
     last = nb - 1 - mask[:, ::-1].argmax(axis=1)
-    cols = np.where(mask, np.arange(nb), last[:, None])  # (Z, B)
-    rows = np.arange(nz)[:, None]
-    # Indexing axes 0 and 2 puts their broadcast (Z, B) shape first: (Z, B, A, O).
-    succ = spec.transitions[rows, :, cols].transpose(1, 2, 0, 3)
-    weight = spec.observation_probs[rows, :, cols].transpose(1, 2, 0, 3)
-    return np.ascontiguousarray(succ), np.ascontiguousarray(weight)
-
-
-def _sweep(ell, succ, weight, values) -> np.ndarray:
-    q = (weight * values[succ]).sum(axis=-1)  # (B, A, Z)
-    np.minimum(ell, q, out=q)
-    return np.maximum.reduce(np.minimum.reduce(q, axis=0), axis=0)
+    cols = np.where(mask, np.arange(nb), last[:, None]).T.copy()  # (B, Z) in C order
+    z, a, o = np.arange(nz), np.arange(na), np.arange(no)
+    if no < _LEFT_TO_RIGHT_SUMS:
+        index, axis = (z, a[:, None], cols[:, None, :], o[:, None, None, None]), 0
+    else:
+        index, axis = (z[:, None], a[:, None, None], cols[:, None, :, None], o), -1
+    # numpy lays out a fancy-indexed result in the order of its index
+    # arrays' strides, C order with these; ascontiguousarray only guards it.
+    succ, weight = (np.ascontiguousarray(t[index]) for t in (spec.transitions, spec.observation_probs))
+    return succ, weight, axis
 
 
 def _strictly_deterministic(spec: GameSpec, ell) -> bool:

@@ -216,6 +216,34 @@ def test_refused_outputs_are_never_opened(tmp_path, capsys, monkeypatch):
         assert (trace.read_bytes() if trace.exists() else None) == earlier
 
 
+def test_solve_refuses_a_malformed_epsilon_or_budget_before_sweeping(tmp_path, capsys):
+    """Each of these used to run the whole 100,000-sweep budget on a stochastic game."""
+    spec_path = tmp_path / "stochastic.haig.json"
+    save_spec(random_game(0, states=30, observations=3, failure_fraction=0.05), spec_path)
+    out = tmp_path / "values.json"
+    refusals = [
+        (["--epsilon", "-1"], "epsilon must be finite and >= 0, got -1.0"),
+        (["--epsilon", "nan"], "epsilon must be finite and >= 0, got nan"),
+        (["--epsilon", "inf"], "epsilon must be finite and >= 0, got inf"),
+        (["--epsilon=-inf"], "epsilon must be finite and >= 0, got -inf"),
+        (["--max-iters", "-1"], "max_iters must be >= 0, got -1"),
+    ]
+    for extra, message in refusals:
+        start = time.perf_counter()
+        assert main(["solve", str(spec_path), "-o", str(out), *extra]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+    assert main(["compare-oracle", str(spec_path), "--epsilon", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: epsilon must be finite and >= 0, got -1.0\n"
+
+    # epsilon 0 and a budget of 0 stay valid
+    assert main(["solve", str(_chain(tmp_path)), "-o", str(out), "--epsilon", "0"]) == EXIT_OK
+    assert json.loads(out.read_text())["epsilon"] == 0.0
+    assert main(["solve", str(spec_path), "-o", str(out), "--max-iters", "0", "--epsilon", "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err.endswith("error: cannot write the non-finite number inf at residual\n")
+
+
 @pytest.mark.parametrize("argv, entries", [
     (["random", "--states", "270000", "--ai-actions", "4", "--human-actions", "4"], 4_320_000),
     (["chain", "--length", "99999", "--human-reach", "7"], 4_500_000),

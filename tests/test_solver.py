@@ -18,6 +18,8 @@ from haig import (
     validate_model,
     value_iteration,
 )
+from haig import solver
+from haig.solver import DEFAULT_EPSILON
 
 
 def _det_game(seed: int):
@@ -271,23 +273,124 @@ def _narrowed_signed_zero_games():
     yield _signed_zero_tie_game()
 
 
+def _reference_sweeps(spec, epsilon=DEFAULT_EPSILON, max_iters=None):
+    """(values, iterations, converged, residual, iterates) of the masked backup, checked every sweep."""
+    deterministic = spec.is_deterministic()
+    if max_iters is None:
+        max_iters = spec.num_states + 1 if deterministic else 100_000
+    values = spec.margins
+    iterates = [values]
+    residual = np.inf
+    while len(iterates) <= max_iters:
+        expected = _masked_backup(spec, values)
+        residual = float(np.max(values - expected))
+        values = expected
+        iterates.append(values)
+        if residual == 0.0 if deterministic else residual <= epsilon:
+            return values, len(iterates) - 1, True, residual, iterates
+    return values, len(iterates) - 1, False, residual, iterates
+
+
+def _assert_matches_the_reference(spec, **kwargs):
+    sol = value_iteration(spec, **kwargs)
+    kwargs.pop("record_sweeps", None)
+    values, iterations, converged, residual, iterates = _reference_sweeps(spec, **kwargs)
+    assert sol.values.tobytes() == values.tobytes(), (spec.num_states, kwargs)
+    assert (sol.iterations, sol.converged, repr(sol.residual)) == (
+        iterations, converged, repr(residual)), (spec.num_states, kwargs)
+    if sol.sweeps is not None:
+        assert [row.tobytes() for row in sol.sweeps] == [row.tobytes() for row in iterates]
+    return sol
+
+
+def _block(spec):
+    """Sweeps in one of ``_sweeps``'s blocks on this game."""
+    return max(1, min(solver._BLOCK_SWEEPS, solver._BLOCK_VALUES // spec.num_states))
+
+
 def test_sweeps_match_the_masked_backup_bit_for_bit():
     saw_negative_zero = False
     for spec in _narrowed_signed_zero_games():
         saw_negative_zero |= bool(np.any(np.signbit(spec.margins) & (spec.margins == 0.0)))
-        sol = value_iteration(spec, record_sweeps=True, max_iters=300)
+        sol = _assert_matches_the_reference(spec, record_sweeps=True, max_iters=300)
         assert sol.sweeps[0].tobytes() == spec.margins.tobytes()
-        values = spec.margins
-        for k, recorded in enumerate(sol.sweeps[1:], start=1):
-            expected = _masked_backup(spec, values)
-            assert recorded.tobytes() == expected.tobytes(), (spec.num_states, k)
-            residual = float(np.max(values - expected))
-            stop = residual == 0.0 if spec.is_deterministic() else residual <= sol.epsilon
-            assert stop == (sol.converged and k == sol.iterations)
-            values = expected
-        assert sol.residual == residual
         assert value_iteration(spec, max_iters=300).values.tobytes() == sol.values.tobytes()
     assert saw_negative_zero
+
+    # Budgets on both sides of a block edge, on games that need more sweeps than any of them.
+    slow = [random_game(seed, states=30, observations=3, failure_fraction=0.05).game for seed in (1, 4)]
+    slow.append(replace(slow[0], margins=np.round(slow[0].margins * 2.0) / 2.0))
+    k = _block(slow[0])
+    assert k > 1
+    for spec in slow:
+        for budget in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+            for record in (False, True):
+                sol = _assert_matches_the_reference(spec, max_iters=budget, record_sweeps=record)
+                assert (sol.iterations, sol.converged) == (budget, False)
+
+    # Full solves of bench-sized stochastic games, which stop inside a block.
+    for seed in (1, 2, 5, 7, 9, 10):
+        spec = random_game(seed, states=30, ai_actions=3, human_actions=3, observations=3,
+                           failure_fraction=0.05).game
+        assert _assert_matches_the_reference(spec).converged
+
+    # Seven observations are summed in the leading axis, eight in the trailing one.
+    for obs in (7, 8):
+        for seed in range(3):
+            spec = random_game(seed, states=20, ai_actions=2, human_actions=3, observations=obs,
+                               failure_fraction=0.2).game
+            assert _assert_matches_the_reference(spec, epsilon=1e-6).converged
+            _assert_matches_the_reference(spec, max_iters=7, record_sweeps=True)
+
+    # A game whose block holds one sweep.
+    big = random_game(3, states=solver._BLOCK_VALUES // 2 + 1, ai_actions=1, human_actions=2,
+                      observations=2, failure_fraction=0.05).game
+    assert _block(big) == 1
+    for budget in (1, 2, 3):
+        _assert_matches_the_reference(big, max_iters=budget, record_sweeps=True)
+
+
+def test_a_backup_that_raises_a_value_is_refused(monkeypatch):
+    """Negated weights make the backup antitone, so some sweep raises a value; no solution is returned."""
+    layout = solver._sweep_layout
+
+    def negated(spec):
+        succ, weight, axis = layout(spec)
+        return succ, -weight, axis
+
+    monkeypatch.setattr(solver, "_sweep_layout", negated)
+    games = [random_game(seed, states=30, observations=3, failure_fraction=0.05).game for seed in (1, 2)]
+    games.append(random_game(0, states=20, observations=9, failure_fraction=0.2).game)
+    for spec in games:
+        for record in (False, True):
+            with pytest.raises(RuntimeError, match="increased a state value"):
+                value_iteration(spec, record_sweeps=record)
+
+    # Two lines, 0 -> 1 -> 2 and 3 -> 4 -> 5 -> 6, end in absorbing zero-margin states.  With
+    # state 0's weight negated it falls to -5 on sweep 1 and rises to -0.0 on sweep 2, while
+    # the second line still falls until sweep 3, so sweep 2 does not stop the run.
+    line = GameSpec(
+        num_states=7,
+        ai_actions=("a",),
+        human_actions=("x",),
+        observations=("o",),
+        transitions=np.array([1, 2, 2, 4, 5, 6, 6], dtype=np.int64).reshape(7, 1, 1, 1),
+        observation_probs=np.ones((7, 1, 1, 1)),
+        margins=np.array([10.0, 5.0, 0.0, 10.0, 10.0, 10.0, 0.0]),
+        action_bound=((0,),) * 7,
+    )
+
+    def state_zero_negated(spec):
+        succ, weight, axis = layout(spec)
+        weight = weight.copy()
+        weight[..., 0] = -weight[..., 0]  # the last axis is Z in the (O, B, A, Z) layout
+        return succ, weight, axis
+
+    monkeypatch.setattr(solver, "_sweep_layout", state_zero_negated)
+    with pytest.raises(RuntimeError, match="increased a state value"):
+        value_iteration(line, record_sweeps=True)
+    monkeypatch.setattr(solver, "_sweep_layout", layout)
+    assert value_iteration(line, record_sweeps=True).iterations == 4
 
 
 def test_scores_are_the_masked_min_of_q():
@@ -321,6 +424,22 @@ def test_non_finite_margins_are_refused():
     inf[2] = np.inf
     with pytest.raises(SchemaError, match="state 2"):
         value_iteration(replace(two_obs, margins=inf))
+
+
+def test_malformed_epsilon_and_budgets_are_refused():
+    spec = random_game(0, states=30, observations=3, failure_fraction=0.05).game
+    for epsilon in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            value_iteration(spec, epsilon=epsilon)
+    with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
+        value_iteration(spec, max_iters=-1)
+    with pytest.raises(TypeError):
+        value_iteration(spec, max_iters=2.5)
+    for epsilon in (0.0, -0.0):
+        sol = value_iteration(build_chain(3).game, epsilon=epsilon, record_sweeps=True)
+        assert sol.converged and repr(sol.epsilon) == repr(epsilon)
+    sol = value_iteration(spec, max_iters=np.int64(3))
+    assert (sol.iterations, sol.converged) == (3, False)
 
 
 def test_deep_oracle_horizons_exceed_the_budget():
