@@ -5,20 +5,15 @@ SplitMix64 stream seeded by the config, consumed in a fixed order per step
 (task policy draw if randomized, then human policy draw if randomized,
 then the observation draw, which happens even when the observation is
 deterministic).  Identical configs therefore produce byte-identical JSONL
-traces.  The rollout reads these draws in windows of steps straight off
-the stream's counter, one numpy block per window; a draw that ``randint``
-may reject ends its window, and that step draws through the scalar stream
-calls, so every trace is the one the scalar calls give step by step.
+traces.  Draws read in numpy blocks off the stream's counter are the ones
+the scalar calls give, so every trace is the one those give step by step.
 
 A rollout trace is columnar: per step it records only the state, the
 task action, the human action, the observation and, with a ground truth,
 the failure flag.  It keeps the executed-action and score tables of the
 filter that ran, and everything else in a step follows from them and the
-spec.  The summaries are array reductions; ``to_jsonl`` checks the
-dynamics with one gather and writes each distinct (state, task action)
-decision's text once, byte for byte what ``json.dumps(step.to_json_dict(),
-sort_keys=True, allow_nan=False)`` writes per step.  ``steps`` is a view
-that builds a ``RolloutStep`` record only when one is read.
+spec.  ``to_jsonl`` writes byte for byte what ``json.dumps(step.to_json_dict(),
+sort_keys=True, allow_nan=False)`` writes per step.
 
 ``verify_safety`` checks the filter's guarantee: from every initial
 state the filter certifies, no reachable state within the given depth has
@@ -30,39 +25,20 @@ so state-level memoization loses nothing).  Larger or stochastic games
 fall back to seeded random sequences.  Running it with the filter off is
 the control arm.  Each counterexample is a ``RolloutTrace`` of its path
 to failure, built only for failing paths: monitor scores from the
-solution's ``scores`` table, no ground-truth flags.
-
-Each search costs what its answer needs, and its reports are bit for bit
-those of a plain per-root search and of sequences drawn one after
-another.  Exhaustively, one successor relation, ``_successor_edges``,
-serves every part.  One backward search over its edges finds the roots
-within ``depth`` of a failure; only these run the ordered,
-parent-tracking search, which walks each state's edges in search order
-and decodes ``(z, a_task, b, o)`` only along a counterexample's path.
-Every other root expands its whole ball of radius ``depth - 1``,
-counted with one set union per level.  Sampled sequences run through the
-scalar stream calls, and after a clean run of them in lockstep windows
-with numpy that read their draws in blocks straight off the stream's
-counter.  A window is cut at its first failure or rejected draw in stream
-order, and the scalar calls take over from there.
+solution's ``scores`` table, no ground-truth flags.  Each search costs
+what its answer needs, and its reports are bit for bit those of a plain
+per-root search and of sequences drawn one after another.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
-the others).  One rule, ``_observation_thresholds``, picks every sampled
-observation: sampled verify builds the whole game's table once, for its
-scalar path and its lockstep windows alike, and rollout builds a block's
-thresholds with the block's rows.  Rollout reads a state's executed
-actions, transitions, thresholds and bound from one row of plain Python
-values, built for a block of states of about ``_BLOCK_ENTRIES`` joint
-(a, b, o) entries on the first visit to any of them, the transitions and
-thresholds as flat lists that the block's rows share.  A game of up to a
-block converts whole, and a short rollout on a larger one pays only for
-the blocks it visits.  Policy entries and the ground truth come from
-per-state views built on a state's first visit; the scalar sampled path
-reads the transitions and thresholds from a view of nested lists.  A
-rollout runs with the garbage collector paused: nothing it builds is in
-a reference cycle, and a collection would only rescan what it builds and
-whatever else the process holds.
+the others).  The rollout and the scalar sampled sequences step the game
+through one table, ``_step_rows``: a row of plain Python values per
+state, built a block of states at a time on the first visit to any of
+them, so a short walk on a large game pays only for the blocks it visits.
+One rule, ``_observation_thresholds``, picks every sampled observation,
+per block for those rows and for the whole game once sampled verify
+starts a lockstep window.  Every fact about the bounds of the whole game
+comes from ``spec.bound_mask``.
 """
 
 from __future__ import annotations
@@ -70,6 +46,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -356,18 +333,14 @@ def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution):
     draws, has neither.
     """
     spec = doc.game
-    bound, na = spec.action_bound, spec.num_ai_actions
+    na = spec.num_ai_actions
     if selector == "worst_case":
         return None, lambda z: sol.adversary_policy[z].tolist()
     if selector == "uniform":
         return None, None
     if selector == "off_odd":
-        def violator(z):
-            allowed = set(bound[z])
-            b = next((b for b in range(spec.num_human_actions) if b not in allowed), bound[z][0])
-            return [b] * na
-
-        return None, violator
+        # argmin: the first action outside the bound, or action 0 when the bound holds every action
+        return None, lambda z: [int(spec.bound_mask[z].argmin())] * na
     if selector.startswith("scripted:"):
         script = [
             _resolve_action(spec.human_actions, item.strip(), "human")
@@ -424,10 +397,37 @@ def _observation_thresholds(probs: np.ndarray) -> np.ndarray:
 # steps whose draws one block off the stream's counter holds, at most: a window's draws
 # and columns take about 100 kB, and larger windows save little time per step
 _WINDOW_STEPS = 1024
-# (z, a, b, o) entries whose rows a rollout builds at once, in blocks of whole states: a game
-# this small, every bench game among them, converts whole on the first step, and a larger one
-# only the blocks its rollout visits
+# (z, a, b, o) entries whose rows ``_step_rows`` builds at once, in blocks of whole states: a
+# game this small, every bench game among them, converts whole on the first step, and a larger
+# one only the blocks its walk visits
 _BLOCK_ENTRIES = 1 << 14
+
+
+def _step_rows(spec: GameSpec, executed: np.ndarray):
+    """Returns ``(rows, fill)``: a row of plain Python values per state, ``None`` until ``fill(z)`` builds it.
+
+    ``fill(z)`` builds the rows of the block of states that holds ``z`` and
+    returns the row of ``z``: ``(executed_z, trans, thresholds, base,
+    bound_z)``, its executed action per task action, the block's transitions
+    and observation thresholds as flat lists, its offset in those, and its
+    bound.  Entry ``(a, b, o)`` is at ``base + (a * nb + b) * no + o``.
+    """
+    nz, na, nb, no = spec.transitions.shape
+    width = na * nb * no
+    block = max(1, _BLOCK_ENTRIES // width)  # states per block
+    rows = [None] * nz
+
+    def fill(z):
+        states = slice(z // block * block, (z // block + 1) * block)
+        trans = spec.transitions[states].ravel().tolist()
+        thresholds = _observation_thresholds(spec.observation_probs[states]).ravel().tolist()
+        rows[states] = [
+            (executed_z, trans, thresholds, i * width, bound_z)
+            for i, (executed_z, bound_z) in enumerate(zip(executed[states].tolist(), spec.action_bound[states]))
+        ]
+        return rows[z]
+
+    return rows, fill
 
 
 def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> RolloutTrace:
@@ -474,24 +474,9 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
     uniform = config.human_policy == "uniform"
     off_odd = config.human_policy == "off_odd"
     bound, num_ai, nh, no = spec.action_bound, spec.num_ai_actions, spec.num_human_actions, spec.num_observations
-    width = num_ai * nh * no
-    block = max(1, _BLOCK_ENTRIES // width)  # states per block
-
-    rows = [None] * spec.num_states
+    rows, fill = _step_rows(spec, flt.executed)
     tasks_at = None if task is None else _PerState(task)
     humans_at = None if human is None else _PerState(human)
-
-    def fill(j):
-        # a block of states' rows, built at once: each state's executed actions and bound, and the
-        # block's transitions and observation thresholds as flat lists, in which its i-th state's
-        # (a, b, o) entry is at i * width + (a * nh + b) * no + o
-        states = slice(j * block, (j + 1) * block)
-        trans = spec.transitions[states].ravel().tolist()
-        thresholds_j = _observation_thresholds(spec.observation_probs[states]).ravel().tolist()
-        rows[states] = [
-            (executed_z, trans, thresholds_j, i * width, bound_z)
-            for i, (executed_z, bound_z) in enumerate(zip(flt.executed[states].tolist(), bound[states]))
-        ]
 
     z = _resolve_state(spec, config.initial_state)
     gt, gt_state = doc.ground_truth, None
@@ -507,7 +492,7 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
     # a draw above its column's largest kept value may be rejected
     largest = [rejection_limit(num_ai) - 1] if task is None else []
     if uniform:
-        lengths = sorted(set(map(len, bound)))
+        lengths = np.flatnonzero(np.bincount(np.count_nonzero(spec.bound_mask, axis=1))).tolist()  # distinct, in order
         largest.append(min(map(rejection_limit, lengths)) - 1)
     largest = np.array(largest + [(1 << 64) - 1], dtype=np.uint64)
     draws = len(largest)
@@ -538,11 +523,7 @@ def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTr
             us = ((columns[-1] >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
         for i in range(n):
-            row = rows[z]
-            if row is None:
-                fill(z // block)
-                row = rows[z]
-            executed_z, trans, thresholds_z, base, bound_z = row
+            executed_z, trans, thresholds_z, base, bound_z = rows[z] or fill(z)
             a_task = tasks[i] if task is None else tasks_at[z]
             executed = executed_z[a_task]
             if uniform:
@@ -674,9 +655,11 @@ def verify_safety(
     draws; observations are picked as in rollout.
 
     Raises BudgetExceededError (carrying the partial report in ``partial``)
-    if ``max_nodes`` expansions are exceeded.
+    if ``max_nodes`` expansions are exceeded, and TypeError, before solving,
+    if ``depth`` or ``samples`` is not an integer.
     """
     spec = doc.game
+    depth, samples = operator.index(depth), operator.index(samples)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if samples < 1:
@@ -783,26 +766,28 @@ class _Lockstep:
 
     A step's ``row`` is ``(z * na + a_exec) * nb + b``, the flat index of its
     observation row; ``rows`` finds it from ``(z * na + a_task) * nb + i``,
-    where ``i`` indexes the bound of ``z``.  ``thresholds`` is the table of
-    ``_observation_thresholds`` by flat row, which the scalar path reads
-    too: a row is sorted, so the first ``o`` with ``u < thresholds[row, o]``
-    is ``bisect_right`` of the row.
+    where ``i`` indexes the bound of ``z``.  ``thresholds`` is the whole
+    game's table of ``_observation_thresholds`` by flat row, built when the
+    first window starts: a row is sorted, so the first ``o`` with ``u <
+    thresholds[row, o]`` is ``bisect_right`` of the row.  The bounds, their
+    lengths and their rejection limits all come from ``spec.bound_mask``.
     """
 
-    def __init__(self, spec: GameSpec, executed: np.ndarray, thresholds: np.ndarray):
+    def __init__(self, spec: GameSpec, executed: np.ndarray):
         nz, na, nb, no = spec.transitions.shape
         self.shape = na, nb, no
         self.trans = spec.transitions.ravel()  # by row * no + o
-        self.thresholds = thresholds.reshape(-1, no)
+        self.thresholds = _observation_thresholds(spec.observation_probs).reshape(-1, no)
         self.unsafe = spec.margins < 0.0
-        bound = spec.action_bound
-        # each bound padded to nb actions; no index reaches the padding
-        padded = np.array([row + row[:1] * (nb - len(row)) for row in bound], dtype=np.intp)
+        mask = spec.bound_mask
+        # each state's bound in order, then the actions outside it; no index reaches those
+        padded = np.argsort(~mask, axis=1, kind="stable")
         self.rows = ((np.arange(nz)[:, None] * na + executed)[:, :, None] * nb + padded[:, None, :]).ravel()
-        self.bound_len = np.array([len(row) for row in bound], dtype=np.uint64)
+        lengths = np.count_nonzero(mask, axis=1)
+        self.bound_len = lengths.astype(np.uint64)
         # the largest raw draw that randint keeps
         self.task_max = np.uint64(rejection_limit(na) - 1)
-        self.human_max = np.array([rejection_limit(len(row)) - 1 for row in bound], dtype=np.uint64)
+        self.human_max = np.array([rejection_limit(m) - 1 for m in range(1, nb + 1)], dtype=np.uint64)[lengths - 1]
         self.human_min = self.human_max.min()
 
     def run(self, z: np.ndarray, counter: int, depth: int):
@@ -857,22 +842,20 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
     A step draws ``randint`` for the task action, ``choice`` over the bound
     for the human action and ``uniform`` for the observation: three draws
     unless ``randint`` rejects one.  Each pass of the loop runs one sequence
-    through these calls, or, once ``_LOCKSTEP_MIN`` in a row have run clean,
-    one window of sequences whose draws ``_Lockstep`` takes in one block off
-    the stream's counter.  A window is cut at its first failure or rejected
-    draw; the stream resumes after the draws its clean sequences and its
-    failing path consumed, and the scalar calls take over again: they run a
-    sequence with a rejected draw as they run any other.  A failure settles
-    its root.  A clean window grows the next one four-fold, up to
-    ``_WINDOW_DRAWS`` draws.  On a game that fails often, a numpy step costs
-    more than the scalar steps it replaces.
+    through these calls, on the rollout's rows of ``_step_rows``, or, once
+    ``_LOCKSTEP_MIN`` in a row have run clean, one window of sequences whose
+    draws ``_Lockstep`` takes in one block off the stream's counter; its
+    whole-game tables are built when the first window starts.  A window is
+    cut at its first failure or rejected draw; the stream resumes after the
+    draws its clean sequences and its failing path consumed, and the scalar
+    calls take over again: they run a sequence with a rejected draw as they
+    run any other.  A failure settles its root.  A clean window grows the
+    next one four-fold, up to ``_WINDOW_DRAWS`` draws.  On a game that fails
+    often, a numpy step costs more than the scalar steps it replaces.
     """
     spec = sol.spec
-    thresholds = _observation_thresholds(spec.observation_probs)
-    num_ai, bound = spec.num_ai_actions, spec.action_bound
-    # each state's transitions and observation thresholds as lists, [a][b][o]
-    dynamics = _PerState(lambda z: (spec.transitions[z].tolist(), thresholds[z].tolist()))
-    exec_rows = executed.tolist()
+    num_ai, nb, no = spec.num_ai_actions, spec.num_human_actions, spec.num_observations
+    rows, fill = _step_rows(spec, executed)
     unsafe = (spec.margins < 0.0).tolist()
     total = len(roots) * per_state
     stream = SplitMix64(seed)
@@ -889,13 +872,13 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
             z = roots[start // per_state]
             path = []
             for _ in range(depth):
+                executed_z, trans, thresholds, base, bound_z = rows[z] or fill(z)
                 a_task = stream.randint(num_ai)
-                a_exec = exec_rows[z][a_task]
-                b = stream.choice(bound[z])
-                trans, rows = dynamics[z]
-                o = bisect_right(rows[a_exec][b], stream.uniform())
-                path.append((z, a_task, b, o))
-                z = trans[a_exec][b][o]
+                b = stream.choice(bound_z)
+                lo = base + (executed_z[a_task] * nb + b) * no
+                k = bisect_right(thresholds, stream.uniform(), lo, lo + no)
+                path.append((z, a_task, b, k - lo))
+                z = trans[k]
                 if unsafe[z]:
                     found.append(_counterexample(sol, executed, path, z))
                     start = (start // per_state + 1) * per_state
@@ -908,7 +891,7 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
                     size = min(_LOCKSTEP_MIN, largest)
             continue
         if lockstep is None:
-            lockstep, root_of = _Lockstep(spec, executed, thresholds), np.array(roots)
+            lockstep, root_of = _Lockstep(spec, executed), np.array(roots)
         count = int(min(size, total - start, room))
         counter = stream.counter
         clean, failure = lockstep.run(root_of[np.arange(start, start + count) // per_state], counter, depth)

@@ -91,9 +91,7 @@ class GameSpec:
         object.__setattr__(self, "transitions", _readonly(self.transitions, np.int64))
         object.__setattr__(self, "observation_probs", _readonly(self.observation_probs, np.float64))
         object.__setattr__(self, "margins", _readonly(self.margins, np.float64))
-        object.__setattr__(
-            self, "action_bound", tuple(tuple(int(b) for b in row) for row in self.action_bound)
-        )
+        object.__setattr__(self, "action_bound", tuple(tuple(map(int, row)) for row in self.action_bound))
         if self.state_labels is not None:
             object.__setattr__(self, "state_labels", tuple(self.state_labels))
         if self.annotations is not None:
@@ -252,7 +250,7 @@ def validate_model(spec: GameSpec, ground_truth: GroundTruthSystem | None = None
     for z, row in enumerate(spec.action_bound):
         if not row:
             err("bound", f"action bound at state {z} must be non-empty")
-        elif any(not 0 <= b < nb for b in row):
+        elif min(row) < 0 or max(row) >= nb:
             err("bound", f"action bound at state {z} references an unknown human action")
         elif tuple(sorted(set(row))) != row:
             err("bound", f"action bound at state {z} must be sorted and duplicate-free")

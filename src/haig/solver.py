@@ -489,7 +489,8 @@ def brute_force_value(
 
     Raises BudgetExceededError once more than ``node_budget`` nodes have
     been evaluated, or when the recursion to ``horizon`` runs deeper than
-    the interpreter's recursion limit.
+    the interpreter's recursion limit, and TypeError if ``horizon`` is not
+    an integer.
     """
     z = _int_index(z, spec.num_states, "info state")
     return _game_tree(spec, horizon, node_budget)(z)
@@ -514,6 +515,7 @@ def brute_force_values(
 
 def _game_tree(spec: GameSpec, horizon: int, node_budget: int):
     """Memoized recursion to ``horizon``, as a function of the root state."""
+    horizon = operator.index(horizon)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
 

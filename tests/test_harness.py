@@ -1221,6 +1221,47 @@ def test_rollout_blocks_are_sized_by_entries(monkeypatch):
     assert haig.harness._BLOCK_ENTRIES >= 16000
 
 
+def test_sampled_verify_in_small_state_blocks(monkeypatch):
+    """Sampled verify, forced on a deterministic game and run on a stochastic one, in blocks of seven states.
+
+    The scalar sequences ask ``_observation_thresholds`` for blocks only; the
+    whole game's table is built once, when the first lockstep window starts.
+    """
+    calls = _logged_threshold_inputs(monkeypatch)
+    run = haig.harness._Lockstep.run
+
+    def counting(self, z, *args):
+        calls.append("window")
+        return run(self, z, *args)
+
+    monkeypatch.setattr(haig.harness._Lockstep, "run", counting)
+    found = 0
+    for doc in (random_game(11, states=40, failure_fraction=0.1),
+                random_game(7, states=30, observations=3, failure_fraction=0.05)):
+        spec = doc.game
+        width = spec.transitions[0].size
+        monkeypatch.setattr(haig.harness, "_BLOCK_ENTRIES", 7 * width)
+        sol = value_iteration(spec)
+        in_lockstep = 0
+        for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
+            for depth in (3, 8):
+                calls.clear()
+                expected, _ = _reference_sampled(doc, sol, depth, filter_mode, None, 2000, 3)
+                assert verify_safety(doc, depth=depth, filter_mode=filter_mode, exhaustive_limit=0, samples=2000,
+                                     seed=3, solution=sol) == expected
+                found += len(expected.counterexamples)
+                blocks = [size for size in calls if size not in ("window", spec.observation_probs.size)]
+                assert blocks and max(blocks) == 7 * width
+                if "window" in calls:
+                    in_lockstep += 1
+                    assert calls[calls.index("window") - 1] == spec.observation_probs.size
+                    assert calls.count(spec.observation_probs.size) == 1
+                else:
+                    assert spec.observation_probs.size not in calls
+        assert in_lockstep >= 3
+    assert found > 50
+
+
 def test_initial_ground_truth_takes_the_first_pair_in_row_major_order():
     doc = build_chain(5)
     # four world states and three human states; state 2 first appears at (1, 1), and at (2, 0) after it
@@ -1283,6 +1324,24 @@ def test_compare_oracle_stochastic_within_tolerance():
     assert report.converged
     assert report.ok
     assert report.tolerance >= 1e-7
+
+
+def test_verify_and_the_oracle_refuse_non_integral_arguments(monkeypatch):
+    """A float ``samples``, ``depth`` or ``horizon`` raises TypeError; verify raises it before it solves."""
+    doc = build_chain(5)
+
+    def solving(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(haig.harness, "value_iteration", solving)
+        for arguments in (dict(samples=2.5), dict(depth=2.5), dict(depth=3.0)):
+            with pytest.raises(TypeError):
+                verify_safety(doc, exhaustive_limit=0, **arguments)
+    with pytest.raises(TypeError):
+        compare_oracle(doc, 2.5)
+    assert verify_safety(doc, exhaustive_limit=0, samples=np.int64(40), depth=np.int64(3)) == verify_safety(
+        doc, exhaustive_limit=0, samples=40, depth=3)
 
 
 def test_compare_oracle_truncated_horizon_reports_the_gap():

@@ -451,6 +451,16 @@ def test_deep_oracle_horizons_exceed_the_budget():
     assert brute_force_values(spec, 50) == value_iteration(spec).values.tolist()
 
 
+def test_oracle_horizons_must_be_integers():
+    """A float horizon raises TypeError at once, not a budget error at the recursion limit."""
+    spec = build_chain(5).game
+    with pytest.raises(TypeError):
+        brute_force_values(spec, 2.5)
+    with pytest.raises(TypeError):
+        brute_force_value(spec, 1, 2.5)
+    assert brute_force_values(spec, np.int64(2)) == brute_force_values(spec, 2)
+
+
 def _corridor(n, seed=None):
     """A corridor, shuffled unless ``seed`` is None: every joint action steps toward cell 0; margins rise along it."""
     cells = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)  # cells[i]: state of cell i
