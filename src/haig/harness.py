@@ -51,7 +51,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +67,7 @@ from .solver import (
     brute_force_values,
     value_iteration,
 )
-from .specfile import SpecDocument
+from .specfile import SpecDocument, _leaf_texts
 
 DEFAULT_DEPTH = 8
 DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
@@ -226,21 +225,20 @@ class RolloutTrace:
         return self.intervention_count / len(self.z)
 
     def to_jsonl(self) -> bytes:
-        """One JSON object per step, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it.
+        """One JSON object per step, keys sorted, as ``json.dumps(..., sort_keys=True, allow_nan=False)`` writes it.
 
         A line joins five pieces of text, each picked by fancy indexing from
         a table of its values: per ``b``; per (z, a_task) key and
         ground-truth flag; per ``o`` and odd-violation flag; ``t``; per key.
+        ``json`` itself writes the floats, through ``_leaf_texts``, and
+        raises what it raises for a non-finite one.
         """
         self.check_conservation()
         z, a_task, b, o, _ = self._columns
         n, na = len(z), self.executed.shape[1]
         keys, key = np.unique(z * na + a_task, return_inverse=True)
         key_z, key_a = np.divmod(keys, na)
-        floats = np.concatenate([self.spec.margins[key_z], self.scores[key_z, key_a]], dtype=np.float64)
-        if not np.isfinite(floats).all():  # the error of json.dumps(..., allow_nan=False)
-            raise ValueError("Out of range float values are not JSON compliant")
-        texts = list(map(float.__repr__, floats.tolist()))  # json's float format
+        texts = _leaf_texts(np.concatenate([self.spec.margins[key_z], self.scores[key_z, key_a]], dtype=np.float64))
         margins, monitors = texts[:len(keys)], texts[len(keys):]
         flags = ("",) if self.gt_failure is None else (', "gt_failure": false', ', "gt_failure": true')
         middle = _texts(
@@ -578,26 +576,17 @@ class VerificationReport:
         return not self.counterexamples
 
 
-def _successor_edges(spec: GameSpec, executed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct ``(z, z2)`` steps of a deterministic game under ``executed``, in search order.
+def _successor_edges(spec: GameSpec, executed: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every admissible step ``(z, z2, a_task, b)`` of a deterministic game under ``executed``, in search order.
 
-    Returns ``(src, dst, via)``, sorted by ``src``.  A state's steps come in
-    the order the ordered search meets them, task action then admissible
-    human action (bounds are sorted), and ``via`` is ``a_task * nb + b`` of
-    the first step that reaches ``dst``.
+    Returns the four columns, sorted by ``z``: a state's steps come in the
+    order the ordered search meets them, task action then admissible human
+    action (bounds are sorted).  Two steps may share their ``(z, z2)``; the
+    searches that read them skip, merge or scatter the repeats.
     """
     nz, na, nb = spec.transitions.shape[:3]
-    zbits, sbits = nz.bit_length(), (na * nb).bit_length()
-    zmask, smask = (1 << zbits) - 1, (1 << sbits) - 1
-    succ = _det_successors(spec)[np.arange(nz)[:, None], executed]  # (z, a_task, b)
-    # one int64 packs z, z2 and the step (2 * zbits + sbits bits, far below 63
-    # for any game that fits in memory); one sort keeps the first step of each (z, z2) ...
-    keys = (np.arange(nz)[:, None, None] << zbits | succ) << sbits | np.arange(na * nb).reshape(na, nb)
-    keys = np.sort(keys[np.broadcast_to(spec.bound_mask[:, None, :], succ.shape)])
-    keys = keys[np.flatnonzero(np.diff(keys >> sbits, prepend=-1))]
-    # ... and one of (z, step, z2) keys puts them back in search order
-    keys = np.sort((keys >> (zbits + sbits) << sbits | keys & smask) << zbits | keys >> sbits & zmask)
-    return keys >> (zbits + sbits), keys & zmask, keys >> zbits & smask
+    src, a_task, b = np.nonzero(np.broadcast_to(spec.bound_mask[:, None, :], (nz, na, nb)))
+    return src, _det_successors(spec)[src, executed[src, a_task], b], a_task, b
 
 
 class _Budget:
@@ -614,7 +603,7 @@ class _Budget:
 
     def spend(self, n: int) -> None:
         if self.spent + n > self.limit:
-            self.spent = max(self.spent + 1, floor(self.limit) + 1)
+            self.spent = self.max_nodes + 1
             raise BudgetExceededError(f"verification exceeded max_nodes={self.max_nodes}", partial=self.report())
         self.spent += n
 
@@ -640,8 +629,9 @@ def verify_safety(
     Exhaustive mode (deterministic games with at most ``exhaustive_limit``
     joint entries) searches breadth-first from each certified root and
     stops at the first failure state it meets; ``expanded`` sums the states
-    expanded.  It reads only the edges of ``_successor_edges``.  One
-    backward search from the failure states finds the roots within
+    expanded.  It reads every admissible step of ``_successor_edges``,
+    repeats of a ``(z, z2)`` included: the first one met is the one kept.
+    One backward search from the failure states finds the roots within
     ``depth`` of one, and only those run the ordered search that builds a
     counterexample.  Any other root expands every state within
     ``depth - 1`` steps, so its count is the size of that ball, grown by
@@ -651,12 +641,13 @@ def verify_safety(
     sequences per root, roots in order, from one SplitMix64 stream seeded
     with ``seed``; the first sequence that reaches failure ends its root.
     ``expanded`` counts the sequences started.  ``_sample_sequences`` runs
-    them through the scalar stream calls or in lockstep windows on the same
-    draws; observations are picked as in rollout.
+    them through the scalar stream calls or, cut as the rollout's are, in
+    lockstep windows on the same draws; observations are picked as in rollout.
 
     Raises BudgetExceededError (carrying the partial report in ``partial``)
-    if ``max_nodes`` expansions are exceeded, and TypeError, before solving,
-    if ``depth`` or ``samples`` is not an integer.
+    if ``max_nodes`` expansions are exceeded.  Before solving, it raises
+    TypeError if ``depth``, ``samples`` or a given ``max_nodes`` is not an
+    integer, and ValueError if one is out of range.
     """
     spec = doc.game
     depth, samples = operator.index(depth), operator.index(samples)
@@ -664,6 +655,10 @@ def verify_safety(
         raise ValueError(f"depth must be >= 1, got {depth}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if max_nodes is not None:
+        max_nodes = operator.index(max_nodes)
+        if max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     if filter_mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {filter_mode!r}")
 
@@ -695,7 +690,7 @@ def verify_safety(
 def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
     """The ordered search from each root within ``depth`` of a failure; ball sizes for the others."""
     spec = sol.spec
-    src, dst, via = _successor_edges(spec, executed)
+    src, dst, a_tasks, bs = _successor_edges(spec, executed)
     # one backward breadth-first search: the states within depth steps of a failure
     near = spec.margins < 0.0
     layer = near
@@ -712,7 +707,6 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
     targets = dst.tolist()
     succ_sets = _PerState(lambda z: set(targets[starts[z]:starts[z + 1]]))
     unsafe = (spec.margins < 0.0).tolist()
-    nb = spec.num_human_actions
     for z0 in roots:
         if not near[z0]:
             ball = ring = {z0}
@@ -751,8 +745,7 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
             z = hit
             while parent[z] is not None:
                 k = parent[z]
-                z = int(src[k])
-                a_task, b = divmod(int(via[k]), nb)
+                z, a_task, b = int(src[k]), int(a_tasks[k]), int(bs[k])
                 path.append((z, a_task, b, int(spec.observation_probs[z, executed[z, a_task], b].argmax())))
             found.append(_counterexample(sol, executed, path[::-1], hit))
 
@@ -769,8 +762,9 @@ class _Lockstep:
     where ``i`` indexes the bound of ``z``.  ``thresholds`` is the whole
     game's table of ``_observation_thresholds`` by flat row, built when the
     first window starts: a row is sorted, so the first ``o`` with ``u <
-    thresholds[row, o]`` is ``bisect_right`` of the row.  The bounds, their
-    lengths and their rejection limits all come from ``spec.bound_mask``.
+    thresholds[row, o]`` is ``bisect_right`` of the row.  The bounds and
+    their lengths come from ``spec.bound_mask``; ``largest`` holds the
+    largest task and human draws that every ``randint`` of the game keeps.
     """
 
     def __init__(self, spec: GameSpec, executed: np.ndarray):
@@ -785,31 +779,28 @@ class _Lockstep:
         self.rows = ((np.arange(nz)[:, None] * na + executed)[:, :, None] * nb + padded[:, None, :]).ravel()
         lengths = np.count_nonzero(mask, axis=1)
         self.bound_len = lengths.astype(np.uint64)
-        # the largest raw draw that randint keeps
-        self.task_max = np.uint64(rejection_limit(na) - 1)
-        self.human_max = np.array([rejection_limit(m) - 1 for m in range(1, nb + 1)], dtype=np.uint64)[lengths - 1]
-        self.human_min = self.human_max.min()
+        human = min(map(rejection_limit, set(lengths.tolist())))
+        self.largest = np.array([rejection_limit(na) - 1, human - 1], dtype=np.uint64)
 
     def run(self, z: np.ndarray, counter: int, depth: int):
         """Run sequences from the roots ``z`` on the draws after ``counter``, one after another.
 
-        The window is cut at its first failure or rejected ``randint`` draw
-        in stream order.  Returns how many lead sequences run clean to
-        ``depth``, and the ``(path, final_state)`` of the next one if the cut
-        is a failure, else ``None``: all of them ran clean, or the next one
-        draws a value that ``randint`` rejects.
+        Only the sequences before the first one that holds a task or human
+        draw above ``largest`` run; that one may meet a rejection.  The
+        window is cut at its first failure in stream order.  Returns how
+        many lead sequences run clean to ``depth``, and the ``(path,
+        final_state)`` of the next one if it fails, else ``None``.
         """
         na, nb, no = self.shape
-        count = len(z)
-        draws = splitmix_block(counter, count * depth * 3).reshape(count, depth, 3)
-        task, human, obs = np.ascontiguousarray(draws.transpose(2, 1, 0))  # each (depth, count)
+        draws = splitmix_block(counter, len(z) * depth * 3).reshape(len(z), depth, 3)
+        held = np.flatnonzero((draws[:, :, :2] > self.largest).any(axis=(1, 2)))
+        live = int(held[0]) if len(held) else len(z)
+        task, human, obs = np.ascontiguousarray(draws[:live].transpose(2, 1, 0))  # each (depth, live)
         a_task = (task % np.uint64(na)).astype(np.intp)
         u = (obs >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        # most windows hold no draw that any bound of the game rejects
-        rejects = bool((task > self.task_max).any() or (human > self.human_min).any())
+        z = z[:live]
         steps = []
-        failed = None  # the step of the cut, if it is a failure
-        live = count
+        failed = None  # the step of the first failure
         for t in range(depth):
             a = a_task[t, :live]
             i = (human[t, :live] % self.bound_len[z]).astype(np.intp)
@@ -817,14 +808,9 @@ class _Lockstep:
             o = (u[t, :live, None] < self.thresholds[row]).argmax(axis=1)
             z2 = self.trans[row * no + o]
             steps.append((z, a, row, o, z2))
-            event = self.unsafe[z2]
-            if rejects:
-                rejected = (task[t, :live] > self.task_max) | (human[t, :live] > self.human_max[z])
-                event |= rejected
-            if event.any():
-                live = int(event.argmax())
-                # a rejected draw comes before the failure of its step
-                failed = None if rejects and rejected[live] else t
+            failing = self.unsafe[z2]
+            if failing.any():
+                live, failed = int(failing.argmax()), t
                 if not live:
                     break
             z = z2[:live]
@@ -845,12 +831,14 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
     through these calls, on the rollout's rows of ``_step_rows``, or, once
     ``_LOCKSTEP_MIN`` in a row have run clean, one window of sequences whose
     draws ``_Lockstep`` takes in one block off the stream's counter; its
-    whole-game tables are built when the first window starts.  A window is
-    cut at its first failure or rejected draw; the stream resumes after the
-    draws its clean sequences and its failing path consumed, and the scalar
-    calls take over again: they run a sequence with a rejected draw as they
-    run any other.  A failure settles its root.  A clean window grows the
-    next one four-fold, up to ``_WINDOW_DRAWS`` draws.  On a game that fails
+    whole-game tables are built when the first window starts.  A window
+    ends before its first sequence that holds a task or human draw above
+    the game's smallest rejection limit, as the rollout's windows do, or at
+    its first failure.  The stream resumes after the draws its clean
+    sequences and its failing path consumed, and the scalar calls take over
+    again: they run a sequence with a rejected draw as they run any other.
+    A failure settles its root.  A window that runs whole grows the next
+    one four-fold, up to ``_WINDOW_DRAWS`` draws.  On a game that fails
     often, a numpy step costs more than the scalar steps it replaces.
     """
     spec = sol.spec
@@ -952,9 +940,14 @@ def compare_oracle(
     where the solver and the recursion compute identical floating-point
     values.  Otherwise it is ``max(1e-7, epsilon * iterations)``, a heuristic
     allowance for rounding and for stopping at the residual ``epsilon``, not
-    a proven bound on the error.
+    a proven bound on the error.  A non-integral or negative ``horizon``
+    raises TypeError or ValueError before solving.
     """
     spec = doc.game
+    if horizon is not None:
+        horizon = operator.index(horizon)
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
     sol = value_iteration(spec, epsilon=epsilon)
     if horizon is None:
         horizon = sol.iterations

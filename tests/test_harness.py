@@ -31,7 +31,7 @@ from haig import (
 )
 from haig.filtering import InterventionRecord
 from haig.harness import RolloutStep, VerificationReport
-from haig.rng import SplitMix64, splitmix_block
+from haig.rng import SplitMix64, advance, rejection_limit, splitmix_block
 from test_filtering import _signed_zero_chain, one_hot_observations, reference_table
 from test_rng import _ScalarSplitMix64, seed_with_draw
 
@@ -805,6 +805,46 @@ def test_sampled_verify_on_a_planted_draw(monkeypatch, draw, rows):
         assert cuts == []
 
 
+def test_sampled_verify_cuts_at_a_kept_draw_above_the_smallest_limit(monkeypatch):
+    """A human draw that ``randint(3)`` keeps and ``randint(6)`` would reject ends its lockstep window.
+
+    Bounds hold three or six human actions, so no window runs a sequence
+    with a draw above ``randint(6)``'s largest kept one, whatever the state
+    of that draw: sequence 100, whose first step is at a root with three,
+    runs through the scalar calls without a failure, and windows resume
+    after it.
+    """
+    windows = []  # (counter, sequences, clean ones, failure) per window
+    run = haig.harness._Lockstep.run
+
+    def recording(self, z, counter, depth):
+        clean, failure = run(self, z, counter, depth)
+        windows.append((counter, len(z), clean, failure))
+        return clean, failure
+
+    monkeypatch.setattr(haig.harness._Lockstep, "run", recording)
+    doc = random_game(16, states=30, human_actions=6, observations=3, failure_fraction=0.05)
+    bound = [tuple(range(6)) if z % 4 == 3 else tuple(sorted((z + k) % 6 for k in (0, 2, 4))) for z in range(30)]
+    doc = SpecDocument(game=replace(doc.game, action_bound=bound))
+    sol = value_iteration(doc.game)
+    draw = 2**64 - 3
+    assert rejection_limit(6) <= draw < rejection_limit(3)
+    depth, samples, sequence = 8, 4000, 100
+    index = sequence * depth * 3 + 1  # the human draw of sequence 100's first step
+    seed = seed_with_draw(draw, index)
+    assert max(splitmix_block(seed, index)) < rejection_limit(6)
+    partial = _compare_sampled(doc, sol, "switch", depth, sequence + 1, samples, seed)
+    assert partial.counterexamples == ()  # sequences 0 to 100 of the first root run clean
+    assert len(doc.game.action_bound[partial.certified_states[0]]) == 3
+    windows.clear()
+    report = _compare_sampled(doc, sol, "switch", depth, None, samples, seed)
+    assert len(report.counterexamples) >= 5
+    cuts = [k for k, (_, count, clean, failure) in enumerate(windows) if clean < count and failure is None]
+    assert len(cuts) == 1 and cuts[0] < len(windows) - 1
+    counter, _, clean, _ = windows[cuts[0]]
+    assert advance(counter, 3 * depth * clean) == advance(seed, 3 * depth * sequence)
+
+
 @pytest.mark.parametrize("rows", [
     pytest.param((0.06, 0.57, 0.37, 0.0), id="one-trailing-zero"),
     pytest.param((0.06, 0.57, 0.37, 0.0, 0.0, 0.0), id="three-trailing-zeros"),
@@ -1309,6 +1349,11 @@ def test_verify_argument_validation():
             verify_safety(build_chain(5), samples=samples, exhaustive_limit=1)
     with pytest.raises(ValueError, match="filter mode"):
         verify_safety(build_chain(5), filter_mode="what")
+    with pytest.raises(ValueError, match="max_nodes"):
+        verify_safety(build_chain(5), max_nodes=-1)
+    for max_nodes in (2.5, 3.0):
+        with pytest.raises(TypeError):
+            verify_safety(build_chain(5), max_nodes=max_nodes)
 
 
 def test_compare_oracle_deterministic_is_exact():
@@ -1342,6 +1387,25 @@ def test_verify_and_the_oracle_refuse_non_integral_arguments(monkeypatch):
         compare_oracle(doc, 2.5)
     assert verify_safety(doc, exhaustive_limit=0, samples=np.int64(40), depth=np.int64(3)) == verify_safety(
         doc, exhaustive_limit=0, samples=40, depth=3)
+
+
+def test_bad_budgets_and_horizons_are_refused_before_solving(monkeypatch):
+    """A float or negative ``max_nodes`` or ``horizon`` raises before ``value_iteration`` runs."""
+    doc = random_game(0, states=30, ai_actions=3, human_actions=3, observations=3, failure_fraction=0.05)
+
+    def solving(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(haig.harness, "value_iteration", solving)
+        for value, error in ((2.5, TypeError), (-1, ValueError)):
+            with pytest.raises(error):
+                verify_safety(doc, max_nodes=value)
+            with pytest.raises(error):
+                compare_oracle(doc, value)
+    chain = build_chain(5)
+    assert compare_oracle(chain, np.int64(2)) == compare_oracle(chain, 2)
+    assert verify_safety(chain, max_nodes=np.int64(40)) == verify_safety(chain, max_nodes=40)
 
 
 def test_compare_oracle_truncated_horizon_reports_the_gap():
