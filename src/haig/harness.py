@@ -44,7 +44,6 @@ comes from ``spec.bound_mask``.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import operator
 from bisect import bisect_right
@@ -67,7 +66,7 @@ from .solver import (
     brute_force_values,
     value_iteration,
 )
-from .specfile import SpecDocument, _leaf_texts
+from .specfile import SpecDocument, _collector_paused, _leaf_texts
 
 DEFAULT_DEPTH = 8
 DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
@@ -428,6 +427,7 @@ def _step_rows(spec: GameSpec, executed: np.ndarray):
     return rows, fill
 
 
+@_collector_paused
 def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> RolloutTrace:
     """Run one seeded rollout and return its trace.
 
@@ -438,26 +438,10 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     draws through the scalar stream calls, which skip a rejected draw as
     ``randint`` does, and the next window starts at that stream's counter.
 
-    The cyclic garbage collector is paused meanwhile, and resumed after if
-    it was running.  A rollout builds a row per state of each block it
-    visits, none of them in a reference cycle.  With the collector
-    running, every few hundred of them would set off a young collection
-    that only moves them on, and every few rollouts a full collection
-    would rescan everything the process holds: a rollout would cost more
-    the more the process holds besides, and more in one call than the
-    next by chance.  The one young collection they are due runs at the
-    caller's next allocation, over what is still alive then.
+    It runs with the cyclic garbage collector paused (``_collector_paused``):
+    it builds a row per state of each block it visits, none of them in a
+    reference cycle.
     """
-    running = gc.isenabled()
-    gc.disable()
-    try:
-        return _rollout(config, solution)
-    finally:
-        if running:
-            gc.enable()
-
-
-def _rollout(config: RolloutConfig, solution: ValueSolution | None) -> RolloutTrace:
     doc = config.document
     spec = doc.game
     if config.max_steps < 1:
@@ -596,7 +580,7 @@ class _Budget:
         self.max_nodes = max_nodes
         self.limit = float("inf") if max_nodes is None else max_nodes
         self.spent = 0
-        self.report = report
+        self._report = report  # spent -> report; taking the count keeps it free of a cycle through this budget
 
     def room(self):
         return self.limit - self.spent
@@ -606,6 +590,10 @@ class _Budget:
             self.spent = self.max_nodes + 1
             raise BudgetExceededError(f"verification exceeded max_nodes={self.max_nodes}", partial=self.report())
         self.spent += n
+
+    def report(self):
+        """The report of the expansions spent so far."""
+        return self._report(self.spent)
 
 
 def verify_safety(
@@ -671,13 +659,13 @@ def verify_safety(
     joint = spec.num_states * spec.num_ai_actions * spec.num_human_actions * spec.num_observations
     mode = "exhaustive" if spec.is_deterministic() and joint <= exhaustive_limit else "sampled"
     found: list[RolloutTrace] = []
-    budget = _Budget(max_nodes, lambda: VerificationReport(
+    budget = _Budget(max_nodes, lambda spent: VerificationReport(
         mode=mode,
         depth=depth,
         filter_mode=filter_mode,
         certified_states=certified,
         counterexamples=tuple(found),
-        expanded=budget.spent,
+        expanded=spent,
     ))
     if mode == "exhaustive":
         _search_exhaustive(sol, flt.executed, certified, depth, found, budget)

@@ -91,7 +91,10 @@ class GameSpec:
         object.__setattr__(self, "transitions", _readonly(self.transitions, np.int64))
         object.__setattr__(self, "observation_probs", _readonly(self.observation_probs, np.float64))
         object.__setattr__(self, "margins", _readonly(self.margins, np.float64))
-        object.__setattr__(self, "action_bound", tuple(tuple(map(int, row)) for row in self.action_bound))
+        bound = self.action_bound  # kept as given when it is already a tuple of int tuples
+        rows_typed = type(bound) is tuple and set(map(type, bound)) == {tuple}
+        if not (rows_typed and set(map(type, chain.from_iterable(bound))) <= {int}):
+            object.__setattr__(self, "action_bound", tuple(tuple(map(int, row)) for row in bound))
         if self.state_labels is not None:
             object.__setattr__(self, "state_labels", tuple(self.state_labels))
         if self.annotations is not None:
@@ -247,7 +250,8 @@ def validate_model(spec: GameSpec, ground_truth: GroundTruthSystem | None = None
                 f"observation row (z={bad[0]}, a_ai={bad[1]}, a_h={bad[2]}) sums to {float(probs[bad].sum())!r}",
             )
 
-    for z, row in enumerate(spec.action_bound):
+    for z in _bad_bound_rows(spec.action_bound, nb):
+        row = spec.action_bound[z]
         if not row:
             err("bound", f"action bound at state {z} must be non-empty")
         elif min(row) < 0 or max(row) >= nb:
@@ -264,6 +268,25 @@ def validate_model(spec: GameSpec, ground_truth: GroundTruthSystem | None = None
         _validate_ground_truth(spec, ground_truth, items, err, warn)
 
     return ValidationReport(tuple(items))
+
+
+def _bad_bound_rows(bound, nb: int):
+    """The states, in order, whose bound row is empty, leaves ``range(nb)`` or is not strictly increasing.
+
+    Array operations over the rows' lengths and their flattened entries;
+    with an entry beyond int64, every state.
+    """
+    lengths = np.fromiter(map(len, bound), np.int64, len(bound))
+    try:
+        flat = np.array(list(chain.from_iterable(bound)), dtype=np.int64)
+    except OverflowError:
+        return range(len(bound))
+    row_of = np.repeat(np.arange(len(bound)), lengths)
+    bad = (flat < 0) | (flat >= nb)
+    bad[1:] |= (flat[1:] <= flat[:-1]) & (row_of[1:] == row_of[:-1])
+    bad_rows = lengths == 0
+    bad_rows[row_of[bad]] = True
+    return np.flatnonzero(bad_rows).tolist()
 
 
 def _validate_ground_truth(spec, gt, items, err, warn):

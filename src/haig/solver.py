@@ -493,7 +493,7 @@ def brute_force_value(
     an integer.
     """
     z = _int_index(z, spec.num_states, "info state")
-    return _game_tree(spec, horizon, node_budget)(z)
+    return _GameTree(spec, horizon, node_budget)(z)
 
 
 def brute_force_values(
@@ -509,72 +509,76 @@ def brute_force_values(
     only the nodes that root evaluates first, so a root that fits its
     budget in ``brute_force_value`` fits it here too.
     """
-    root_value = _game_tree(spec, horizon, node_budget)
+    root_value = _GameTree(spec, horizon, node_budget)
     return [root_value(z) for z in range(spec.num_states)]
 
 
-def _game_tree(spec: GameSpec, horizon: int, node_budget: int):
-    """Memoized recursion to ``horizon``, as a function of the root state."""
-    horizon = operator.index(horizon)
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+class _GameTree:
+    """Memoized recursion to ``horizon``; called with a root state, returns its value.
 
-    ell = [float(m) for m in spec.margins]
-    trans = spec.transitions.tolist()
-    probs = spec.observation_probs.tolist()
-    bound = spec.action_bound
-    n_ai = spec.num_ai_actions
-    n_obs = spec.num_observations
+    A class, so that the recursion goes through ``self.value``: a nested
+    function that calls itself through its own closure is a reference
+    cycle, which would keep the memo and the tables alive until a full
+    collection.
+    """
 
-    memo: dict[tuple[int, int], float] = {}
-    nodes = 0
+    def __init__(self, spec: GameSpec, horizon: int, node_budget: int):
+        self.horizon = operator.index(horizon)
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        self.node_budget = node_budget
+        self.ell = [float(m) for m in spec.margins]
+        self.trans = spec.transitions.tolist()
+        self.probs = spec.observation_probs.tolist()
+        self.bound = spec.action_bound
+        self.n_ai = spec.num_ai_actions
+        self.n_obs = spec.num_observations
+        self.memo: dict[tuple[int, int], float] = {}
+        self.nodes = 0
 
-    def value(state: int, depth: int) -> float:
-        nonlocal nodes
+    def __call__(self, z: int) -> float:
+        self.nodes = 0
+        try:
+            return self.value(z, self.horizon)
+        except RecursionError:
+            raise BudgetExceededError(
+                f"brute force horizon {self.horizon} is deeper than the interpreter's recursion limit"
+            ) from None
+
+    def value(self, state: int, depth: int) -> float:
         key = (state, depth)
-        hit = memo.get(key)
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
-        nodes += 1
-        if nodes > node_budget:
+        self.nodes += 1
+        if self.nodes > self.node_budget:
             raise BudgetExceededError(
-                f"brute force exceeded its node budget of {node_budget}"
+                f"brute force exceeded its node budget of {self.node_budget}"
             )
         if depth == 0:
-            result = ell[state]
+            result = self.ell[state]
         else:
-            here = ell[state]
+            here = self.ell[state]
+            probs, trans, n_obs = self.probs[state], self.trans[state], self.n_obs
             best = None
-            for a in range(n_ai):
+            for a in range(self.n_ai):
                 worst = None
-                for b in bound[state]:
+                for b in self.bound[state]:
                     expected = 0.0
-                    row = probs[state][a][b]
-                    nxt = trans[state][a][b]
+                    row = probs[a][b]
+                    nxt = trans[a][b]
                     for o in range(n_obs):
                         p = row[o]
                         if p > 0.0:
-                            expected += p * value(nxt[o], depth - 1)
+                            expected += p * self.value(nxt[o], depth - 1)
                     outcome = here if here <= expected else expected
                     if worst is None or outcome < worst:
                         worst = outcome
                 if best is None or worst > best:
                     best = worst
             result = best
-        memo[key] = result
+        self.memo[key] = result
         return result
-
-    def root_value(z: int) -> float:
-        nonlocal nodes
-        nodes = 0
-        try:
-            return value(z, horizon)
-        except RecursionError:
-            raise BudgetExceededError(
-                f"brute force horizon {horizon} is deeper than the interpreter's recursion limit"
-            ) from None
-
-    return root_value
 
 
 def solution_payload(sol: ValueSolution) -> dict:

@@ -54,10 +54,17 @@ types and lengths, and converts the leaves with one ``np.array`` call when
 they all have the JSON type their reader expects; other leaves go through
 the reader one at a time, and an index path is formatted only for an
 error.
+
+``parse_spec`` runs with the cyclic garbage collector paused, from
+``json.loads`` through ``validate_model`` (see ``_collector_paused``): the
+parsed JSON tree holds no reference cycles, so reference counting frees
+it as before.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -74,7 +81,7 @@ from .errors import (
     SpecReferenceError,
     SpecSyntaxError,
 )
-from .model import GameSpec, GroundTruthSystem, _fields_equal, validate_model
+from .model import GameSpec, GroundTruthSystem, _bad_bound_rows, _fields_equal, validate_model
 
 FORMAT_VERSION = "1"
 # Largest number of (state, ai action, human action, observation) entries a
@@ -111,6 +118,35 @@ class SpecDocument:
 # ---------------------------------------------------------------------------
 
 
+def _collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused, and resumed after if it was running.
+
+    For calls that build many container objects, none of them in a
+    reference cycle: a parsed JSON tree, or a rollout's per-state rows.
+    With the collector running, every few hundred of them would set off a
+    young collection that only moves them on, and now and then a full
+    collection would rescan everything the process holds: a call would
+    cost more the more the process holds besides, and more in one call
+    than the next by chance.  The one young collection they are due runs
+    at the caller's next allocation, over what is still alive then.
+    Reference counting still frees what the call drops, so a huge or
+    malformed document takes no more memory.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        running = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if running:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def parse_spec(data: bytes | str) -> SpecDocument:
     """Parse and fully validate a document.
 
@@ -393,13 +429,20 @@ def _parse_game(game: dict) -> GameSpec:
 
 
 def _bound_typed(rows, resolver):
-    """The action bound's rows as sorted distinct indices when every entry is an in-range index, else None."""
+    """The action bound's rows as sorted distinct indices when every entry is an in-range index, else None.
+
+    Only the rows that ``_bad_bound_rows`` finds not strictly increasing are
+    sorted and deduplicated.
+    """
     if set(map(type, rows)) != {list}:
         return None
     entries = list(chain.from_iterable(rows))
     if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= resolver.size:
         return None
-    return list(map(tuple, map(sorted, map(set, rows))))
+    bound = list(map(tuple, rows))
+    for z in _bad_bound_rows(bound, resolver.size):
+        bound[z] = tuple(sorted(set(bound[z])))
+    return bound
 
 
 def _parse_transition(raw, shape, res_state, res_ai, res_human, res_obs) -> np.ndarray:

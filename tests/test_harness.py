@@ -21,10 +21,12 @@ from haig import (
     build_chain,
     build_dialogue,
     compare_oracle,
+    parse_spec,
     perfect_filter,
     pluggable_monitor,
     random_game,
     rollout,
+    serialize,
     summary_csv,
     value_iteration,
     verify_safety,
@@ -1157,6 +1159,35 @@ def test_rollout_runs_with_the_collector_paused(monkeypatch):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_no_call_leaves_cyclic_garbage():
+    """Reference counting frees what each entry point leaves: a collection after it finds nothing."""
+    chain = build_chain(5)
+    stochastic = random_game(1, states=12, ai_actions=2, human_actions=2, observations=3, failure_fraction=0.2)
+    calls = {
+        "parse_spec": lambda: parse_spec(serialize(chain)),
+        "serialize": lambda: serialize(stochastic),
+        "value_iteration": lambda: value_iteration(stochastic.game),
+        "exhaustive verify": lambda: verify_safety(chain, filter_mode="none"),
+        "sampled verify": lambda: verify_safety(stochastic, filter_mode="none", samples=200),
+        "rollout": lambda: rollout(_chain_cfg(task_policy="random", human_policy="uniform", max_steps=50)),
+        "compare_oracle": lambda: compare_oracle(chain, 6),
+    }
+    assert verify_safety(chain, filter_mode="none").counterexamples
+    assert verify_safety(stochastic, filter_mode="none", samples=200).mode == "sampled"
+    for call in calls.values():  # first calls may fill caches inside numpy
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        unreachable = {}
+        for name, call in calls.items():
+            call()
+            unreachable[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == dict.fromkeys(calls, 0)
 
 
 def test_rollout_raises_where_the_scalar_loop_raises(monkeypatch):

@@ -190,6 +190,69 @@ def test_validate_flags_bad_bounds():
     assert "sorted" in report.errors[0].message
 
 
+@pytest.mark.parametrize("beyond_int64", [False, True])
+def test_bound_errors_are_pinned(beyond_int64):
+    """Every bad row is named, in state order, by the first rule it breaks; entries beyond int64 included."""
+    unknown = "references an unknown human action"
+    unsorted = "must be sorted and duplicate-free"
+    cases = [
+        ((0, 1), None), ((), "must be non-empty"), ((-1,), unknown), ((0, 2), unknown), ((1, 0), unsorted),
+        ((0, 0), unsorted), ((1,), None), ((1,), None), ((0, 1), None), ((1, 1, 0), unsorted), ((0,), None),
+    ]
+    if beyond_int64:
+        cases += [((2**70,), unknown), ((0,), None), ((0, -(2**70)), unknown), ((2**64 - 1, 0), unknown)]
+    rows = tuple(row for row, _ in cases)
+    spec = _tiny_game(
+        num_states=len(rows),
+        transitions=np.zeros((len(rows), 2, 2, 1), dtype=np.int64),
+        observation_probs=np.ones((len(rows), 2, 2, 1)),
+        margins=np.ones(len(rows)),
+        action_bound=rows,
+    )
+    assert validate_model(spec).items == tuple(
+        ValidationItem("error", "bound", f"action bound at state {z} {rule}")
+        for z, (_, rule) in enumerate(cases) if rule is not None
+    )
+    # only the bad rows take the per-row checks, unless an entry is beyond int64
+    bad = [z for z, (_, rule) in enumerate(cases) if rule is not None]
+    assert list(haig.model._bad_bound_rows(rows, 2)) == (list(range(len(rows))) if beyond_int64 else bad)
+
+
+def test_bound_checks_match_the_per_row_loop():
+    """Random rows, empty, out of range, unsorted and repeated among them, get the per-row loop's messages."""
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        nz = int(rng.integers(1, 30))
+        rows = tuple(tuple(rng.integers(-1, 4, rng.integers(0, 4)).tolist()) for _ in range(nz))
+        spec = _tiny_game(
+            num_states=nz,
+            human_actions=("a", "b", "c"),
+            transitions=np.zeros((nz, 2, 3, 1), dtype=np.int64),
+            observation_probs=np.ones((nz, 2, 3, 1)),
+            margins=np.ones(nz),
+            action_bound=rows,
+        )
+        expected = []
+        for z, row in enumerate(rows):
+            if not row:
+                expected.append(f"action bound at state {z} must be non-empty")
+            elif min(row) < 0 or max(row) >= 3:
+                expected.append(f"action bound at state {z} references an unknown human action")
+            elif tuple(sorted(set(row))) != row:
+                expected.append(f"action bound at state {z} must be sorted and duplicate-free")
+        assert [item.message for item in validate_model(spec).items] == expected
+
+
+def test_bound_rows_become_int_tuples():
+    """A tuple of int tuples is kept as given; any other rows are converted entry by entry."""
+    rows = ((0, 1), (1,))
+    assert _tiny_game(action_bound=rows).action_bound is rows
+    converted = _tiny_game(action_bound=[np.array([0, 1]), [True]]).action_bound
+    assert converted == ((0, 1), (1,))
+    assert {type(b) for row in converted for b in row} == {int}
+    assert _tiny_game(action_bound=((np.int64(0), 1.0), (1,))).action_bound == ((0, 1), (1,))
+
+
 def test_validate_flags_label_arity():
     report = validate_model(_tiny_game(state_labels=("only-one",)))
     assert report.errors[0].code == "labels"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import time
 
@@ -23,6 +24,7 @@ from haig import (
     random_game,
     save_spec,
     serialize,
+    validate_model,
 )
 from haig import specfile
 from haig.solver import solution_payload, value_iteration
@@ -242,6 +244,40 @@ def test_observation_probs_required_with_multiple_observations():
 def test_action_bound_deduplicates():
     doc = _parse(_payload(action_bound=[["go", "go", "stay"], [1]]))
     assert doc.game.action_bound == ((0, 1), (1,))
+
+
+def test_action_bound_rows_parse_sorted_and_distinct():
+    """Index rows out of order or repeated parse, like label rows, to sorted distinct rows."""
+    payload = _payload(states=4, human_actions=["a", "b", "c"], transition={"default": "self", "entries": []},
+                       margin=[1.0, 2.0, -1.0, 3.0], action_bound=[[2, 0, 2], [1], [0, 1, 2], [2, 1, 1]])
+    assert _parse(payload).game.action_bound == ((0, 2), (1,), (0, 1, 2), (1, 2))
+
+
+def test_parse_runs_with_the_collector_paused(monkeypatch):
+    """Paused during a parse, running again after it, also when it raises; a paused collector stays paused."""
+    running = []
+
+    def recording(game, ground_truth):
+        running.append(gc.isenabled())
+        return validate_model(game, ground_truth)
+
+    monkeypatch.setattr(specfile, "validate_model", recording)
+    assert gc.isenabled()
+    _parse(_MINIMAL)
+    assert gc.isenabled()
+    with pytest.raises(SpecSyntaxError):
+        parse_spec('{"format_version": "1",\n  "game": }')
+    assert gc.isenabled()
+    with pytest.raises(SchemaError, match="non-empty"):
+        _parse(_payload(action_bound=[[], [0]]))
+    assert running == [False, False]
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        _parse(_MINIMAL)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_policies_errors():
