@@ -21,8 +21,10 @@ a negative margin, for any task-action choice at every step and any
 admissible human response.  On deterministic games under the size limit
 the check enumerates exhaustively (a breadth-first search over reachable
 states; filtering makes the task action's effect a function of the state,
-so state-level memoization loses nothing).  Larger or stochastic games
-fall back to seeded random sequences.  Running it with the filter off is
+so state-level memoization loses nothing).  It reads the solver's step
+table, ``solver._steps`` under the filter's executed actions, listed per
+state by ``solver._grouped``.  Larger or stochastic games fall back to
+seeded random sequences.  Running it with the filter off is
 the control arm.  Each counterexample is a ``RolloutTrace`` of its path
 to failure, built only for failing paths: monitor scores from the
 solution's ``scores`` table, no ground-truth flags.  Each search costs
@@ -63,6 +65,8 @@ from .solver import (
     DEFAULT_NODE_BUDGET,
     ValueSolution,
     _det_successors,
+    _grouped,
+    _steps,
     brute_force_values,
     value_iteration,
 )
@@ -441,11 +445,16 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     It runs with the cyclic garbage collector paused (``_collector_paused``):
     it builds a row per state of each block it visits, none of them in a
     reference cycle.
+
+    Before solving, it raises TypeError if ``max_steps`` or ``seed`` is not
+    an integer, and ValueError if ``max_steps`` is below 1 or the filter
+    mode is unknown.
     """
     doc = config.document
     spec = doc.game
-    if config.max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {config.max_steps}")
+    max_steps, seed = operator.index(config.max_steps), operator.index(config.seed)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if config.filter_mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {config.filter_mode!r}")
 
@@ -478,12 +487,12 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
         largest.append(min(map(rejection_limit, lengths)) - 1)
     largest = np.array(largest + [(1 << 64) - 1], dtype=np.uint64)
     draws = len(largest)
-    counter = SplitMix64(config.seed).counter
+    counter = SplitMix64(seed).counter
     zs, task_actions, human_actions, observations = [], [], [], []
     gt_failures = None if gt_state is None else []
     t = 0
     cut = False  # whether the next step takes its draws through the scalar stream calls
-    while t < config.max_steps:
+    while t < max_steps:
         if cut:
             stream = SplitMix64(counter)
             tasks = [stream.randint(num_ai)] if task is None else None
@@ -492,7 +501,7 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
             us = [stream.uniform()]
             counter, n, cut = stream.counter, 1, False
         else:
-            n = min(_WINDOW_STEPS, config.max_steps - t)
+            n = min(_WINDOW_STEPS, max_steps - t)
             raw = splitmix_block(counter, n * draws).reshape(n, draws)
             rejected = np.flatnonzero((raw > largest).any(axis=1))
             if len(rejected):
@@ -560,19 +569,6 @@ class VerificationReport:
         return not self.counterexamples
 
 
-def _successor_edges(spec: GameSpec, executed: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every admissible step ``(z, z2, a_task, b)`` of a deterministic game under ``executed``, in search order.
-
-    Returns the four columns, sorted by ``z``: a state's steps come in the
-    order the ordered search meets them, task action then admissible human
-    action (bounds are sorted).  Two steps may share their ``(z, z2)``; the
-    searches that read them skip, merge or scatter the repeats.
-    """
-    nz, na, nb = spec.transitions.shape[:3]
-    src, a_task, b = np.nonzero(np.broadcast_to(spec.bound_mask[:, None, :], (nz, na, nb)))
-    return src, _det_successors(spec)[src, executed[src, a_task], b], a_task, b
-
-
 class _Budget:
     """Expansions counted against ``max_nodes``; the first one past it raises with the partial report."""
 
@@ -596,6 +592,7 @@ class _Budget:
         return self._report(self.spent)
 
 
+@_collector_paused
 def verify_safety(
     doc: SpecDocument,
     *,
@@ -617,13 +614,14 @@ def verify_safety(
     Exhaustive mode (deterministic games with at most ``exhaustive_limit``
     joint entries) searches breadth-first from each certified root and
     stops at the first failure state it meets; ``expanded`` sums the states
-    expanded.  It reads every admissible step of ``_successor_edges``,
-    repeats of a ``(z, z2)`` included: the first one met is the one kept.
-    One backward search from the failure states finds the roots within
-    ``depth`` of one, and only those run the ordered search that builds a
-    counterexample.  Any other root expands every state within
+    expanded.  It reads every admissible step of ``solver._steps`` under
+    the filter's executed actions, in (state, task action, human action)
+    order, repeats of a ``(z, z2)`` included: the first one met is the
+    one kept.  One backward search from the failure states finds the roots
+    within ``depth`` of one, and only those run the ordered search that
+    builds a counterexample.  Any other root expands every state within
     ``depth - 1`` steps, so its count is the size of that ball, grown by
-    set unions.
+    set unions of each state's distinct successors.
 
     Sampled mode draws ``max(1, samples // len(certified))`` random
     sequences per root, roots in order, from one SplitMix64 stream seeded
@@ -631,6 +629,9 @@ def verify_safety(
     ``expanded`` counts the sequences started.  ``_sample_sequences`` runs
     them through the scalar stream calls or, cut as the rollout's are, in
     lockstep windows on the same draws; observations are picked as in rollout.
+
+    It runs with the cyclic garbage collector paused (``_collector_paused``):
+    the per-state step lists and the balls hold no reference cycle.
 
     Raises BudgetExceededError (carrying the partial report in ``partial``)
     if ``max_nodes`` expansions are exceeded.  Before solving, it raises
@@ -678,7 +679,7 @@ def verify_safety(
 def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
     """The ordered search from each root within ``depth`` of a failure; ball sizes for the others."""
     spec = sol.spec
-    src, dst, a_tasks, bs = _successor_edges(spec, executed)
+    src, a_tasks, bs, dst = _steps(spec, _det_successors(spec), executed)
     # one backward breadth-first search: the states within depth steps of a failure
     near = spec.margins < 0.0
     layer = near
@@ -691,15 +692,15 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
         near |= layer
     near = near.tolist()
 
-    starts = np.searchsorted(src, np.arange(spec.num_states + 1)).tolist()
+    outgoing = _grouped(src, np.arange(len(src)), spec.num_states)  # each state's steps, in search order
+    successors = _grouped(src, dst, spec.num_states)
     targets = dst.tolist()
-    succ_sets = _PerState(lambda z: set(targets[starts[z]:starts[z + 1]]))
     unsafe = (spec.margins < 0.0).tolist()
     for z0 in roots:
         if not near[z0]:
             ball = ring = {z0}
             for _ in range(depth - 1):
-                ring = set().union(*map(succ_sets.__getitem__, ring))
+                ring = set().union(*map(successors.__getitem__, ring))
                 ring -= ball
                 if not ring:
                     break
@@ -715,7 +716,7 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
             nxt = []
             for z in frontier:
                 budget.spend(1)
-                for k in range(starts[z], starts[z + 1]):
+                for k in outgoing[z]:
                     z2 = targets[k]
                     if z2 in parent:
                         continue
@@ -929,13 +930,16 @@ def compare_oracle(
     values.  Otherwise it is ``max(1e-7, epsilon * iterations)``, a heuristic
     allowance for rounding and for stopping at the residual ``epsilon``, not
     a proven bound on the error.  A non-integral or negative ``horizon``
-    raises TypeError or ValueError before solving.
+    or ``node_budget`` raises TypeError or ValueError before solving.
     """
     spec = doc.game
     if horizon is not None:
         horizon = operator.index(horizon)
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
+    node_budget = operator.index(node_budget)
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     sol = value_iteration(spec, epsilon=epsilon)
     if horizon is None:
         horizon = sol.iterations

@@ -77,6 +77,14 @@ soon they realize the bad outcome.  ``_attainment_steps``
 finds those step counts with one breadth-first search backwards from the
 states whose margin equals their value.
 
+One step table.  On deterministic games the loop between AI and human is
+one relation: the state each admissible (state, AI action, human action)
+step reaches.  ``_steps`` lists those steps as columns under a (Z, A')
+table of executed actions, and ``_grouped`` turns any two of its columns
+into per-key lists.  The attractor reads them under every AI action, the
+attainment search under the fallback alone, and exhaustive verify under a
+filter's table.
+
 ``brute_force_values`` is an intentionally separate implementation, a
 direct recursion over the game tree used as an oracle in tests and by
 ``compare_oracle``.  It shares no code with either route.
@@ -330,6 +338,25 @@ def _det_successors(spec: GameSpec) -> np.ndarray:
     return np.take_along_axis(spec.transitions, det_obs, axis=3)[..., 0]
 
 
+def _steps(spec: GameSpec, succ, executed) -> tuple[np.ndarray, ...]:
+    """Every admissible step ``(z, a, b, z2)``, as columns in (z, a, b) order.
+
+    ``executed`` is a (Z, A') table, ``z2 = succ[z, executed[z, a], b]``, and two steps may share their ``(z, z2)``.
+    """
+    z, a, b = np.nonzero(np.broadcast_to(spec.bound_mask[:, None, :], (*executed.shape, spec.num_human_actions)))
+    return z, a, b, succ[z, executed[z, a], b]
+
+
+def _grouped(keys, items, n) -> list[list[int]]:
+    """The distinct items of each key in ``range(n)``, ascending, from one sort of packed int64 keys."""
+    span = int(items.max()) + 1 if len(items) else 1
+    packed = np.sort(keys * span + items)
+    packed = np.concatenate((packed[:1], packed[1:][packed[1:] != packed[:-1]]))  # without repeats
+    starts = np.searchsorted(packed // span, np.arange(n + 1)).tolist()
+    flat = (packed % span).tolist()
+    return [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
 def _threshold_attractor(spec: GameSpec, ell, det_succ) -> tuple[np.ndarray, int]:
     """Values and the sweep's exact count on a game where ``_strictly_deterministic`` holds.
 
@@ -337,8 +364,9 @@ def _threshold_attractor(spec: GameSpec, ell, det_succ) -> tuple[np.ndarray, int
     forever, so V(z) is the margin level at which z enters the human
     attractor of {margin < c} as c rises through the distinct margins.
     The attractor grows over predecessor lists of the distinct admissible
-    (z, a) <- w edges: an edge marks (z, a) losing once w is attracted,
-    and z is attracted when its last live action turns losing.
+    (z, a) <- w edges, ``_grouped`` from ``_steps`` under every AI action:
+    an edge marks (z, a) losing once w is attracted, and z is attracted
+    when its last live action turns losing.
 
     Sweep k computes the least margin the AI can guarantee over k steps, so
     z holds its final value from sweep t(z) on, where t(z) is its rank (the
@@ -350,12 +378,8 @@ def _threshold_attractor(spec: GameSpec, ell, det_succ) -> tuple[np.ndarray, int
     rank, carries them from one such value to the next.
     """
     nz, na = spec.num_states, spec.num_ai_actions
-    zs, bs = np.nonzero(spec.bound_mask)
-    keys = np.sort((det_succ[zs, :, bs] * nz + zs[:, None]) * na + np.arange(na), axis=None)
-    keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]  # distinct (w, z, a) in that order
-    starts = np.searchsorted(keys // (nz * na), np.arange(nz + 1)).tolist()
-    flat = (keys % (nz * na)).tolist()  # z * na + a
-    preds = [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    z, a, _, w = _steps(spec, det_succ, np.broadcast_to(np.arange(na), (nz, na)))
+    preds = _grouped(w, z * na + a, nz)  # per w, each (z, a) that steps to it, as z * na + a
 
     order = np.argsort(ell, kind="stable")
     sorted_ell = ell[order]
@@ -434,18 +458,14 @@ def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ)
     Zero at states whose margin already equals their value; elsewhere one
     more than the least count among the worst-case responses to the
     fallback action, found by one breadth-first search backwards along
-    those responses.  Finite everywhere for converged deterministic games.
+    those responses: the steps of ``_steps`` under ``fallback[:, None]``
+    whose Q value equals the state's value, ``_grouped`` by successor.
+    Finite everywhere for converged deterministic games.
     """
-    nz = spec.num_states
-    rows = np.arange(nz)
-    worst = spec.bound_mask & (q_values[rows, fallback] == values[:, None])  # (Z, B)
     seeds = ell == values
-    worst[seeds] = False
-    src, col = np.nonzero(worst)
-    dst = det_succ[src, fallback[src], col]
-    order = np.argsort(dst, kind="stable")
-    preds = src[order].tolist()
-    starts = np.searchsorted(dst[order], np.arange(nz + 1)).tolist()
+    z, _, b, z2 = _steps(spec, det_succ, fallback[:, None])
+    worst = (q_values[z, fallback[z], b] == values[z]) & ~seeds[z]
+    preds = _grouped(z2[worst], z[worst], spec.num_states)
 
     steps = [0 if seed else _UNREACHED for seed in seeds.tolist()]
     frontier = np.flatnonzero(seeds).tolist()
@@ -454,7 +474,7 @@ def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ)
         depth += 1
         reached = []
         for s in frontier:
-            for z in preds[starts[s]:starts[s + 1]]:
+            for z in preds[s]:
                 if steps[z] == _UNREACHED:
                     steps[z] = depth
                     reached.append(z)

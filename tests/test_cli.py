@@ -106,6 +106,7 @@ def test_compare_oracle_exit_codes(tmp_path):
     spec_path = _chain(tmp_path)
     assert main(["compare-oracle", str(spec_path)]) == EXIT_OK
     assert main(["compare-oracle", str(spec_path), "--budget", "2"]) == EXIT_BUDGET
+    assert main(["compare-oracle", str(spec_path), "--budget", "-1"]) == EXIT_INPUT
 
 
 def test_deep_oracle_horizon_is_a_budget_error(tmp_path, capsys):

@@ -1421,7 +1421,7 @@ def test_verify_and_the_oracle_refuse_non_integral_arguments(monkeypatch):
 
 
 def test_bad_budgets_and_horizons_are_refused_before_solving(monkeypatch):
-    """A float or negative ``max_nodes`` or ``horizon`` raises before ``value_iteration`` runs."""
+    """A float or negative budget, horizon or step count raises before ``value_iteration`` runs."""
     doc = random_game(0, states=30, ai_actions=3, human_actions=3, observations=3, failure_fraction=0.05)
 
     def solving(*args, **kwargs):
@@ -1434,9 +1434,18 @@ def test_bad_budgets_and_horizons_are_refused_before_solving(monkeypatch):
                 verify_safety(doc, max_nodes=value)
             with pytest.raises(error):
                 compare_oracle(doc, value)
+            with pytest.raises(error):
+                compare_oracle(doc, node_budget=value)
+            with pytest.raises(error):
+                rollout(RolloutConfig(document=doc, max_steps=value))
+        with pytest.raises(TypeError):
+            rollout(RolloutConfig(document=doc, seed=1.5))
     chain = build_chain(5)
     assert compare_oracle(chain, np.int64(2)) == compare_oracle(chain, 2)
+    assert compare_oracle(chain, node_budget=np.int64(10**6)) == compare_oracle(chain)
     assert verify_safety(chain, max_nodes=np.int64(40)) == verify_safety(chain, max_nodes=40)
+    cfg = _chain_cfg(max_steps=np.int64(6), seed=np.int64(3))
+    assert rollout(cfg).to_jsonl() == rollout(replace(cfg, max_steps=6, seed=3)).to_jsonl()
 
 
 def test_compare_oracle_truncated_horizon_reports_the_gap():

@@ -517,7 +517,9 @@ def test_adversary_matches_the_plain_reference():
         spec = _det_game(seed)
         coarse = np.round(spec.margins * 4.0) / 4.0  # many equal margins, so many tied responses
         games += [spec, replace(spec, margins=coarse, action_bound=_random_bounds(rng, spec))]
-    for spec in games:
+    one_hot = [spec for spec in _attractor_corpus() if spec.num_observations == 3]
+    assert len(one_hot) == 60
+    for spec in games + one_hot:
         sol = value_iteration(spec)
         assert sol.adversary_policy.tolist() == _reference_adversary(sol)
 
@@ -625,6 +627,22 @@ def test_attractor_matches_the_sweep_bit_for_bit():
     for spec in _attractor_corpus():
         assert spec.is_deterministic()
         _assert_same_solution(value_iteration(spec), value_iteration(spec, record_sweeps=True))
+
+
+def test_step_table_matches_plain_loops():
+    """``_steps`` lists the admissible steps in (z, a, b) order; ``_grouped`` lists each key's distinct items."""
+    rng = np.random.default_rng(5)
+    for spec in [_det_game(seed) for seed in range(6)] + [build_chain(4, 2, 1).game]:
+        succ = solver._det_successors(spec)
+        executed = rng.integers(spec.num_ai_actions, size=(spec.num_states, 3))
+        expected = [(z, a, b, int(succ[z, executed[z, a], b]))
+                    for z in range(spec.num_states) for a in range(3) for b in spec.action_bound[z]]
+        steps = solver._steps(spec, succ, executed)
+        assert list(zip(*(column.tolist() for column in steps))) == expected
+        z, _, _, z2 = steps
+        grouped = [sorted({int(p) for p, w in zip(z, z2) if w == target}) for target in range(spec.num_states)]
+        assert solver._grouped(z2, z, spec.num_states) == grouped
+    assert solver._grouped(np.zeros(0, np.int64), np.zeros(0, np.int64), 2) == [[], []]
 
 
 def test_games_off_the_attractor_route_get_the_sweep():
