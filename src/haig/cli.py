@@ -19,7 +19,7 @@ from .harness import (
 )
 from .scenarios import build_chain, build_dialogue, random_game
 from .solver import DEFAULT_EPSILON, DEFAULT_NODE_BUDGET, solution_payload, value_iteration
-from .specfile import canonical_json, load_spec, save_spec
+from .specfile import _overwrite, canonical_json, load_spec, save_spec
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -75,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--exhaustive-limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
     ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--max-nodes", type=int, default=None, help="expansion budget (default: none)")
 
     cmp = sub.add_parser("compare-oracle", help="cross-check the solver against brute force")
     cmp.set_defaults(handler=_cmd_compare)
@@ -109,8 +110,7 @@ def _cmd_solve(args) -> int:
     doc = load_spec(args.spec)
     sol = value_iteration(doc.game, epsilon=args.epsilon, max_iters=args.max_iters)
     text = canonical_json(solution_payload(sol))  # rendered first: a refusal leaves no partial file
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _overwrite(args.output, text.encode("utf-8"))
     status = "converged" if sol.converged else f"NOT converged (residual {sol.residual!r})"
     print(f"{status} after {sol.iterations} sweeps; {len(sol.safe_set)}/{doc.game.num_states} states safe")
     return EXIT_OK
@@ -129,11 +129,9 @@ def _cmd_rollout(args) -> int:
     )
     trace = rollout(config)
     data = trace.to_jsonl()  # rendered first: a refusal leaves no partial file
-    with open(args.output, "wb") as fh:
-        fh.write(data)
+    _overwrite(args.output, data)
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8", newline="") as fh:
-            fh.write(summary_csv([trace]))
+        _overwrite(args.summary, summary_csv([trace]).encode("utf-8"))
     print(
         f"{len(trace.steps)} steps, min margin {trace.min_margin!r}, "
         f"{trace.violation_count} violations, intervention rate {trace.intervention_rate:.3f}"
@@ -150,6 +148,7 @@ def _cmd_verify(args) -> int:
         exhaustive_limit=args.exhaustive_limit,
         samples=args.samples,
         seed=args.seed,
+        max_nodes=args.max_nodes,
     )
     print(
         f"{report.mode} check to depth {report.depth} with filter={report.filter_mode}: "

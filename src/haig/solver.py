@@ -509,8 +509,9 @@ def brute_force_value(
 
     Raises BudgetExceededError once more than ``node_budget`` nodes have
     been evaluated, or when the recursion to ``horizon`` runs deeper than
-    the interpreter's recursion limit, and TypeError if ``horizon`` is not
-    an integer.
+    the interpreter's recursion limit.  Before evaluating anything it
+    raises TypeError if ``horizon`` or ``node_budget`` is not an integer and
+    ValueError if either is negative.
     """
     z = _int_index(z, spec.num_states, "info state")
     return _GameTree(spec, horizon, node_budget)(z)
@@ -546,7 +547,9 @@ class _GameTree:
         self.horizon = operator.index(horizon)
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        self.node_budget = node_budget
+        self.node_budget = operator.index(node_budget)
+        if self.node_budget < 0:
+            raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
         self.ell = [float(m) for m in spec.margins]
         self.trans = spec.transitions.tolist()
         self.probs = spec.observation_probs.tolist()

@@ -59,6 +59,15 @@ error.
 ``json.loads`` through ``validate_model`` (see ``_collector_paused``): the
 parsed JSON tree holds no reference cycles, so reference counting frees
 it as before.
+
+Every file haig writes (documents, value files, traces, CSV summaries)
+goes through one writer, ``_overwrite``: it writes the new bytes over the
+old ones in place and then truncates the file to their length, with no
+``fsync``.  Truncating to zero first (``open(path, "w")``) makes ext4 start
+a writeback when the file closes, and the next re-write of the path waits
+for it.  An interrupted write leaves the part of the new bytes written so
+far followed by the rest of the old ones, where truncating first left that
+part alone.
 """
 
 from __future__ import annotations
@@ -67,6 +76,8 @@ import functools
 import gc
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -569,8 +580,23 @@ def serialize(doc: SpecDocument) -> bytes:
 
 
 def save_spec(doc: SpecDocument, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(doc))
+    _overwrite(path, serialize(doc))
+
+
+def _overwrite(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` over its old bytes, then cut a regular file to ``len(data)``.
+
+    As with ``open(path, "wb")``, a symlink is written through, a re-written
+    file keeps its inode, mode and hard links, and a new file gets mode
+    ``0o666 & ~umask``; only the truncation to zero at open is left out.
+    Only a regular file is truncated afterwards, so ``os.devnull`` and a
+    FIFO take the bytes as before.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _game_payload(game: GameSpec) -> dict:

@@ -84,6 +84,28 @@ def test_filter_rollout_outputs(tmp_path):
     assert trace_path.read_bytes() == first
 
 
+def test_outputs_rewritten_over_longer_files_match_fresh_ones(tmp_path):
+    spec_path = _chain(tmp_path)
+    names = ("game.haig.json", "values.json", "trace.jsonl", "summary.csv")
+
+    def run(directory):
+        directory.mkdir(exist_ok=True)
+        game, values, trace, summary = (directory / name for name in names)
+        assert main(["generate", "chain", "--length", "5", "-o", str(game)]) == EXIT_OK
+        assert main(["solve", str(spec_path), "-o", str(values)]) == EXIT_OK
+        assert main([
+            "filter-rollout", str(spec_path), "--steps", "5", "-o", str(trace), "--summary", str(summary),
+        ]) == EXIT_OK
+        return [(directory / name).read_bytes() for name in names]
+
+    fresh = run(tmp_path / "fresh")
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for name, data in zip(names, fresh):
+        (stale / name).write_bytes(b"stale line\n" * (len(data) // 11 + 100))
+    assert run(stale) == fresh
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     spec_path = _chain(tmp_path)
     assert main(["verify", str(spec_path), "--depth", "8"]) == EXIT_OK
@@ -93,6 +115,25 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert rc == EXIT_COUNTEREXAMPLE
     out = capsys.readouterr().out
     assert "counterexample from state" in out
+
+
+def test_verify_max_nodes(tmp_path, capsys):
+    """The exact budget changes nothing; one less exits 4, a negative one exits 3."""
+    spec_path = _chain(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(spec_path), "--depth", "8"]) == EXIT_OK
+    default = capsys.readouterr()
+    assert "21 expansions" in default.out
+    assert main(["verify", str(spec_path), "--depth", "8", "--max-nodes", "21"]) == EXIT_OK
+    assert capsys.readouterr() == default
+
+    assert main(["verify", str(spec_path), "--depth", "8", "--max-nodes", "20"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: verification exceeded max_nodes=20\n")
+
+    assert main(["verify", str(spec_path), "--max-nodes", "-1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: max_nodes must be >= 0, got -1\n")
 
 
 def test_verify_refuses_fewer_than_one_sample(tmp_path, capsys):

@@ -461,6 +461,20 @@ def test_oracle_horizons_must_be_integers():
     assert brute_force_values(spec, np.int64(2)) == brute_force_values(spec, 2)
 
 
+def test_oracle_node_budgets_are_checked_before_evaluating():
+    """A negative or non-integral budget is a bad argument, not an exceeded budget."""
+    spec = build_chain(5).game
+    for oracle in (lambda budget: brute_force_value(spec, 3, 4, node_budget=budget),
+                   lambda budget: brute_force_values(spec, 4, node_budget=budget)):
+        with pytest.raises(ValueError, match="node_budget must be >= 0, got -1"):
+            oracle(-1)
+        with pytest.raises(TypeError):
+            oracle(2.5)
+        with pytest.raises(BudgetExceededError):
+            oracle(0)
+    assert brute_force_value(spec, 3, 4, node_budget=np.int64(100)) == brute_force_value(spec, 3, 4)
+
+
 def _corridor(n, seed=None):
     """A corridor, shuffled unless ``seed`` is None: every joint action steps toward cell 0; margins rise along it."""
     cells = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)  # cells[i]: state of cell i

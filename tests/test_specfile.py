@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import os
+import stat
 import time
 
 import numpy as np
@@ -481,6 +483,45 @@ def test_save_and_load(tmp_path):
     save_spec(doc, path)
     assert load_spec(path) == doc
     assert path.read_bytes() == serialize(doc)
+
+
+def test_overwrite_cuts_a_longer_file_and_keeps_its_inode_and_mode(tmp_path):
+    path, link = tmp_path / "out.json", tmp_path / "hard-link.json"
+    path.write_bytes(b"old bytes, longer than the new ones\n" * 100)
+    path.chmod(0o640)
+    os.link(path, link)
+    before = path.stat()
+    specfile._overwrite(path, b"new\n")
+    after = path.stat()
+    assert path.read_bytes() == link.read_bytes() == b"new\n"
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+    specfile._overwrite(path, b"")
+    assert path.read_bytes() == b""
+
+
+def test_overwrite_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * 4096)
+    link.symlink_to(target)
+    specfile._overwrite(link, b"through\n")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"through\n"
+
+
+def test_overwrite_creates_a_file_with_the_umask_applied(tmp_path):
+    path = tmp_path / "new.json"
+    old_umask = os.umask(0o027)
+    try:
+        specfile._overwrite(path, b"fresh\n")
+    finally:
+        os.umask(old_umask)
+    assert path.read_bytes() == b"fresh\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+
+def test_overwrite_writes_to_the_null_device():
+    specfile._overwrite(os.devnull, b"discarded\n")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_every_mutation_is_rejected_with_a_haig_error():
