@@ -17,29 +17,30 @@ sort_keys=True, allow_nan=False)`` writes per step.
 
 ``verify_safety`` checks the filter's guarantee: from every initial
 state the filter certifies, no reachable state within the given depth has
-a negative margin, for any task-action choice at every step and any
-admissible human response.  On deterministic games under the size limit
-the check enumerates exhaustively (a breadth-first search over reachable
-states; filtering makes the task action's effect a function of the state,
-so state-level memoization loses nothing).  It reads the solver's step
-table, ``solver._steps`` under the filter's executed actions, listed per
-state by ``solver._grouped``.  Larger or stochastic games fall back to
-seeded random sequences.  Running it with the filter off is
-the control arm.  Each counterexample is a ``RolloutTrace`` of its path
-to failure, built only for failing paths: monitor scores from the
-solution's ``scores`` table, no ground-truth flags.  Each search costs
-what its answer needs, and its reports are bit for bit those of a plain
-per-root search and of sequences drawn one after another.
+a negative margin, for any task-action choice at every step, any
+admissible human response and any observation of positive probability.
+On games under the size limit, stochastic ones included, the check
+enumerates exhaustively: a breadth-first search over the support graph,
+the solver's step table ``solver._steps`` under the filter's executed
+actions, listed per state by ``solver._grouped``.  Filtering makes the
+task action's effect a function of the state, and whether failure is in
+reach within d steps depends on the state alone, so state-level
+memoization loses nothing.  Larger games fall back to seeded random
+sequences.  Running it with the filter off is the control arm.  Each
+counterexample is a ``RolloutTrace`` of its path to failure, built only
+for failing paths: monitor scores from the solution's ``scores`` table,
+no ground-truth flags.  Each search costs what its answer needs, and its
+reports are bit for bit those of a plain per-root search and of
+sequences drawn one after another.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
-the others).  The rollout and the scalar sampled sequences step the game
+the others).  The rollout and the sampled sequences step the game
 through one table, ``_step_rows``: a row of plain Python values per
 state, built a block of states at a time on the first visit to any of
 them, so a short walk on a large game pays only for the blocks it visits.
 One rule, ``_observation_thresholds``, picks every sampled observation,
-per block for those rows and for the whole game once sampled verify
-starts a lockstep window.  Every fact about the bounds of the whole game
+per block of those rows.  Every fact about the bounds of the whole game
 comes from ``spec.bound_mask``.
 """
 
@@ -58,13 +59,12 @@ import numpy as np
 
 from .errors import BudgetExceededError, PolicyResolutionError
 from .filtering import FILTER_MODES, SWITCH, InterventionRecord, _certified, perfect_filter
-from .model import GameSpec, _fields_equal, _int_index
+from .model import GameSpec, _at_least, _fields_equal, _int_index
 from .rng import SplitMix64, advance, rejection_limit, splitmix_block
 from .solver import (
     DEFAULT_EPSILON,
     DEFAULT_NODE_BUDGET,
     ValueSolution,
-    _det_successors,
     _grouped,
     _steps,
     brute_force_values,
@@ -382,11 +382,12 @@ def _observation_thresholds(probs: np.ndarray) -> np.ndarray:
     """Each observation row's running sums, +inf from its last positive entry on.
 
     ``probs`` is a block of the spec's ``observation_probs``, whose last axis
-    holds the rows.  Every row is sorted, and a uniform draw ``u`` picks
-    ``bisect_right(row, u)``: the first positive entry whose running sum
-    exceeds ``u`` (a zero entry repeats the sum before it, so it is never the
-    first), or the last positive entry when rounding leaves the sum at or
-    below ``u``.
+    holds the rows: ``_step_rows`` passes one block of states at a time, for
+    the rollout and for sampled verify alike.  Every row is sorted, and a
+    uniform draw ``u`` picks ``bisect_right(row, u)``: the first positive
+    entry whose running sum exceeds ``u`` (a zero entry repeats the sum
+    before it, so it is never the first), or the last positive entry when
+    rounding leaves the sum at or below ``u``.
     """
     no = probs.shape[-1]
     thresholds = np.cumsum(probs, axis=-1)
@@ -452,9 +453,7 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     """
     doc = config.document
     spec = doc.game
-    max_steps, seed = operator.index(config.max_steps), operator.index(config.seed)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    max_steps, seed = _at_least(config.max_steps, 1, "max_steps"), operator.index(config.seed)
     if config.filter_mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {config.filter_mode!r}")
 
@@ -578,9 +577,6 @@ class _Budget:
         self.spent = 0
         self._report = report  # spent -> report; taking the count keeps it free of a cycle through this budget
 
-    def room(self):
-        return self.limit - self.spent
-
     def spend(self, n: int) -> None:
         if self.spent + n > self.limit:
             self.spent = self.max_nodes + 1
@@ -611,43 +607,41 @@ def verify_safety(
     range over the admissible bound, observations over positive-probability
     outcomes.
 
-    Exhaustive mode (deterministic games with at most ``exhaustive_limit``
-    joint entries) searches breadth-first from each certified root and
-    stops at the first failure state it meets; ``expanded`` sums the states
-    expanded.  It reads every admissible step of ``solver._steps`` under
-    the filter's executed actions, in (state, task action, human action)
-    order, repeats of a ``(z, z2)`` included: the first one met is the
-    one kept.  One backward search from the failure states finds the roots
-    within ``depth`` of one, and only those run the ordered search that
-    builds a counterexample.  Any other root expands every state within
-    ``depth - 1`` steps, so its count is the size of that ball, grown by
-    set unions of each state's distinct successors.
+    The mode follows from the size alone.  Exhaustive mode (games with at
+    most ``exhaustive_limit`` joint entries, whatever their observations)
+    searches breadth-first from each certified root and stops at the first
+    failure state it meets; ``expanded`` sums the states expanded, and
+    each root that can reach failure gets one counterexample, its first
+    path found.  It reads every admissible step of positive probability of
+    ``solver._steps`` under the filter's executed actions, in (state, task
+    action, human action, observation) order, repeats of a ``(z, z2)``
+    included: the first one met is the one kept.  One backward search from
+    the failure states finds the roots within ``depth`` of one, and only
+    those run the ordered search that builds a counterexample.  Any other
+    root expands every state within ``depth - 1`` steps, so its count is
+    the size of that ball, grown by set unions of each state's distinct
+    successors.
 
-    Sampled mode draws ``max(1, samples // len(certified))`` random
-    sequences per root, roots in order, from one SplitMix64 stream seeded
-    with ``seed``; the first sequence that reaches failure ends its root.
-    ``expanded`` counts the sequences started.  ``_sample_sequences`` runs
-    them through the scalar stream calls or, cut as the rollout's are, in
-    lockstep windows on the same draws; observations are picked as in rollout.
+    Sampled mode, for larger games, draws ``max(1, samples //
+    len(certified))`` random sequences per root, roots in order, from one
+    SplitMix64 stream seeded with ``seed``; the first sequence that reaches
+    failure ends its root.  ``expanded`` counts the sequences started.
+    ``samples`` and ``seed`` apply to this mode only.  Observations are
+    picked as in rollout.
 
     It runs with the cyclic garbage collector paused (``_collector_paused``):
     the per-state step lists and the balls hold no reference cycle.
 
     Raises BudgetExceededError (carrying the partial report in ``partial``)
     if ``max_nodes`` expansions are exceeded.  Before solving, it raises
-    TypeError if ``depth``, ``samples`` or a given ``max_nodes`` is not an
-    integer, and ValueError if one is out of range.
+    TypeError if ``depth``, ``samples``, ``exhaustive_limit`` or a given
+    ``max_nodes`` is not an integer, and ValueError if one is out of range.
     """
     spec = doc.game
-    depth, samples = operator.index(depth), operator.index(samples)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    depth, samples = _at_least(depth, 1, "depth"), _at_least(samples, 1, "samples")
+    exhaustive_limit = _at_least(exhaustive_limit, 0, "exhaustive_limit")
     if max_nodes is not None:
-        max_nodes = operator.index(max_nodes)
-        if max_nodes < 0:
-            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+        max_nodes = _at_least(max_nodes, 0, "max_nodes")
     if filter_mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {filter_mode!r}")
 
@@ -658,7 +652,7 @@ def verify_safety(
     certified = tuple(np.flatnonzero(_certified(sol.scores)).tolist())
 
     joint = spec.num_states * spec.num_ai_actions * spec.num_human_actions * spec.num_observations
-    mode = "exhaustive" if spec.is_deterministic() and joint <= exhaustive_limit else "sampled"
+    mode = "exhaustive" if joint <= exhaustive_limit else "sampled"
     found: list[RolloutTrace] = []
     budget = _Budget(max_nodes, lambda spent: VerificationReport(
         mode=mode,
@@ -679,7 +673,7 @@ def verify_safety(
 def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
     """The ordered search from each root within ``depth`` of a failure; ball sizes for the others."""
     spec = sol.spec
-    src, a_tasks, bs, dst = _steps(spec, _det_successors(spec), executed)
+    src, a_tasks, bs, obs, dst = _steps(spec, executed)
     # one backward breadth-first search: the states within depth steps of a failure
     near = spec.margins < 0.0
     layer = near
@@ -729,124 +723,32 @@ def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
                     break
             frontier = nxt
         if hit is not None:
-            # the steps back to the root, each decoded from its edge
+            # the steps back to the root, each read off its edge
             path = []
             z = hit
             while parent[z] is not None:
                 k = parent[z]
-                z, a_task, b = int(src[k]), int(a_tasks[k]), int(bs[k])
-                path.append((z, a_task, b, int(spec.observation_probs[z, executed[z, a_task], b].argmax())))
+                z = int(src[k])
+                path.append((z, int(a_tasks[k]), int(bs[k]), int(obs[k])))
             found.append(_counterexample(sol, executed, path[::-1], hit))
 
 
-_LOCKSTEP_MIN = 32  # clean sequences in a row before the first window, and its size
-_WINDOW_DRAWS = 1 << 15  # draws in a window at most
-
-
-class _Lockstep:
-    """A game's flat tables for stepping many sampled sequences at once.
-
-    A step's ``row`` is ``(z * na + a_exec) * nb + b``, the flat index of its
-    observation row; ``rows`` finds it from ``(z * na + a_task) * nb + i``,
-    where ``i`` indexes the bound of ``z``.  ``thresholds`` is the whole
-    game's table of ``_observation_thresholds`` by flat row, built when the
-    first window starts: a row is sorted, so the first ``o`` with ``u <
-    thresholds[row, o]`` is ``bisect_right`` of the row.  The bounds and
-    their lengths come from ``spec.bound_mask``; ``largest`` holds the
-    largest task and human draws that every ``randint`` of the game keeps.
-    """
-
-    def __init__(self, spec: GameSpec, executed: np.ndarray):
-        nz, na, nb, no = spec.transitions.shape
-        self.shape = na, nb, no
-        self.trans = spec.transitions.ravel()  # by row * no + o
-        self.thresholds = _observation_thresholds(spec.observation_probs).reshape(-1, no)
-        self.unsafe = spec.margins < 0.0
-        mask = spec.bound_mask
-        # each state's bound in order, then the actions outside it; no index reaches those
-        padded = np.argsort(~mask, axis=1, kind="stable")
-        self.rows = ((np.arange(nz)[:, None] * na + executed)[:, :, None] * nb + padded[:, None, :]).ravel()
-        lengths = np.count_nonzero(mask, axis=1)
-        self.bound_len = lengths.astype(np.uint64)
-        human = min(map(rejection_limit, set(lengths.tolist())))
-        self.largest = np.array([rejection_limit(na) - 1, human - 1], dtype=np.uint64)
-
-    def run(self, z: np.ndarray, counter: int, depth: int):
-        """Run sequences from the roots ``z`` on the draws after ``counter``, one after another.
-
-        Only the sequences before the first one that holds a task or human
-        draw above ``largest`` run; that one may meet a rejection.  The
-        window is cut at its first failure in stream order.  Returns how
-        many lead sequences run clean to ``depth``, and the ``(path,
-        final_state)`` of the next one if it fails, else ``None``.
-        """
-        na, nb, no = self.shape
-        draws = splitmix_block(counter, len(z) * depth * 3).reshape(len(z), depth, 3)
-        held = np.flatnonzero((draws[:, :, :2] > self.largest).any(axis=(1, 2)))
-        live = int(held[0]) if len(held) else len(z)
-        task, human, obs = np.ascontiguousarray(draws[:live].transpose(2, 1, 0))  # each (depth, live)
-        a_task = (task % np.uint64(na)).astype(np.intp)
-        u = (obs >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        z = z[:live]
-        steps = []
-        failed = None  # the step of the first failure
-        for t in range(depth):
-            a = a_task[t, :live]
-            i = (human[t, :live] % self.bound_len[z]).astype(np.intp)
-            row = self.rows[(z * na + a) * nb + i]
-            o = (u[t, :live, None] < self.thresholds[row]).argmax(axis=1)
-            z2 = self.trans[row * no + o]
-            steps.append((z, a, row, o, z2))
-            failing = self.unsafe[z2]
-            if failing.any():
-                live, failed = int(failing.argmax()), t
-                if not live:
-                    break
-            z = z2[:live]
-        if failed is None:
-            return live, None
-        path = []
-        for z, a, row, o, _ in steps[:failed + 1]:
-            path.append((int(z[live]), int(a[live]), int(row[live]) % nb, int(o[live])))
-        return live, (path, int(steps[failed][4][live]))
-
-
 def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budget) -> None:
-    """``per_state`` sequences per root in (root, sample) order, each drawn as the scalar stream calls draw it.
+    """``per_state`` sequences per root in (root, sample) order, each drawn through the scalar stream calls.
 
     A step draws ``randint`` for the task action, ``choice`` over the bound
-    for the human action and ``uniform`` for the observation: three draws
-    unless ``randint`` rejects one.  Each pass of the loop runs one sequence
-    through these calls, on the rollout's rows of ``_step_rows``, or, once
-    ``_LOCKSTEP_MIN`` in a row have run clean, one window of sequences whose
-    draws ``_Lockstep`` takes in one block off the stream's counter; its
-    whole-game tables are built when the first window starts.  A window
-    ends before its first sequence that holds a task or human draw above
-    the game's smallest rejection limit, as the rollout's windows do, or at
-    its first failure.  The stream resumes after the draws its clean
-    sequences and its failing path consumed, and the scalar calls take over
-    again: they run a sequence with a rejected draw as they run any other.
-    A failure settles its root.  A window that runs whole grows the next
-    one four-fold, up to ``_WINDOW_DRAWS`` draws.  On a game that fails
-    often, a numpy step costs more than the scalar steps it replaces.
+    for the human action and ``uniform`` for the observation, and reads the
+    rollout's rows of ``_step_rows``.  A failure settles its root.
     """
     spec = sol.spec
     num_ai, nb, no = spec.num_ai_actions, spec.num_human_actions, spec.num_observations
     rows, fill = _step_rows(spec, executed)
     unsafe = (spec.margins < 0.0).tolist()
-    total = len(roots) * per_state
     stream = SplitMix64(seed)
-    lockstep = None
-    largest = _WINDOW_DRAWS // (3 * depth)  # sequences in a window; none if one is too deep
-    size = run = 0  # the next window, 0 while sequences run through the scalar calls; clean ones in a row
-    start = 0  # the next sequence
-    while start < total:
-        room = budget.room()
-        if room < 1:
+    for z0 in roots:
+        for _ in range(per_state):
             budget.spend(1)
-        if not size:
-            budget.spend(1)
-            z = roots[start // per_state]
+            z = z0
             path = []
             for _ in range(depth):
                 executed_z, trans, thresholds, base, bound_z = rows[z] or fill(z)
@@ -857,33 +759,11 @@ def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budge
                 path.append((z, a_task, b, k - lo))
                 z = trans[k]
                 if unsafe[z]:
-                    found.append(_counterexample(sol, executed, path, z))
-                    start = (start // per_state + 1) * per_state
-                    run = 0
                     break
             else:
-                start += 1
-                run += 1
-                if run == _LOCKSTEP_MIN:
-                    size = min(_LOCKSTEP_MIN, largest)
-            continue
-        if lockstep is None:
-            lockstep, root_of = _Lockstep(spec, executed), np.array(roots)
-        count = int(min(size, total - start, room))
-        counter = stream.counter
-        clean, failure = lockstep.run(root_of[np.arange(start, start + count) // per_state], counter, depth)
-        budget.spend(clean + (failure is not None))
-        start += clean
-        draws = clean * depth
-        if failure is not None:
-            found.append(_counterexample(sol, executed, *failure))
-            start = (start // per_state + 1) * per_state
-            draws += len(failure[0])
-        stream = SplitMix64(advance(counter, 3 * draws))
-        if clean < count:  # a cut: back to the scalar calls
-            size = run = 0
-        else:
-            size = min(4 * size, largest)
+                continue
+            found.append(_counterexample(sol, executed, path, z))
+            break
 
 
 def _counterexample(sol: ValueSolution, executed: np.ndarray, path: list[tuple], final_state: int) -> RolloutTrace:
@@ -934,12 +814,8 @@ def compare_oracle(
     """
     spec = doc.game
     if horizon is not None:
-        horizon = operator.index(horizon)
-        if horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon}")
-    node_budget = operator.index(node_budget)
-    if node_budget < 0:
-        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
+        horizon = _at_least(horizon, 0, "horizon")
+    node_budget = _at_least(node_budget, 0, "node_budget")
     sol = value_iteration(spec, epsilon=epsilon)
     if horizon is None:
         horizon = sol.iterations

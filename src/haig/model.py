@@ -27,6 +27,7 @@ failure set lands inside the modeled one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -49,6 +50,14 @@ def _int_index(value, size: int, name: str) -> int:
     if not 0 <= i < size:
         raise IndexError(f"{name} index {i} out of range [0, {size})")
     return i
+
+
+def _at_least(value, least: int, name: str) -> int:
+    """``value`` as an int through ``operator.index`` (TypeError if it is not an integer), refused below ``least``."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _fields_equal(self, other) -> bool:

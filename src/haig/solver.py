@@ -77,13 +77,15 @@ soon they realize the bad outcome.  ``_attainment_steps``
 finds those step counts with one breadth-first search backwards from the
 states whose margin equals their value.
 
-One step table.  On deterministic games the loop between AI and human is
-one relation: the state each admissible (state, AI action, human action)
-step reaches.  ``_steps`` lists those steps as columns under a (Z, A')
-table of executed actions, and ``_grouped`` turns any two of its columns
-into per-key lists.  The attractor reads them under every AI action, the
-attainment search under the fallback alone, and exhaustive verify under a
-filter's table.
+One step table.  The loop between AI and human is one relation: the
+state each admissible (state, AI action, human action) step reaches under
+each observation of positive probability, its support graph.  ``_steps``
+lists those steps as columns (z, a, b, o, z2) under a (Z, A') table of
+executed actions, and ``_grouped`` turns any two of its columns into
+per-key lists.  On deterministic games each step has its one observation.
+The attractor reads them there under every AI action, the attainment
+search under the fallback alone, and exhaustive verify reads them under a
+filter's table on any game.
 
 ``brute_force_values`` is an intentionally separate implementation, a
 direct recursion over the game tree used as an oracle in tests and by
@@ -93,13 +95,12 @@ direct recursion over the game tree used as an oracle in tests and by
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, SchemaError
-from .model import GameSpec, _int_index
+from .model import GameSpec, _at_least, _int_index
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -185,8 +186,8 @@ def value_iteration(
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    if max_iters is not None and operator.index(max_iters) < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if max_iters is not None:
+        max_iters = _at_least(max_iters, 0, "max_iters")
     ell = spec.margins.astype(np.float64, copy=True)
     nonfinite = np.flatnonzero(~np.isfinite(ell))
     if nonfinite.size:
@@ -198,10 +199,9 @@ def value_iteration(
     if max_iters is None:
         max_iters = spec.num_states + 1 if deterministic else DEFAULT_MAX_SWEEPS_STOCHASTIC
 
-    det_succ = _det_successors(spec) if deterministic else None
     exact = None
-    if det_succ is not None and not record_sweeps and _strictly_deterministic(spec, ell):
-        exact = _threshold_attractor(spec, ell, det_succ)
+    if deterministic and not record_sweeps and _strictly_deterministic(spec, ell):
+        exact = _threshold_attractor(spec, ell)
     if exact is not None and exact[1] <= max_iters:
         values, iterations = exact
         converged, residual, history = True, 0.0, None
@@ -213,7 +213,7 @@ def value_iteration(
     q_values = _q_table(ell, trans, probs, values)
     scores = np.where(spec.bound_mask[:, None, :], q_values, np.inf).min(axis=2)
     fallback = scores.argmax(axis=1).astype(np.int64)
-    adversary = _adversary_table(spec, ell, values, q_values, scores, fallback, det_succ)
+    adversary = _adversary_table(spec, ell, values, q_values, scores, fallback, deterministic)
     safe = frozenset(int(z) for z in np.flatnonzero(values >= 0.0))
 
     for table in (values, q_values, scores, fallback, adversary):
@@ -338,13 +338,17 @@ def _det_successors(spec: GameSpec) -> np.ndarray:
     return np.take_along_axis(spec.transitions, det_obs, axis=3)[..., 0]
 
 
-def _steps(spec: GameSpec, succ, executed) -> tuple[np.ndarray, ...]:
-    """Every admissible step ``(z, a, b, z2)``, as columns in (z, a, b) order.
+def _steps(spec: GameSpec, executed) -> tuple[np.ndarray, ...]:
+    """Every admissible step ``(z, a, b, o, z2)`` of positive probability, as columns in (z, a, b, o) order.
 
-    ``executed`` is a (Z, A') table, ``z2 = succ[z, executed[z, a], b]``, and two steps may share their ``(z, z2)``.
+    ``executed`` is a (Z, A') table, ``z2 = transitions[z, executed[z, a], b, o]``, and two steps may share
+    their ``(z, z2)``.  The gather reads booleans, so it allocates no float table the size of the game.
     """
     z, a, b = np.nonzero(np.broadcast_to(spec.bound_mask[:, None, :], (*executed.shape, spec.num_human_actions)))
-    return z, a, b, succ[z, executed[z, a], b]
+    e = executed[z, a]
+    k, o = np.nonzero((spec.observation_probs > 0.0)[z, e, b])
+    z, a, b, e = z[k], a[k], b[k], e[k]
+    return z, a, b, o, spec.transitions[z, e, b, o]
 
 
 def _grouped(keys, items, n) -> list[list[int]]:
@@ -357,7 +361,7 @@ def _grouped(keys, items, n) -> list[list[int]]:
     return [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
-def _threshold_attractor(spec: GameSpec, ell, det_succ) -> tuple[np.ndarray, int]:
+def _threshold_attractor(spec: GameSpec, ell) -> tuple[np.ndarray, int]:
     """Values and the sweep's exact count on a game where ``_strictly_deterministic`` holds.
 
     V(z) >= c exactly when the AI can keep the play inside {margin >= c}
@@ -378,7 +382,7 @@ def _threshold_attractor(spec: GameSpec, ell, det_succ) -> tuple[np.ndarray, int
     rank, carries them from one such value to the next.
     """
     nz, na = spec.num_states, spec.num_ai_actions
-    z, a, _, w = _steps(spec, det_succ, np.broadcast_to(np.arange(na), (nz, na)))
+    z, a, _, _, w = _steps(spec, np.broadcast_to(np.arange(na), (nz, na)))
     preds = _grouped(w, z * na + a, nz)  # per w, each (z, a) that steps to it, as z * na + a
 
     order = np.argsort(ell, kind="stable")
@@ -452,7 +456,7 @@ def _threshold_attractor(spec: GameSpec, ell, det_succ) -> tuple[np.ndarray, int
     return level_margins[entry], 1 + deepest
 
 
-def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ) -> np.ndarray:
+def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback) -> np.ndarray:
     """Steps the adversary needs to turn each state's value into a real margin.
 
     Zero at states whose margin already equals their value; elsewhere one
@@ -463,7 +467,7 @@ def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ)
     Finite everywhere for converged deterministic games.
     """
     seeds = ell == values
-    z, _, b, z2 = _steps(spec, det_succ, fallback[:, None])
+    z, _, b, _, z2 = _steps(spec, fallback[:, None])
     worst = (q_values[z, fallback[z], b] == values[z]) & ~seeds[z]
     preds = _grouped(z2[worst], z[worst], spec.num_states)
 
@@ -482,11 +486,12 @@ def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback, det_succ)
     return np.array(steps, dtype=np.int64)
 
 
-def _adversary_table(spec, ell, values, q_values, scores, fallback, det_succ) -> np.ndarray:
+def _adversary_table(spec, ell, values, q_values, scores, fallback, deterministic) -> np.ndarray:
     # Lowest admissible b with q == score; deterministic games: lowest (tail, b) among those.
     best = spec.bound_mask[:, None, :] & (q_values == scores[..., None])  # (Z, A, B)
-    if det_succ is not None:
-        steps = _attainment_steps(spec, ell, values, q_values, fallback, det_succ)
+    if deterministic:
+        det_succ = _det_successors(spec)
+        steps = _attainment_steps(spec, ell, values, q_values, fallback)
         tail = np.where(ell[:, None, None] <= values[det_succ], 0, steps[det_succ])
         tail = np.where(best, tail, _UNREACHED)
         best &= tail == tail.min(axis=2, keepdims=True)
@@ -544,12 +549,8 @@ class _GameTree:
     """
 
     def __init__(self, spec: GameSpec, horizon: int, node_budget: int):
-        self.horizon = operator.index(horizon)
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        self.node_budget = operator.index(node_budget)
-        if self.node_budget < 0:
-            raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
+        self.horizon = _at_least(horizon, 0, "horizon")
+        self.node_budget = _at_least(node_budget, 0, "node_budget")
         self.ell = [float(m) for m in spec.margins]
         self.trans = spec.transitions.tolist()
         self.probs = spec.observation_probs.tolist()

@@ -143,6 +143,14 @@ def test_verify_refuses_fewer_than_one_sample(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: samples must be >= 1, got {samples}\n"
 
 
+def test_verify_refuses_a_negative_exhaustive_limit(tmp_path, capsys):
+    spec_path = _chain(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(spec_path), "--exhaustive-limit", "-1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: exhaustive_limit must be >= 0, got -1\n")
+
+
 def test_compare_oracle_exit_codes(tmp_path):
     spec_path = _chain(tmp_path)
     assert main(["compare-oracle", str(spec_path)]) == EXIT_OK
@@ -167,12 +175,13 @@ def test_deep_oracle_horizon_is_a_budget_error(tmp_path, capsys):
 _PINNED_VERIFY = [
     (lambda: build_chain(5), (), EXIT_COUNTEREXAMPLE,
      "b280e6786f54fd7c2c92eda756e488d440d7396acfd91294b9017d02d1e983a3"),
+    # stochastic games sampled: under the default limit they are searched exhaustively
     (lambda: random_game(9, states=12, observations=3, failure_fraction=0.1),
-     ("--samples", "200", "--depth", "6"), EXIT_COUNTEREXAMPLE,
+     ("--samples", "200", "--depth", "6", "--exhaustive-limit", "0"), EXIT_COUNTEREXAMPLE,
      "2486d84503153b6b8fdea53d1992a3afa7bf9c5ca7eee78ece0db519609343f1"),
     # about 3500 draws from the sampling stream
     (lambda: random_game(7, states=30, observations=3, failure_fraction=0.05),
-     ("--samples", "2000", "--depth", "3"), EXIT_COUNTEREXAMPLE,
+     ("--samples", "2000", "--depth", "3", "--exhaustive-limit", "0"), EXIT_COUNTEREXAMPLE,
      "f323ceed7199cd98b21184b46e45e7c2757572fdfa10185cf368cd8659f317f4"),
     # the exhaustive control arm on a 4x4 game, and on one-hot observations
     (lambda: random_game(2, states=200, ai_actions=4, human_actions=4, failure_fraction=0.05),
@@ -181,6 +190,10 @@ _PINNED_VERIFY = [
     (lambda: one_hot_observations(random_game(3, states=60, observations=3, failure_fraction=0.05), 3),
      ("--depth", "3"), EXIT_COUNTEREXAMPLE,
      "b44ddf9c5921dbc3b461eb6612d024aebcb06be908e2202905c2ba2df246e677"),
+    # the exhaustive search on a stochastic game's support graph
+    (lambda: random_game(9, states=12, observations=3, failure_fraction=0.1),
+     ("--depth", "6"), EXIT_COUNTEREXAMPLE,
+     "fab9f09297742d803f99d8e888aa75da8f3b58d5854afb8990ab706c1ad7b92a"),
 ]
 
 

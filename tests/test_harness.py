@@ -32,8 +32,8 @@ from haig import (
     verify_safety,
 )
 from haig.filtering import InterventionRecord
-from haig.harness import RolloutStep, VerificationReport
-from haig.rng import SplitMix64, advance, rejection_limit, splitmix_block
+from haig.harness import DEFAULT_EXHAUSTIVE_LIMIT, RolloutStep, VerificationReport
+from haig.rng import SplitMix64, rejection_limit, splitmix_block
 from test_filtering import _signed_zero_chain, one_hot_observations, reference_table
 from test_rng import _ScalarSplitMix64, seed_with_draw
 
@@ -473,8 +473,10 @@ def test_verify_sampled_mode():
     assert not control.ok
 
     stochastic = random_game(6, states=10, observations=2, failure_fraction=0.2)
-    report = verify_safety(stochastic, depth=6, samples=500, seed=0)
-    assert report.mode == "sampled"  # stochastic games cannot be enumerated exactly
+    report = verify_safety(stochastic, depth=6, exhaustive_limit=0, samples=500, seed=0)
+    assert report.mode == "sampled"
+    # under the limit a stochastic game is searched on its support graph, whatever the samples
+    assert verify_safety(stochastic, depth=6, samples=500, seed=0).mode == "exhaustive"
 
 
 def test_verify_budget():
@@ -619,6 +621,24 @@ def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
     return report(), False
 
 
+def _narrowed_bounds(doc, seed):
+    """The game with bounds of one to three actions, the length cycling over the states."""
+    rng = np.random.default_rng(seed)
+    spec = doc.game
+    bound = [tuple(sorted(rng.choice(3, size=1 + z % 3, replace=False).tolist())) for z in range(spec.num_states)]
+    return SpecDocument(game=replace(spec, action_bound=bound))
+
+
+def _zero_between_positives(doc):
+    """The game with observation 1 of every other row at probability zero, the row rescaled."""
+    spec = doc.game
+    probs = spec.observation_probs.copy()
+    probs[::2, :, :, 1] = 0.0
+    probs /= probs.sum(axis=3, keepdims=True)
+    assert ((probs[..., 0] > 0.0) & (probs[..., 1] == 0.0) & (probs[..., 2] > 0.0)).any()
+    return SpecDocument(game=replace(spec, observation_probs=probs))
+
+
 def _reference_games():
     rng = np.random.default_rng(7)
     for seed in range(40):
@@ -642,16 +662,27 @@ def _reference_games():
         doc = random_game(140 + seed, states=6 + seed, ai_actions=1 + seed % 3, human_actions=2 + seed % 2,
                           observations=3, failure_fraction=(0.15, 0.3)[seed % 2])
         yield one_hot_observations(doc, seed)
+    # stochastic observations: uneven bounds, zero-probability gaps, and plain games
+    for k in (0, 6, 13, 24):
+        yield _narrowed_bounds(random_game(k, states=12, human_actions=3, observations=2 + k % 2,
+                                           failure_fraction=0.1), k)
+    for k in (9, 13, 37, 52):
+        yield _zero_between_positives(random_game(k, states=12, observations=3, failure_fraction=0.1))
+    yield random_game(9, states=12, observations=3, failure_fraction=0.1)
+    yield random_game(7, states=30, observations=3, failure_fraction=0.05)
+    yield random_game(5, states=10, ai_actions=3, human_actions=2, observations=4, failure_fraction=0.1)
+    yield random_game(4, states=16, ai_actions=4, human_actions=2, observations=2, failure_fraction=0.1)
 
 
 def test_verify_matches_the_reference_search():
-    compared = budget_hits = 0
+    compared = budget_hits = stochastic = 0
     observed = set()
     for doc in _reference_games():
         sol = value_iteration(doc.game)
+        stochastic += not doc.game.is_deterministic()
         for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
             for depth in (1, 3, 8):
-                for max_nodes in (None, 0, 5):
+                for max_nodes in (None, 0, 5, 40):
                     expected, exceeded = _reference_verify(doc, sol, depth, filter_mode, max_nodes)
                     kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes, solution=sol)
                     if exceeded:
@@ -663,9 +694,10 @@ def test_verify_matches_the_reference_search():
                         assert verify_safety(doc, **kwargs) == expected
                     observed.update(s.observation for ce in expected.counterexamples for s in ce.steps)
                     compared += 1
-    assert compared == 48 * 4 * 3 * 3
+    assert stochastic == 12
+    assert compared == 60 * 4 * 3 * 4
     assert budget_hits > 100
-    assert observed == {0, 1, 2}
+    assert observed == {0, 1, 2, 3}
 
 
 def test_sampled_verify_matches_the_reference_sequences():
@@ -676,7 +708,7 @@ def test_sampled_verify_matches_the_reference_sequences():
         for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
             for depth, max_nodes in ((3, None), (8, None), (8, 0), (8, 37)):
                 expected, exceeded = _reference_sampled(doc, sol, depth, filter_mode, max_nodes, 200, k)
-                kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes,
+                kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes, exhaustive_limit=0,
                               samples=200, seed=k, solution=sol)
                 if exceeded:
                     with pytest.raises(BudgetExceededError) as info:
@@ -696,8 +728,8 @@ def _compare_sampled(doc, sol, filter_mode, depth, max_nodes, samples, seed):
     Returns the reference report.
     """
     expected, exceeded = _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed)
-    kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes, samples=samples, seed=seed,
-                  solution=sol)
+    kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes, exhaustive_limit=0, samples=samples,
+                  seed=seed, solution=sol)
     if exceeded:
         with pytest.raises(BudgetExceededError) as info:
             verify_safety(doc, **kwargs)
@@ -707,56 +739,24 @@ def _compare_sampled(doc, sol, filter_mode, depth, max_nodes, samples, seed):
     return expected
 
 
-def _narrowed_bounds(doc, seed):
-    """The game with bounds of one to three actions, the length cycling over the states."""
-    rng = np.random.default_rng(seed)
-    spec = doc.game
-    bound = [tuple(sorted(rng.choice(3, size=1 + z % 3, replace=False).tolist())) for z in range(spec.num_states)]
-    return SpecDocument(game=replace(spec, action_bound=bound))
-
-
-def _zero_between_positives(doc):
-    """The game with observation 1 of every other row at probability zero, the row rescaled."""
-    spec = doc.game
-    probs = spec.observation_probs.copy()
-    probs[::2, :, :, 1] = 0.0
-    probs /= probs.sum(axis=3, keepdims=True)
-    assert ((probs[..., 0] > 0.0) & (probs[..., 1] == 0.0) & (probs[..., 2] > 0.0)).any()
-    return SpecDocument(game=replace(spec, observation_probs=probs))
-
-
-def test_sampled_verify_matches_the_reference_on_varied_games(monkeypatch):
-    """Uneven bounds, zero-probability gaps and windows across roots, with the sequences run in lockstep."""
-    windows = []
-    run = haig.harness._Lockstep.run
-
-    def counting(self, z, *args):
-        windows.append(len(z))
-        return run(self, z, *args)
-
-    monkeypatch.setattr(haig.harness._Lockstep, "run", counting)
+def test_sampled_verify_matches_the_reference_on_varied_games():
+    """Uneven bounds, zero-probability gaps, and about 70 sequences per root on a 30-state game."""
     corpus = [
         *((_narrowed_bounds(random_game(k, states=12, human_actions=3, observations=2 + k % 2,
                                         failure_fraction=0.1), k), 600) for k in (0, 6, 13, 24)),
         *((_zero_between_positives(random_game(k, states=12, observations=3, failure_fraction=0.1)), 600)
           for k in (9, 13, 37, 52)),
-        # about 70 sequences per root, so windows of 128 sequences and more span roots
         (random_game(7, states=30, observations=3, failure_fraction=0.05), 2000),
     ]
     assert {len(row) for doc, _ in corpus[:4] for row in doc.game.action_bound} == {1, 2, 3}
     found = 0
     for doc, samples in corpus:
         sol = value_iteration(doc.game)
-        in_lockstep = 0
         for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
             for depth, max_nodes in ((3, None), (8, None), (8, 301)):
-                before = len(windows)
                 expected = _compare_sampled(doc, sol, filter_mode, depth, max_nodes, samples, 3)
                 found += len(expected.counterexamples)
-                in_lockstep += len(windows) > before
-        assert in_lockstep >= 3
     assert found > 200
-    assert max(windows) >= 128
 
 
 @pytest.mark.parametrize("draw, rows", [
@@ -765,25 +765,15 @@ def test_sampled_verify_matches_the_reference_on_varied_games(monkeypatch):
     pytest.param("observation", (0.06, 0.57, 0.37), id="observation"),
     pytest.param("observation", (0.06, 0.57, 0.37, 0.0), id="observation-trailing-zero"),
 ])
-def test_sampled_verify_on_a_planted_draw(monkeypatch, draw, rows):
-    """The largest draw, planted in a lockstep window before the first failure.
+def test_sampled_verify_on_a_planted_draw(draw, rows):
+    """The largest draw, planted in sequence 100, before the first failure.
 
-    ``randint(3)`` rejects it, so a task or human draw cuts its window
-    without a failure; the scalar calls run that sequence, and windows
-    resume after it.  As an observation draw it is the largest uniform,
-    1 - 2**-53, which is the running sum of the rows (0.06, 0.57, 0.37):
-    the draw falls through to the last positive entry, observation 2, also
-    when a zero entry follows.
+    ``randint(3)`` rejects it as a task or human draw, so the stream skips
+    it and every later draw moves by one.  As an observation draw it is the
+    largest uniform, 1 - 2**-53, which is the running sum of the rows
+    (0.06, 0.57, 0.37): the draw falls through to the last positive entry,
+    observation 2, also when a zero entry follows.
     """
-    windows = []  # (sequences, clean ones, failure) per window
-    run = haig.harness._Lockstep.run
-
-    def recording(self, z, *args):
-        clean, failure = run(self, z, *args)
-        windows.append((len(z), clean, failure))
-        return clean, failure
-
-    monkeypatch.setattr(haig.harness._Lockstep, "run", recording)
     doc = random_game(9, states=30, observations=3 if rows is None else len(rows), failure_fraction=0.05)
     if rows is not None:
         probs = np.broadcast_to(rows, doc.game.observation_probs.shape)
@@ -797,34 +787,17 @@ def test_sampled_verify_on_a_planted_draw(monkeypatch, draw, rows):
     assert max(splitmix_block(seed, index)) < 2**64 - 1  # no rejection before it
     partial = _compare_sampled(doc, sol, "switch", depth, sequence + 1, samples, seed)
     assert partial.counterexamples == ()  # sequences 0 to 100 of the first root run clean
-    windows.clear()
     report = _compare_sampled(doc, sol, "switch", depth, None, samples, seed)
     assert len(report.counterexamples) >= 5
-    cuts = [k for k, (count, clean, failure) in enumerate(windows) if clean < count and failure is None]
-    if rows is None:
-        assert len(cuts) == 1 and cuts[0] < len(windows) - 1  # the rejected draw, then more windows
-    else:
-        assert cuts == []
 
 
-def test_sampled_verify_cuts_at_a_kept_draw_above_the_smallest_limit(monkeypatch):
-    """A human draw that ``randint(3)`` keeps and ``randint(6)`` would reject ends its lockstep window.
+def test_sampled_verify_cuts_at_a_kept_draw_above_the_smallest_limit():
+    """A human draw that ``randint(3)`` keeps and ``randint(6)`` would reject, at a root whose bound holds three.
 
-    Bounds hold three or six human actions, so no window runs a sequence
-    with a draw above ``randint(6)``'s largest kept one, whatever the state
-    of that draw: sequence 100, whose first step is at a root with three,
-    runs through the scalar calls without a failure, and windows resume
-    after it.
+    Bounds hold three or six human actions.  Sequence 100 keeps the draw,
+    runs without a failure, and the sequences after it read the stream
+    from the draw that follows.
     """
-    windows = []  # (counter, sequences, clean ones, failure) per window
-    run = haig.harness._Lockstep.run
-
-    def recording(self, z, counter, depth):
-        clean, failure = run(self, z, counter, depth)
-        windows.append((counter, len(z), clean, failure))
-        return clean, failure
-
-    monkeypatch.setattr(haig.harness._Lockstep, "run", recording)
     doc = random_game(16, states=30, human_actions=6, observations=3, failure_fraction=0.05)
     bound = [tuple(range(6)) if z % 4 == 3 else tuple(sorted((z + k) % 6 for k in (0, 2, 4))) for z in range(30)]
     doc = SpecDocument(game=replace(doc.game, action_bound=bound))
@@ -838,13 +811,8 @@ def test_sampled_verify_cuts_at_a_kept_draw_above_the_smallest_limit(monkeypatch
     partial = _compare_sampled(doc, sol, "switch", depth, sequence + 1, samples, seed)
     assert partial.counterexamples == ()  # sequences 0 to 100 of the first root run clean
     assert len(doc.game.action_bound[partial.certified_states[0]]) == 3
-    windows.clear()
     report = _compare_sampled(doc, sol, "switch", depth, None, samples, seed)
     assert len(report.counterexamples) >= 5
-    cuts = [k for k, (_, count, clean, failure) in enumerate(windows) if clean < count and failure is None]
-    assert len(cuts) == 1 and cuts[0] < len(windows) - 1
-    counter, _, clean, _ = windows[cuts[0]]
-    assert advance(counter, 3 * depth * clean) == advance(seed, 3 * depth * sequence)
 
 
 @pytest.mark.parametrize("rows", [
@@ -888,14 +856,47 @@ def test_exhaustive_verify_matches_the_reference_on_a_larger_game():
         assert info.value.partial == expected
 
 
+def test_exhaustive_verify_flags_the_roots_that_a_backward_search_finds():
+    """On the 30-state stochastic corpus, a certified root has a counterexample exactly when failure is in reach.
+
+    In reach: a plain backward search finds a path of admissible steps of
+    positive probability under the switch filter's decisions from the root
+    to a failure state within eight steps.  Each such root gets one path.
+    """
+    depth = 8
+    games = roots = flagged = 0
+    for seed in range(40):
+        doc = random_game(seed, states=30, ai_actions=3, human_actions=3, observations=3, failure_fraction=0.05)
+        spec = doc.game
+        sol = value_iteration(spec)
+        if not sol.converged:
+            continue
+        executed, _ = reference_table(sol, "switch")
+        trans, probs = spec.transitions.tolist(), spec.observation_probs.tolist()
+        near = [m < 0.0 for m in spec.margins.tolist()]  # within k steps of a failure state, k = 0 to depth
+        for _ in range(depth):
+            near = [near[z] or any(near[trans[z][e][b][o]] for e in executed[z] for b in spec.action_bound[z]
+                                   for o in range(3) if probs[z][e][b][o] > 0.0) for z in range(30)]
+        report = verify_safety(doc, depth=depth, solution=sol)
+        certified = _certified_states(sol)
+        starts = [ce.steps[0].state for ce in report.counterexamples]
+        assert report.mode == "exhaustive" and report.certified_states == certified
+        assert starts == [z for z in certified if near[z]]
+        games += bool(certified)
+        roots += len(certified)
+        flagged += len(starts)
+    assert (games, roots, flagged) == (25, 723, 172)
+
+
 def test_counterexamples_are_traces_that_follow_the_dynamics():
     """Every counterexample of the reference corpus passes ``to_jsonl``'s dynamics check."""
-    sampled = (random_game(k, states=12, observations=2 + k % 2, failure_fraction=0.1) for k in (0, 6, 13))
+    sampled = ((random_game(k, states=12, observations=2 + k % 2, failure_fraction=0.1), 0) for k in (0, 6, 13))
     checked = 0
-    for doc in (*_reference_games(), *sampled):
+    for doc, limit in (*((doc, DEFAULT_EXHAUSTIVE_LIMIT) for doc in _reference_games()), *sampled):
         sol = value_iteration(doc.game)
         for filter_mode in FILTER_MODES:
-            report = verify_safety(doc, depth=8, filter_mode=filter_mode, samples=200, solution=sol)
+            report = verify_safety(doc, depth=8, filter_mode=filter_mode, exhaustive_limit=limit, samples=200,
+                                   solution=sol)
             for ce in report.counterexamples:
                 lines = ce.to_jsonl().decode().splitlines()
                 assert len(lines) == len(ce.steps)
@@ -1164,18 +1165,19 @@ def test_rollout_runs_with_the_collector_paused(monkeypatch):
 def test_no_call_leaves_cyclic_garbage():
     """Reference counting frees what each entry point leaves: a collection after it finds nothing."""
     chain = build_chain(5)
-    stochastic = random_game(1, states=12, ai_actions=2, human_actions=2, observations=3, failure_fraction=0.2)
+    stochastic = random_game(9, states=12, observations=3, failure_fraction=0.1)
     calls = {
         "parse_spec": lambda: parse_spec(serialize(chain)),
         "serialize": lambda: serialize(stochastic),
         "value_iteration": lambda: value_iteration(stochastic.game),
-        "exhaustive verify": lambda: verify_safety(chain, filter_mode="none"),
-        "sampled verify": lambda: verify_safety(stochastic, filter_mode="none", samples=200),
+        "exhaustive verify": lambda: verify_safety(stochastic, filter_mode="none"),
+        "sampled verify": lambda: verify_safety(stochastic, filter_mode="none", exhaustive_limit=0, samples=200),
         "rollout": lambda: rollout(_chain_cfg(task_policy="random", human_policy="uniform", max_steps=50)),
         "compare_oracle": lambda: compare_oracle(chain, 6),
     }
-    assert verify_safety(chain, filter_mode="none").counterexamples
-    assert verify_safety(stochastic, filter_mode="none", samples=200).mode == "sampled"
+    for limit, mode in ((DEFAULT_EXHAUSTIVE_LIMIT, "exhaustive"), (0, "sampled")):
+        report = verify_safety(stochastic, filter_mode="none", exhaustive_limit=limit, samples=200)
+        assert report.mode == mode and report.counterexamples
     for call in calls.values():  # first calls may fill caches inside numpy
         call()
     gc.collect()
@@ -1293,19 +1295,11 @@ def test_rollout_blocks_are_sized_by_entries(monkeypatch):
 
 
 def test_sampled_verify_in_small_state_blocks(monkeypatch):
-    """Sampled verify, forced on a deterministic game and run on a stochastic one, in blocks of seven states.
+    """Sampled verify, forced on a deterministic and a stochastic game, in blocks of seven states.
 
-    The scalar sequences ask ``_observation_thresholds`` for blocks only; the
-    whole game's table is built once, when the first lockstep window starts.
+    The sequences ask ``_observation_thresholds`` for blocks only, never for the whole game's table.
     """
     calls = _logged_threshold_inputs(monkeypatch)
-    run = haig.harness._Lockstep.run
-
-    def counting(self, z, *args):
-        calls.append("window")
-        return run(self, z, *args)
-
-    monkeypatch.setattr(haig.harness._Lockstep, "run", counting)
     found = 0
     for doc in (random_game(11, states=40, failure_fraction=0.1),
                 random_game(7, states=30, observations=3, failure_fraction=0.05)):
@@ -1313,7 +1307,6 @@ def test_sampled_verify_in_small_state_blocks(monkeypatch):
         width = spec.transitions[0].size
         monkeypatch.setattr(haig.harness, "_BLOCK_ENTRIES", 7 * width)
         sol = value_iteration(spec)
-        in_lockstep = 0
         for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
             for depth in (3, 8):
                 calls.clear()
@@ -1321,15 +1314,7 @@ def test_sampled_verify_in_small_state_blocks(monkeypatch):
                 assert verify_safety(doc, depth=depth, filter_mode=filter_mode, exhaustive_limit=0, samples=2000,
                                      seed=3, solution=sol) == expected
                 found += len(expected.counterexamples)
-                blocks = [size for size in calls if size not in ("window", spec.observation_probs.size)]
-                assert blocks and max(blocks) == 7 * width
-                if "window" in calls:
-                    in_lockstep += 1
-                    assert calls[calls.index("window") - 1] == spec.observation_probs.size
-                    assert calls.count(spec.observation_probs.size) == 1
-                else:
-                    assert spec.observation_probs.size not in calls
-        assert in_lockstep >= 3
+                assert calls and max(calls) == 7 * width < spec.observation_probs.size
     assert found > 50
 
 
@@ -1385,6 +1370,10 @@ def test_verify_argument_validation():
     for max_nodes in (2.5, 3.0):
         with pytest.raises(TypeError):
             verify_safety(build_chain(5), max_nodes=max_nodes)
+    with pytest.raises(ValueError, match="exhaustive_limit must be >= 0, got -1"):
+        verify_safety(build_chain(5), exhaustive_limit=-1)
+    with pytest.raises(TypeError):
+        verify_safety(build_chain(5), exhaustive_limit=2.5)
 
 
 def test_compare_oracle_deterministic_is_exact():

@@ -644,18 +644,31 @@ def test_attractor_matches_the_sweep_bit_for_bit():
 
 
 def test_step_table_matches_plain_loops():
-    """``_steps`` lists the admissible steps in (z, a, b) order; ``_grouped`` lists each key's distinct items."""
+    """``_steps`` lists the admissible steps of positive probability in (z, a, b, o) order.
+
+    ``_grouped`` lists each key's distinct items.  On deterministic games the
+    steps are those of the (Z, A, B) successor table, one per (z, a, b).
+    """
     rng = np.random.default_rng(5)
-    for spec in [_det_game(seed) for seed in range(6)] + [build_chain(4, 2, 1).game]:
-        succ = solver._det_successors(spec)
+    stochastic = [random_game(seed, states=9, observations=2 + seed % 2, failure_fraction=0.2).game
+                  for seed in range(3)]
+    probs = stochastic[1].observation_probs.copy()
+    probs[::2, ..., 1] = 0.0  # a zero between two positive entries in every other row
+    probs /= probs.sum(axis=3, keepdims=True)
+    stochastic.append(replace(stochastic[1], observation_probs=probs))
+    for spec in [_det_game(seed) for seed in range(6)] + [build_chain(4, 2, 1).game] + stochastic:
         executed = rng.integers(spec.num_ai_actions, size=(spec.num_states, 3))
-        expected = [(z, a, b, int(succ[z, executed[z, a], b]))
-                    for z in range(spec.num_states) for a in range(3) for b in spec.action_bound[z]]
-        steps = solver._steps(spec, succ, executed)
+        expected = [(z, a, b, o, int(spec.transitions[z, executed[z, a], b, o]))
+                    for z in range(spec.num_states) for a in range(3) for b in spec.action_bound[z]
+                    for o in range(spec.num_observations) if spec.observation_probs[z, executed[z, a], b, o] > 0.0]
+        steps = solver._steps(spec, executed)
         assert list(zip(*(column.tolist() for column in steps))) == expected
-        z, _, _, z2 = steps
+        z, a, b, _, z2 = steps
+        if spec.is_deterministic():
+            assert z2.tolist() == solver._det_successors(spec)[z, executed[z, a], b].tolist()
         grouped = [sorted({int(p) for p, w in zip(z, z2) if w == target}) for target in range(spec.num_states)]
         assert solver._grouped(z2, z, spec.num_states) == grouped
+    assert not stochastic[3].is_deterministic() and (stochastic[3].observation_probs == 0.0).any()
     assert solver._grouped(np.zeros(0, np.int64), np.zeros(0, np.int64), 2) == [[], []]
 
 
