@@ -634,11 +634,13 @@ def verify_safety(
 
     Raises BudgetExceededError (carrying the partial report in ``partial``)
     if ``max_nodes`` expansions are exceeded.  Before solving, it raises
-    TypeError if ``depth``, ``samples``, ``exhaustive_limit`` or a given
-    ``max_nodes`` is not an integer, and ValueError if one is out of range.
+    TypeError if ``depth``, ``samples``, ``exhaustive_limit``, ``seed`` or a
+    given ``max_nodes`` is not an integer, and ValueError if one is out of
+    range; ``seed`` is checked in either mode.
     """
     spec = doc.game
     depth, samples = _at_least(depth, 1, "depth"), _at_least(samples, 1, "samples")
+    seed = operator.index(seed)
     exhaustive_limit = _at_least(exhaustive_limit, 0, "exhaustive_limit")
     if max_nodes is not None:
         max_nodes = _at_least(max_nodes, 0, "max_nodes")
@@ -798,7 +800,7 @@ def compare_oracle(
     epsilon: float = DEFAULT_EPSILON,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> OracleReport:
-    """Largest gap between ``value_iteration`` and the game-tree recursion.
+    """Largest gap between ``value_iteration`` and the brute-force game-tree values.
 
     The default horizon is the solution's ``iterations``: the sweeps the
     sweep route takes, which the threshold attractor reports exactly without
@@ -806,11 +808,13 @@ def compare_oracle(
     change past that horizon.
 
     The declared tolerance is zero for deterministic-observation games,
-    where the solver and the recursion compute identical floating-point
-    values.  Otherwise it is ``max(1e-7, epsilon * iterations)``, a heuristic
-    allowance for rounding and for stopping at the residual ``epsilon``, not
-    a proven bound on the error.  A non-integral or negative ``horizon``
-    or ``node_budget`` raises TypeError or ValueError before solving.
+    where the solver and ``brute_force_values`` compute identical
+    floating-point values.  Otherwise it is ``max(1e-7, epsilon *
+    iterations)``, a heuristic allowance for rounding and for stopping at
+    the residual ``epsilon``, not a proven bound on the error.  A non-integral or negative ``horizon``
+    or ``node_budget`` raises TypeError or ValueError before solving.  Any
+    horizon runs whose nodes fit ``node_budget`` per root; a root that
+    needs more raises BudgetExceededError before its nodes are evaluated.
     """
     spec = doc.game
     if horizon is not None:

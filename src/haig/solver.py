@@ -88,8 +88,10 @@ search under the fallback alone, and exhaustive verify reads them under a
 filter's table on any game.
 
 ``brute_force_values`` is an intentionally separate implementation, a
-direct recursion over the game tree used as an oracle in tests and by
-``compare_oracle``.  It shares no code with either route.
+walk of the game tree used as an oracle in tests and by
+``compare_oracle``.  It evaluates the (state, depth) nodes one depth layer
+at a time, bottom up, node by node in plain Python, so its horizon is
+bounded by its node budget alone.  It shares no code with either route.
 """
 
 from __future__ import annotations
@@ -505,18 +507,18 @@ def brute_force_value(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> float:
-    """Depth-limited game value of one state by direct recursion over the game tree.
+    """Depth-limited game value of one state, evaluated over the game tree by depth layers.
 
     value(z, 0) is the margin at ``z``; deeper values apply the same
     max/min/min backup as the solver, one node at a time in plain Python.
     Results cache on (state, depth), which changes nothing arithmetically.
-    Zero-probability observation branches are skipped.
+    Zero-probability observation branches are skipped.  The horizon has no
+    ceiling of its own: the work is bounded by the nodes evaluated.
 
-    Raises BudgetExceededError once more than ``node_budget`` nodes have
-    been evaluated, or when the recursion to ``horizon`` runs deeper than
-    the interpreter's recursion limit.  Before evaluating anything it
-    raises TypeError if ``horizon`` or ``node_budget`` is not an integer and
-    ValueError if either is negative.
+    Raises BudgetExceededError, before evaluating any node, if more than
+    ``node_budget`` (state, depth) nodes lie below ``(z, horizon)``.
+    Before that it raises TypeError if ``horizon`` or ``node_budget`` is
+    not an integer and ValueError if either is negative.
     """
     z = _int_index(z, spec.num_states, "info state")
     return _GameTree(spec, horizon, node_budget)(z)
@@ -540,69 +542,104 @@ def brute_force_values(
 
 
 class _GameTree:
-    """Memoized recursion to ``horizon``; called with a root state, returns its value.
+    """The game tree to ``horizon`` by depth layers; called with a root state, returns its value.
 
-    A class, so that the recursion goes through ``self.value``: a nested
-    function that calls itself through its own closure is a reference
-    cycle, which would keep the memo and the tables alive until a full
-    collection.
+    The memo holds one dict per depth, state -> value, made when that
+    depth is first evaluated, and every root reuses it.  A call goes down
+    from ``(root, horizon)`` one depth at a time, following each state's
+    distinct positive-probability successors into the nodes the memo
+    lacks, and collects them as layers, which are evaluated bottom up, each
+    depth reading the one below from the memo; ``nodes`` is the last
+    root's count of them.  When Z * (horizon + 1) nodes could pass
+    ``node_budget``, a first pass only counts them, holding one layer at a
+    time, and raises BudgetExceededError once there are more than
+    ``node_budget``, before any is evaluated or collected.  A node's value
+    is the backup in plain Python floats: the observation terms added in
+    order to 0.0, the min with the margin, the min over admissible human
+    actions and the max over AI actions, so a -0.0 keeps its sign.  Each
+    state's moves are listed on first use.  Nothing here refers back to
+    the tree, so it leaves no reference cycle for the collector.
     """
 
     def __init__(self, spec: GameSpec, horizon: int, node_budget: int):
         self.horizon = _at_least(horizon, 0, "horizon")
         self.node_budget = _at_least(node_budget, 0, "node_budget")
-        self.ell = [float(m) for m in spec.margins]
+        self.ell = spec.margins.tolist()
         self.trans = spec.transitions.tolist()
         self.probs = spec.observation_probs.tolist()
         self.bound = spec.action_bound
-        self.n_ai = spec.num_ai_actions
-        self.n_obs = spec.num_observations
-        self.memo: dict[tuple[int, int], float] = {}
+        # per state, once listed: per AI action, per admissible human action, the
+        # (p, next state) pairs of positive p in observation order
+        self.moves: list[list | None] = [None] * spec.num_states
+        self.successors: list[list[int] | None] = [None] * spec.num_states
+        self.memo: dict[int, dict[int, float]] = {}
         self.nodes = 0
 
     def __call__(self, z: int) -> float:
-        self.nodes = 0
-        try:
-            return self.value(z, self.horizon)
-        except RecursionError:
-            raise BudgetExceededError(
-                f"brute force horizon {self.horizon} is deeper than the interpreter's recursion limit"
-            ) from None
+        if len(self.ell) * (self.horizon + 1) > self.node_budget:  # else no root can pass the budget
+            nodes = 0
+            for _, layer in self._new_layers(z):
+                nodes += len(layer)
+                if nodes > self.node_budget:
+                    raise BudgetExceededError(f"brute force exceeded its node budget of {self.node_budget}")
+        layers = list(self._new_layers(z))
+        self.nodes = sum(len(layer) for _, layer in layers)
+        for depth, layer in reversed(layers):
+            self._evaluate(depth, layer)
+        return self.memo[self.horizon][z]
 
-    def value(self, state: int, depth: int) -> float:
-        key = (state, depth)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise BudgetExceededError(
-                f"brute force exceeded its node budget of {self.node_budget}"
-            )
+    def _new_layers(self, z: int):
+        """Top down from ``(z, horizon)``: (depth, states) for each depth with nodes the memo lacks."""
+        layer, depth = [z], self.horizon
+        memo, successors = self.memo, self.successors
+        while True:
+            known = memo.get(depth)
+            if known:
+                layer = [s for s in layer if s not in known]
+            if not layer:
+                return
+            yield depth, layer
+            if depth == 0:
+                return
+            below: set[int] = set()
+            for s in layer:
+                below.update(successors[s] or self._list_moves(s))
+            layer, depth = list(below), depth - 1
+
+    def _list_moves(self, s: int) -> list[int]:
+        """Fill ``moves[s]`` and ``successors[s]``; returns the successors."""
+        bound = self.bound[s]
+        moves = self.moves[s] = [
+            [[(p, t) for p, t in zip(probs[b], trans[b]) if p > 0.0] for b in bound]
+            for probs, trans in zip(self.probs[s], self.trans[s])
+        ]
+        successors = self.successors[s] = list({t for per_a in moves for pairs in per_a for _, t in pairs})
+        return successors
+
+    def _evaluate(self, depth: int, layer: list[int]) -> None:
+        level = self.memo.setdefault(depth, {})
+        ell = self.ell
         if depth == 0:
-            result = self.ell[state]
-        else:
-            here = self.ell[state]
-            probs, trans, n_obs = self.probs[state], self.trans[state], self.n_obs
+            for s in layer:
+                level[s] = ell[s]
+            return
+        below = self.memo[depth - 1]
+        moves = self.moves
+        for s in layer:
+            here = ell[s]
             best = None
-            for a in range(self.n_ai):
+            for per_a in moves[s]:
                 worst = None
-                for b in self.bound[state]:
+                for pairs in per_a:
                     expected = 0.0
-                    row = probs[a][b]
-                    nxt = trans[a][b]
-                    for o in range(n_obs):
-                        p = row[o]
-                        if p > 0.0:
-                            expected += p * self.value(nxt[o], depth - 1)
+                    for p, t in pairs:
+                        expected += p * below[t]
                     outcome = here if here <= expected else expected
                     if worst is None or outcome < worst:
                         worst = outcome
                 if best is None or worst > best:
                     best = worst
-            result = best
-        self.memo[key] = result
-        return result
+            level[s] = best
 
 
 def solution_payload(sol: ValueSolution) -> dict:

@@ -158,16 +158,16 @@ def test_compare_oracle_exit_codes(tmp_path):
     assert main(["compare-oracle", str(spec_path), "--budget", "-1"]) == EXIT_INPUT
 
 
-def test_deep_oracle_horizon_is_a_budget_error(tmp_path, capsys):
-    """A default horizon past the interpreter's recursion limit exits 4, not with a traceback."""
+def test_compare_oracle_runs_horizons_past_the_recursion_limit(tmp_path, capsys):
+    """A stochastic game whose default horizon is its 2139 sweeps is checked in full, and exits 0."""
     path = tmp_path / "long.haig.json"
-    save_spec(build_chain(1200, 2), path)
+    save_spec(random_game(6, states=18, ai_actions=3, human_actions=3, observations=2, failure_fraction=0.1), path)
     start = time.perf_counter()
-    assert main(["compare-oracle", str(path)]) == EXIT_BUDGET
+    assert main(["compare-oracle", str(path)]) == EXIT_OK
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: brute force horizon 1201 ")
-    assert captured.out == ""
+    assert captured.out == "horizon 2139, 2139 sweeps, max discrepancy 0.0 (tolerance 2.139e-06)\n"
+    assert captured.err == ""
 
 
 # sha256 of verify's stdout, so the counterexample listing keeps its bytes:

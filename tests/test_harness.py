@@ -1392,7 +1392,7 @@ def test_compare_oracle_stochastic_within_tolerance():
 
 
 def test_verify_and_the_oracle_refuse_non_integral_arguments(monkeypatch):
-    """A float ``samples``, ``depth`` or ``horizon`` raises TypeError; verify raises it before it solves."""
+    """A float ``samples``, ``depth``, ``seed`` or ``horizon`` raises TypeError; verify raises it before it solves."""
     doc = build_chain(5)
 
     def solving(*args, **kwargs):
@@ -1403,10 +1403,15 @@ def test_verify_and_the_oracle_refuse_non_integral_arguments(monkeypatch):
         for arguments in (dict(samples=2.5), dict(depth=2.5), dict(depth=3.0)):
             with pytest.raises(TypeError):
                 verify_safety(doc, exhaustive_limit=0, **arguments)
+        for limit in (0, DEFAULT_EXHAUSTIVE_LIMIT):  # sampled and exhaustive mode
+            for seed in (2.5, 3.0, "1"):
+                with pytest.raises(TypeError):
+                    verify_safety(doc, exhaustive_limit=limit, seed=seed)
     with pytest.raises(TypeError):
         compare_oracle(doc, 2.5)
     assert verify_safety(doc, exhaustive_limit=0, samples=np.int64(40), depth=np.int64(3)) == verify_safety(
         doc, exhaustive_limit=0, samples=40, depth=3)
+    assert verify_safety(doc, exhaustive_limit=0, seed=np.int64(7)) == verify_safety(doc, exhaustive_limit=0, seed=7)
 
 
 def test_bad_budgets_and_horizons_are_refused_before_solving(monkeypatch):

@@ -442,13 +442,25 @@ def test_malformed_epsilon_and_budgets_are_refused():
     assert (sol.iterations, sol.converged) == (3, False)
 
 
-def test_deep_oracle_horizons_exceed_the_budget():
+def test_deep_oracle_horizons_reach_the_solver_values():
+    """A horizon far past the interpreter's recursion limit is evaluated like any other."""
     spec = build_chain(3).game
-    with pytest.raises(BudgetExceededError, match="horizon 5000"):
-        brute_force_values(spec, 5000)
-    with pytest.raises(BudgetExceededError, match="horizon 5000"):
-        brute_force_value(spec, 1, 5000)
-    assert brute_force_values(spec, 50) == value_iteration(spec).values.tolist()
+    values = value_iteration(spec).values.tolist()
+    assert brute_force_values(spec, 5000) == values
+    assert brute_force_value(spec, 1, 5000) == values[1]
+    assert brute_force_values(spec, 50) == values
+
+
+def test_a_horizon_far_past_the_budget_is_refused_before_evaluating():
+    spec = build_chain(3).game
+    with pytest.raises(BudgetExceededError, match="node budget of 1000"):
+        brute_force_values(spec, 10**9, node_budget=1000)
+    with pytest.raises(BudgetExceededError, match="node budget of 1000"):
+        brute_force_value(spec, 1, 10**9, node_budget=1000)
+    tree = solver._GameTree(spec, 10**9, 1000)
+    with pytest.raises(BudgetExceededError):
+        tree(0)
+    assert tree.memo == {}
 
 
 def test_oracle_horizons_must_be_integers():
@@ -706,6 +718,81 @@ def test_large_corridors_take_one_sweep_per_state():
 # ---------------------------------------------------------------------------
 # shared-memo oracle
 # ---------------------------------------------------------------------------
+
+
+class _RecursiveTree:
+    """The oracle as a memoized recursion over (state, depth); ``nodes`` counts what a root evaluates first."""
+
+    def __init__(self, spec, horizon):
+        self.horizon = horizon
+        self.ell = spec.margins.tolist()
+        self.trans = spec.transitions.tolist()
+        self.probs = spec.observation_probs.tolist()
+        self.bound = spec.action_bound
+        self.memo = {}
+        self.nodes = 0
+
+    def __call__(self, z):
+        self.nodes = 0
+        return self.value(z, self.horizon)
+
+    def value(self, state, depth):
+        key = (state, depth)
+        if key in self.memo:
+            return self.memo[key]
+        self.nodes += 1
+        here = self.ell[state]
+        if depth == 0:
+            result = here
+        else:
+            best = None
+            for probs, trans in zip(self.probs[state], self.trans[state]):
+                worst = None
+                for b in self.bound[state]:
+                    expected = 0.0
+                    for p, nxt in zip(probs[b], trans[b]):
+                        if p > 0.0:
+                            expected += p * self.value(nxt, depth - 1)
+                    outcome = here if here <= expected else expected
+                    if worst is None or outcome < worst:
+                        worst = outcome
+                if best is None or worst > best:
+                    best = worst
+            result = best
+        self.memo[key] = result
+        return result
+
+
+def _oracle_agreement_corpus():
+    """Narrowed bounds, -0.0 margins, zero-probability observation entries and stochastic rows."""
+    yield build_chain(5, 3, 1).game
+    yield build_chain(9, 2).game
+    narrowed = list(_narrowed_signed_zero_games())
+    yield from (*narrowed[:8], narrowed[-1])  # O in {1, 3, 8, 9} on up to 20 states, and the -0.0 tie
+    rng = np.random.default_rng(25)
+    for seed in range(4):
+        spec = random_game(seed, states=6 + seed, ai_actions=2, human_actions=3, observations=3,
+                           failure_fraction=0.3).game
+        yield spec
+        yield _one_hot(spec, rng)
+
+
+def test_layered_oracle_matches_the_recursion_bit_for_bit():
+    """Every value by ``repr``, and every root's count of the nodes it evaluates first, in either root order."""
+    seen = set()
+    for spec in _oracle_agreement_corpus():
+        seen.add("zero probability" if (spec.observation_probs == 0.0).any() else "all positive")
+        for horizon in range(21):
+            # a budget below Z * (horizon + 1), which no root reaches, takes the counting pass
+            for roots, budget in ((range(spec.num_states), solver.DEFAULT_NODE_BUDGET),
+                                  (range(spec.num_states - 1, -1, -1), spec.num_states * (horizon + 1) - 1)):
+                layered = solver._GameTree(spec, horizon, budget)
+                reference = _RecursiveTree(spec, horizon)
+                for z in roots:
+                    value = layered(z)
+                    assert (repr(value), layered.nodes) == (repr(reference(z)), reference.nodes), (horizon, z)
+                    seen.add(repr(value))
+    assert {"-0.0", "0.0", "zero probability"} <= seen
 
 
 def test_brute_force_values_match_per_root_recursion():
