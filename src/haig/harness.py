@@ -19,19 +19,20 @@ sort_keys=True, allow_nan=False)`` writes per step.
 state the filter certifies, no reachable state within the given depth has
 a negative margin, for any task-action choice at every step, any
 admissible human response and any observation of positive probability.
-On games under the size limit, stochastic ones included, the check
-enumerates exhaustively: a breadth-first search over the support graph,
-the solver's step table ``solver._steps`` under the filter's executed
-actions, listed per state by ``solver._grouped``.  Filtering makes the
-task action's effect a function of the state, and whether failure is in
-reach within d steps depends on the state alone, so state-level
-memoization loses nothing.  Larger games fall back to seeded random
-sequences.  Running it with the filter off is the control arm.  Each
-counterexample is a ``RolloutTrace`` of its path to failure, built only
-for failing paths: monitor scores from the solution's ``scores`` table,
-no ground-truth flags.  Each search costs what its answer needs, and its
-reports are bit for bit those of a plain per-root search and of
-sequences drawn one after another.
+On games under the size limit, stochastic ones included, the check is
+exhaustive: one backward breadth-first search from the failure states
+over the support graph, the solver's step table ``solver._steps`` under
+the filter's executed actions, gives each state's distance to failure up
+to the depth.  Filtering makes the task action's effect a function of the
+state, so whether failure is in reach within d steps depends on the state
+alone.  Larger games fall back to seeded random sequences.  Running it
+with the filter off is the control arm.  Each counterexample is a
+``RolloutTrace`` of its path to failure, built only for failing paths:
+monitor scores from the solution's ``scores`` table, no ground-truth
+flags.  An exhaustive counterexample is its root's first shortest path in
+step order, the path a per-root breadth-first search finds first, and
+sampled reports are bit for bit those of sequences drawn one after
+another.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
@@ -64,8 +65,8 @@ from .rng import SplitMix64, advance, rejection_limit, splitmix_block
 from .solver import (
     DEFAULT_EPSILON,
     DEFAULT_NODE_BUDGET,
+    _LEFT_TO_RIGHT_SUMS,
     ValueSolution,
-    _grouped,
     _steps,
     brute_force_values,
     value_iteration,
@@ -578,10 +579,9 @@ class _Budget:
         self._report = report  # spent -> report; taking the count keeps it free of a cycle through this budget
 
     def spend(self, n: int) -> None:
-        if self.spent + n > self.limit:
-            self.spent = self.max_nodes + 1
-            raise BudgetExceededError(f"verification exceeded max_nodes={self.max_nodes}", partial=self.report())
         self.spent += n
+        if self.spent > self.limit:
+            raise BudgetExceededError(f"verification exceeded max_nodes={self.max_nodes}", partial=self.report())
 
     def report(self):
         """The report of the expansions spent so far."""
@@ -609,18 +609,16 @@ def verify_safety(
 
     The mode follows from the size alone.  Exhaustive mode (games with at
     most ``exhaustive_limit`` joint entries, whatever their observations)
-    searches breadth-first from each certified root and stops at the first
-    failure state it meets; ``expanded`` sums the states expanded, and
-    each root that can reach failure gets one counterexample, its first
-    path found.  It reads every admissible step of positive probability of
-    ``solver._steps`` under the filter's executed actions, in (state, task
-    action, human action, observation) order, repeats of a ``(z, z2)``
-    included: the first one met is the one kept.  One backward search from
-    the failure states finds the roots within ``depth`` of one, and only
-    those run the ordered search that builds a counterexample.  Any other
-    root expands every state within ``depth - 1`` steps, so its count is
-    the size of that ball, grown by set unions of each state's distinct
-    successors.
+    runs one backward breadth-first search from the failure states over
+    every admissible step of positive probability of ``solver._steps``
+    under the filter's executed actions.  Layer d holds the states d steps
+    from the nearest failure state, up to ``depth``; ``expanded`` counts
+    the states the search settles, the failure states and every state that
+    can reach one within ``depth`` steps, whether certified or not.  Each
+    certified root in some layer gets one counterexample: at each state it
+    takes the first step in (state, task action, human action, observation)
+    order that lands one layer lower, so its path is the first shortest
+    path in step order.
 
     Sampled mode, for larger games, draws ``max(1, samples //
     len(certified))`` random sequences per root, roots in order, from one
@@ -630,10 +628,12 @@ def verify_safety(
     picked as in rollout.
 
     It runs with the cyclic garbage collector paused (``_collector_paused``):
-    the per-state step lists and the balls hold no reference cycle.
+    the search's lists and the traces hold no reference cycle.
 
     Raises BudgetExceededError (carrying the partial report in ``partial``)
-    if ``max_nodes`` expansions are exceeded.  Before solving, it raises
+    if ``max_nodes`` expansions are exceeded.  Exhaustive mode checks the
+    budget after each layer, and its partial report carries the count so
+    far and no counterexamples.  Before solving, it raises
     TypeError if ``depth``, ``samples``, ``exhaustive_limit``, ``seed`` or a
     given ``max_nodes`` is not an integer, and ValueError if one is out of
     range; ``seed`` is checked in either mode.
@@ -673,66 +673,45 @@ def verify_safety(
 
 
 def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
-    """The ordered search from each root within ``depth`` of a failure; ball sizes for the others."""
+    """One backward search from the failure states, then a counterexample for each root it reaches.
+
+    Layer d holds the states whose nearest failure state is d steps away,
+    for d up to the smaller of ``depth`` and ``num_states``, since no
+    shortest path is longer.  ``budget`` spends each layer's size once it is
+    settled.  A root in layer d descends to failure in d steps, each the
+    first step of ``solver._steps`` in (z, a, b, o) order that lands one
+    layer lower: the first shortest path in step order.
+    """
     spec = sol.spec
+    nz = spec.num_states
     src, a_tasks, bs, obs, dst = _steps(spec, executed)
-    # one backward breadth-first search: the states within depth steps of a failure
-    near = spec.margins < 0.0
-    layer = near
-    for _ in range(depth):
-        reached = np.zeros_like(near)
+    horizon = min(depth, nz)
+    dist = np.where(spec.margins < 0.0, 0, horizon + 1)  # horizon + 1: not within horizon of a failure
+    layer = dist == 0
+    budget.spend(int(np.count_nonzero(layer)))
+    for d in range(1, horizon + 1):
+        reached = np.zeros_like(layer)
         reached[src[layer[dst]]] = True
-        layer = reached & ~near
+        layer = reached & (dist > horizon)
         if not layer.any():
             break
-        near |= layer
-    near = near.tolist()
+        dist[layer] = d
+        budget.spend(int(np.count_nonzero(layer)))
 
-    outgoing = _grouped(src, np.arange(len(src)), spec.num_states)  # each state's steps, in search order
-    successors = _grouped(src, dst, spec.num_states)
-    targets = dst.tolist()
-    unsafe = (spec.margins < 0.0).tolist()
-    for z0 in roots:
-        if not near[z0]:
-            ball = ring = {z0}
-            for _ in range(depth - 1):
-                ring = set().union(*map(successors.__getitem__, ring))
-                ring -= ball
-                if not ring:
-                    break
-                ball |= ring
-            budget.spend(len(ball))
+    down = np.flatnonzero(dist[dst] == dist[src] - 1)  # read only at states within horizon of a failure
+    states, first = np.unique(src[down], return_index=True)
+    step = np.zeros(nz, dtype=np.int64)
+    step[states] = down[first]
+    dist, step, src, a_tasks, bs, obs, dst = (c.tolist() for c in (dist, step, src, a_tasks, bs, obs, dst))
+    for z in roots:
+        if dist[z] > horizon:
             continue
-        parent = {z0: None}  # state -> the edge that first reached it
-        frontier = [z0]
-        hit = None
-        for _ in range(depth):
-            if hit is not None or not frontier:
-                break
-            nxt = []
-            for z in frontier:
-                budget.spend(1)
-                for k in outgoing[z]:
-                    z2 = targets[k]
-                    if z2 in parent:
-                        continue
-                    parent[z2] = k
-                    if unsafe[z2]:
-                        hit = z2
-                        break
-                    nxt.append(z2)
-                if hit is not None:
-                    break
-            frontier = nxt
-        if hit is not None:
-            # the steps back to the root, each read off its edge
-            path = []
-            z = hit
-            while parent[z] is not None:
-                k = parent[z]
-                z = int(src[k])
-                path.append((z, int(a_tasks[k]), int(bs[k]), int(obs[k])))
-            found.append(_counterexample(sol, executed, path[::-1], hit))
+        path = []
+        while dist[z]:
+            k = step[z]
+            path.append((z, a_tasks[k], bs[k], obs[k]))
+            z = dst[k]
+        found.append(_counterexample(sol, executed, path, z))
 
 
 def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budget) -> None:
@@ -807,11 +786,15 @@ def compare_oracle(
     sweeping.  On deterministic games the depth-limited values no longer
     change past that horizon.
 
-    The declared tolerance is zero for deterministic-observation games,
-    where the solver and ``brute_force_values`` compute identical
-    floating-point values.  Otherwise it is ``max(1e-7, epsilon *
-    iterations)``, a heuristic allowance for rounding and for stopping at
-    the residual ``epsilon``, not a proven bound on the error.  A non-integral or negative ``horizon``
+    The oracle checks the k-step value at the horizon k, not the distance
+    to the fixed point.  The declared tolerance is zero where the solver
+    and ``brute_force_values`` compute identical floating-point values: on
+    deterministic-observation games, and at horizon ``iterations`` on games
+    with fewer than ``solver._LEFT_TO_RIGHT_SUMS`` observations, where both
+    add the same terms in the same order.  Otherwise it is ``max(1e-7,
+    epsilon * iterations)``, a heuristic allowance for rounding and for
+    stopping at the residual ``epsilon``, not a proven bound on the error.
+    A non-integral or negative ``horizon``
     or ``node_budget`` raises TypeError or ValueError before solving.  Any
     horizon runs whose nodes fit ``node_budget`` per root; a root that
     needs more raises BudgetExceededError before its nodes are evaluated.
@@ -826,7 +809,8 @@ def compare_oracle(
     worst = 0.0
     for z, reference in enumerate(brute_force_values(spec, horizon, node_budget=node_budget)):
         worst = max(worst, abs(reference - float(sol.values[z])))
-    tolerance = 0.0 if spec.is_deterministic() else max(1e-7, epsilon * sol.iterations)
+    same_sums = spec.num_observations < _LEFT_TO_RIGHT_SUMS and horizon == sol.iterations
+    tolerance = 0.0 if spec.is_deterministic() or same_sums else max(1e-7, epsilon * sol.iterations)
     return OracleReport(
         horizon=horizon,
         iterations=sol.iterations,

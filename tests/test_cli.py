@@ -123,13 +123,13 @@ def test_verify_max_nodes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(spec_path), "--depth", "8"]) == EXIT_OK
     default = capsys.readouterr()
-    assert "21 expansions" in default.out
-    assert main(["verify", str(spec_path), "--depth", "8", "--max-nodes", "21"]) == EXIT_OK
+    assert "1 expansions" in default.out  # the failure state, which no state steps into under the filter
+    assert main(["verify", str(spec_path), "--depth", "8", "--max-nodes", "1"]) == EXIT_OK
     assert capsys.readouterr() == default
 
-    assert main(["verify", str(spec_path), "--depth", "8", "--max-nodes", "20"]) == EXIT_BUDGET
+    assert main(["verify", str(spec_path), "--depth", "8", "--max-nodes", "0"]) == EXIT_BUDGET
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: verification exceeded max_nodes=20\n")
+    assert (captured.out, captured.err) == ("", "error: verification exceeded max_nodes=0\n")
 
     assert main(["verify", str(spec_path), "--max-nodes", "-1"]) == EXIT_INPUT
     captured = capsys.readouterr()
@@ -159,14 +159,14 @@ def test_compare_oracle_exit_codes(tmp_path):
 
 
 def test_compare_oracle_runs_horizons_past_the_recursion_limit(tmp_path, capsys):
-    """A stochastic game whose default horizon is its 2139 sweeps is checked in full, and exits 0."""
+    """A stochastic game whose default horizon is its 2139 sweeps is checked in full, exactly, and exits 0."""
     path = tmp_path / "long.haig.json"
     save_spec(random_game(6, states=18, ai_actions=3, human_actions=3, observations=2, failure_fraction=0.1), path)
     start = time.perf_counter()
     assert main(["compare-oracle", str(path)]) == EXIT_OK
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    assert captured.out == "horizon 2139, 2139 sweeps, max discrepancy 0.0 (tolerance 2.139e-06)\n"
+    assert captured.out == "horizon 2139, 2139 sweeps, max discrepancy 0.0 (tolerance 0.0)\n"
     assert captured.err == ""
 
 
@@ -174,7 +174,7 @@ def test_compare_oracle_runs_horizons_past_the_recursion_limit(tmp_path, capsys)
 # (document, extra argv, exit code, digest)
 _PINNED_VERIFY = [
     (lambda: build_chain(5), (), EXIT_COUNTEREXAMPLE,
-     "b280e6786f54fd7c2c92eda756e488d440d7396acfd91294b9017d02d1e983a3"),
+     "d71b24428453fbe03956300011720fd13429b0bab694cbb1dc2fc90a1b65045e"),
     # stochastic games sampled: under the default limit they are searched exhaustively
     (lambda: random_game(9, states=12, observations=3, failure_fraction=0.1),
      ("--samples", "200", "--depth", "6", "--exhaustive-limit", "0"), EXIT_COUNTEREXAMPLE,
@@ -186,14 +186,14 @@ _PINNED_VERIFY = [
     # the exhaustive control arm on a 4x4 game, and on one-hot observations
     (lambda: random_game(2, states=200, ai_actions=4, human_actions=4, failure_fraction=0.05),
      ("--depth", "3"), EXIT_COUNTEREXAMPLE,
-     "c06ad3076f0bbad61173c7b25844931debd2b57746a23e8898f91eaee21948e9"),
+     "9184191cd9b65cd7090672efb43ecb3d3c1841e49c8d9433dd2ecda12af89fb1"),
     (lambda: one_hot_observations(random_game(3, states=60, observations=3, failure_fraction=0.05), 3),
      ("--depth", "3"), EXIT_COUNTEREXAMPLE,
-     "b44ddf9c5921dbc3b461eb6612d024aebcb06be908e2202905c2ba2df246e677"),
+     "5ee71229d3ac5ecb1673aa6a781cafba362592e004c321de47a6affffa92a53a"),
     # the exhaustive search on a stochastic game's support graph
     (lambda: random_game(9, states=12, observations=3, failure_fraction=0.1),
      ("--depth", "6"), EXIT_COUNTEREXAMPLE,
-     "fab9f09297742d803f99d8e888aa75da8f3b58d5854afb8990ab706c1ad7b92a"),
+     "c73329ac48306ac9c8a47e4c4c817163216bd242417a6b95ad9e2e943eccd183"),
 ]
 
 

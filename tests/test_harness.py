@@ -427,11 +427,13 @@ def test_summary_csv():
 
 
 def test_verify_certifies_the_chain():
-    report = verify_safety(build_chain(5), depth=10)
+    doc = build_chain(5)
+    report = verify_safety(doc, depth=10)
     assert report.mode == "exhaustive"
     assert report.certified_states == (1, 2, 3, 4, 5)
     assert report.ok
-    assert report.expanded == 21
+    assert report.expanded == 1  # the failure state: under the filter no state steps into it
+    assert report == _reference_verify(doc, value_iteration(doc.game), 10, "switch", None)[0]
 
 
 def test_verify_control_arm_finds_counterexamples():
@@ -480,27 +482,36 @@ def test_verify_sampled_mode():
 
 
 def test_verify_budget():
+    """The budget is checked after each layer; a partial report has the count so far and no counterexamples."""
     with pytest.raises(BudgetExceededError) as info:
-        verify_safety(build_chain(5), depth=10, max_nodes=2)
+        verify_safety(build_chain(5), depth=10, max_nodes=0)
     partial = info.value.partial
     assert partial is not None
-    assert partial.expanded == 3
+    assert partial.expanded == 1
     assert partial.certified_states == (1, 2, 3, 4, 5)
+
+    # the control arm's layers are {0}, {1, 2}, {3, 4}, {5}: the budget runs out with the third
+    assert verify_safety(build_chain(5), depth=10, filter_mode="none", max_nodes=6).expanded == 6
+    with pytest.raises(BudgetExceededError) as info:
+        verify_safety(build_chain(5), depth=10, filter_mode="none", max_nodes=4)
+    assert (info.value.partial.expanded, info.value.partial.counterexamples) == (5, ())
 
 
 def test_verify_stops_at_a_failure_in_state_zero():
-    """A counterexample ending in state 0 ends its root's search at once."""
+    """Failure state 0 is layer 0, and every certified root descends to it."""
     doc = random_game(1, states=6, ai_actions=2, human_actions=2, failure_fraction=0.3)
     report = verify_safety(doc, depth=2, filter_mode="none")
     assert report.certified_states == (1, 2, 3, 4, 5)
     assert [ce.final_state for ce in report.counterexamples] == [0] * 5
     assert [len(ce.steps) for ce in report.counterexamples] == [2, 1, 2, 1, 1]
-    assert report.expanded == 8
+    assert report.expanded == 6  # every state is within two steps of state 0
+    assert report == _reference_verify(doc, value_iteration(doc.game), 2, "none", None)[0]
 
-    # chain5's failure state is state 0 too: one expansion per search level
+    # chain5's failure state is state 0 too
     control = verify_safety(build_chain(5), depth=10, filter_mode="none")
     assert [len(ce.steps) for ce in control.counterexamples] == [1, 1, 2, 2, 3]
-    assert control.expanded == 10
+    assert control.expanded == 6
+    assert control == _reference_verify(build_chain(5), value_iteration(build_chain(5).game), 10, "none", None)[0]
 
 
 def _certified_states(sol):
@@ -518,20 +529,46 @@ def _reference_trace(spec, executed, scores, path, final_state):
                         final_gt_failure=None, executed=np.array(executed), scores=np.array(scores))
 
 
-def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
-    """Per-root breadth-first search over ``reference_table``'s decisions.
+def _reference_steps(spec, executed, z):
+    """Every admissible step ``(a_task, a_exec, b, o, z2)`` of positive probability from ``z``, in search order."""
+    for a_task in range(spec.num_ai_actions):
+        a_exec = executed[z][a_task]
+        for b in spec.action_bound[z]:
+            for o in range(spec.num_observations):
+                if spec.observation_probs[z, a_exec, b, o] > 0.0:
+                    yield a_task, a_exec, b, o, int(spec.transitions[z, a_exec, b, o])
 
-    Returns the report and whether the node budget ran out.
+
+def _reference_layers(spec, executed, depth):
+    """A plain backward breadth-first search: the failure states, then each state's distance to them, up to ``depth``."""
+    successors = [{z2 for *_, z2 in _reference_steps(spec, executed, z)} for z in range(spec.num_states)]
+    layers = [[z for z in range(spec.num_states) if spec.margins[z] < 0.0]]
+    settled = set(layers[0])
+    while len(layers) <= depth and layers[-1]:
+        last = set(layers[-1])
+        layer = [z for z in range(spec.num_states) if z not in settled and successors[z] & last]
+        settled.update(layer)
+        layers.append(layer)
+    return layers
+
+
+def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
+    """Per-root breadth-first search over ``reference_table``'s decisions, counted by ``_reference_layers``.
+
+    ``expanded`` is the number of states the backward search settles, and
+    the budget is checked after each layer: a report past it has no
+    counterexamples.  Returns the report and whether the budget ran out.
     """
     spec = doc.game
     certified = _certified_states(sol)
     executed, scores = reference_table(sol, filter_mode)
-    counterexamples = []
     expanded = 0
+    for layer in _reference_layers(spec, executed, depth):
+        expanded += len(layer)
+        if max_nodes is not None and expanded > max_nodes:
+            return VerificationReport("exhaustive", depth, filter_mode, certified, (), expanded), True
 
-    def report():
-        return VerificationReport("exhaustive", depth, filter_mode, certified, tuple(counterexamples), expanded)
-
+    counterexamples = []
     for z0 in certified:
         parent = {z0: None}
         frontier = [z0]
@@ -541,27 +578,14 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
                 break
             nxt = []
             for z in frontier:
-                expanded += 1
-                if max_nodes is not None and expanded > max_nodes:
-                    return report(), True
-                for a_task in range(spec.num_ai_actions):
-                    a_exec = executed[z][a_task]
-                    for b in spec.action_bound[z]:
-                        for o in range(spec.num_observations):
-                            if spec.observation_probs[z, a_exec, b, o] <= 0.0:
-                                continue
-                            z2 = int(spec.transitions[z, a_exec, b, o])
-                            if z2 in parent:
-                                continue
-                            parent[z2] = (z, a_task, a_exec, b, o)
-                            if spec.margins[z2] < 0.0:
-                                hit = z2
-                                break
-                            nxt.append(z2)
-                        if hit is not None:
-                            break
-                    if hit is not None:
+                for a_task, a_exec, b, o, z2 in _reference_steps(spec, executed, z):
+                    if z2 in parent:
+                        continue
+                    parent[z2] = (z, a_task, a_exec, b, o)
+                    if spec.margins[z2] < 0.0:
+                        hit = z2
                         break
+                    nxt.append(z2)
                 if hit is not None:
                     break
             frontier = nxt
@@ -572,7 +596,7 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
                 path.append(parent[z])
                 z = parent[z][0]
             counterexamples.append(_reference_trace(spec, executed, scores, path[::-1], hit))
-    return report(), False
+    return VerificationReport("exhaustive", depth, filter_mode, certified, tuple(counterexamples), expanded), False
 
 
 def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
@@ -845,15 +869,64 @@ def test_exhaustive_verify_matches_the_reference_on_a_larger_game():
         expected, exceeded = _reference_verify(doc, sol, 3, filter_mode, None)
         assert not exceeded and verify_safety(doc, depth=3, filter_mode=filter_mode, solution=sol) == expected
         full[filter_mode] = expected
-    assert full["switch"].ok and full["switch"].expanded > 20 * len(full["switch"].certified_states)
-    assert len(full["none"].counterexamples) > 100
-    # every root is clean under switch, so the budget runs out inside one
-    for filter_mode, max_nodes in (("switch", full["switch"].expanded // 2), ("none", 150)):
+    # under switch the search settles the ten failure states and the one other uncertified state
+    assert full["switch"].ok and full["switch"].expanded == 11 == 200 - len(full["switch"].certified_states)
+    assert len(full["none"].counterexamples) > 100 and full["none"].expanded == 200
+    # the budget runs out with the failure states, and with the second layer of the control arm
+    for filter_mode, max_nodes in (("switch", 5), ("none", 150)):
         expected, exceeded = _reference_verify(doc, sol, 3, filter_mode, max_nodes)
-        assert exceeded
+        assert exceeded and expected.counterexamples == ()
         with pytest.raises(BudgetExceededError) as info:
             verify_safety(doc, depth=3, filter_mode=filter_mode, max_nodes=max_nodes, solution=sol)
         assert info.value.partial == expected
+
+
+def test_exhaustive_verify_matches_the_reference_on_both_corpora():
+    """Seeds of the 60-state deterministic corpus and the 30-state stochastic one, every filter, depths 1, 3 and 8.
+
+    A budget of half the reference count runs out at some layer, and the
+    partial report is the reference's.
+    """
+    corpus = [
+        *(random_game(s, states=60, ai_actions=3, human_actions=3, failure_fraction=0.2) for s in (10, 11, 51)),
+        *(random_game(s, states=30, ai_actions=3, human_actions=3, observations=3, failure_fraction=0.05)
+          for s in (1, 2, 3, 7)),
+    ]
+    flagged = budget_hits = 0
+    for doc in corpus:
+        sol = value_iteration(doc.game)
+        for filter_mode in FILTER_MODES:
+            for depth in (1, 3, 8):
+                expected, exceeded = _reference_verify(doc, sol, depth, filter_mode, None)
+                assert not exceeded and verify_safety(doc, depth=depth, filter_mode=filter_mode, solution=sol) == expected
+                flagged += len(expected.counterexamples)
+                partial, exceeded = _reference_verify(doc, sol, depth, filter_mode, expected.expanded // 2)
+                assert exceeded
+                with pytest.raises(BudgetExceededError) as info:
+                    verify_safety(doc, depth=depth, filter_mode=filter_mode, max_nodes=expected.expanded // 2,
+                                  solution=sol)
+                assert info.value.partial == partial
+                budget_hits += 1
+    assert (flagged, budget_hits) == (684, 7 * 4 * 3)
+
+
+def test_verify_at_a_huge_depth_searches_to_the_fixed_point():
+    """A depth past ``num_states`` reaches no further: no shortest path to failure is longer."""
+    games = [
+        (build_chain(30), "none"),
+        (random_game(2, states=30, ai_actions=3, human_actions=3, observations=3, failure_fraction=0.05), "switch"),
+        (random_game(11, states=60, ai_actions=3, human_actions=3, failure_fraction=0.2), "none"),
+    ]
+    longest = 0
+    for doc, filter_mode in games:
+        nz = doc.game.num_states
+        sol = value_iteration(doc.game)
+        huge = verify_safety(doc, depth=10**30, filter_mode=filter_mode, solution=sol)
+        assert huge.depth == 10**30
+        assert replace(huge, depth=nz) == verify_safety(doc, depth=nz, filter_mode=filter_mode, solution=sol)
+        assert huge == _reference_verify(doc, sol, 10**30, filter_mode, None)[0]
+        longest = max(longest, *(len(ce.steps) for ce in huge.counterexamples))
+    assert longest == 15  # chain30's top state, two states down a step
 
 
 def test_exhaustive_verify_flags_the_roots_that_a_backward_search_finds():
@@ -1347,8 +1420,9 @@ def test_each_state_is_decided_once(monkeypatch):
     for mode in FILTER_MODES:
         calls.clear()
         report = verify_safety(doc, depth=3, filter_mode=mode, solution=sol)
-        assert report.mode == "exhaustive" and report.expanded > doc.game.num_states
         assert calls == [mode]
+        assert report.mode == "exhaustive"
+        assert report.expanded == _reference_verify(doc, sol, 3, mode, None)[0].expanded
 
         calls.clear()
         cfg = RolloutConfig(document=doc, task_policy="random", human_policy="uniform", filter_mode=mode,
@@ -1385,10 +1459,30 @@ def test_compare_oracle_deterministic_is_exact():
 
 
 def test_compare_oracle_stochastic_within_tolerance():
-    report = compare_oracle(random_game(3, states=8, observations=2, failure_fraction=0.3))
+    """At the sweep's own horizon the oracle computes the sweep's iterate, so the tolerance is 0.0; past it, not."""
+    doc = random_game(3, states=8, observations=2, failure_fraction=0.3)
+    report = compare_oracle(doc)
     assert report.converged
     assert report.ok
-    assert report.tolerance >= 1e-7
+    assert report.horizon == report.iterations
+    assert report.tolerance == report.max_discrepancy == 0.0
+    later = compare_oracle(doc, report.iterations + 5)
+    assert later.ok and later.tolerance == max(1e-7, 1e-9 * report.iterations)
+
+
+def test_compare_oracle_is_exact_on_stochastic_games_below_pairwise_sums():
+    """Under eight observations the sweep and the oracle add the same terms in the same order."""
+    for observations in range(2, 8):
+        for seed in range(0, 25, 3):
+            doc = random_game(seed, states=10, ai_actions=3, human_actions=3, observations=observations,
+                              failure_fraction=0.1)
+            report = compare_oracle(doc)
+            assert (report.max_discrepancy, report.tolerance) == (0.0, 0.0), (observations, seed)
+    # the gap to the fixed point is real at any other horizon
+    doc = random_game(0, states=12, ai_actions=3, human_actions=3, observations=2, failure_fraction=0.1)
+    assert compare_oracle(doc).max_discrepancy == 0.0
+    later = compare_oracle(doc, 136)
+    assert later.max_discrepancy > 0.0 and later.tolerance > 0.0 and later.ok
 
 
 def test_verify_and_the_oracle_refuse_non_integral_arguments(monkeypatch):
