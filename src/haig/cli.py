@@ -14,8 +14,7 @@ import sys
 from .errors import BudgetExceededError, HaigError
 from .filtering import FILTER_MODES, SWITCH
 from .harness import (
-    DEFAULT_DEPTH, DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_SAMPLES, RolloutConfig, compare_oracle, rollout,
-    summary_csv, verify_safety,
+    DEFAULT_DEPTH, RolloutConfig, compare_oracle, rollout, summary_csv, verify_safety,
 )
 from .scenarios import build_chain, build_dialogue, random_game
 from .solver import DEFAULT_EPSILON, DEFAULT_NODE_BUDGET, solution_payload, value_iteration
@@ -72,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("spec")
     ver.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     ver.add_argument("--filter", default=SWITCH, choices=FILTER_MODES)
-    ver.add_argument("--exhaustive-limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
-    ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    ver.add_argument("--seed", type=int, default=0)
+    # never read, kept so that older command lines still parse
+    ver.add_argument("--samples", type=int, help="ignored: the check is exhaustive on every game")
+    ver.add_argument("--seed", type=int, help="ignored: the check draws nothing")
     ver.add_argument("--max-nodes", type=int, default=None, help="expansion budget (default: none)")
 
     cmp = sub.add_parser("compare-oracle", help="cross-check the solver against brute force")
@@ -145,13 +144,10 @@ def _cmd_verify(args) -> int:
         doc,
         depth=args.depth,
         filter_mode=args.filter,
-        exhaustive_limit=args.exhaustive_limit,
-        samples=args.samples,
-        seed=args.seed,
         max_nodes=args.max_nodes,
     )
     print(
-        f"{report.mode} check to depth {report.depth} with filter={report.filter_mode}: "
+        f"exhaustive check to depth {report.depth} with filter={report.filter_mode}: "
         f"{len(report.certified_states)} certified states, {report.expanded} expansions"
     )
     for ce in report.counterexamples:

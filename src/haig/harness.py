@@ -19,30 +19,27 @@ sort_keys=True, allow_nan=False)`` writes per step.
 state the filter certifies, no reachable state within the given depth has
 a negative margin, for any task-action choice at every step, any
 admissible human response and any observation of positive probability.
-On games under the size limit, stochastic ones included, the check is
-exhaustive: one backward breadth-first search from the failure states
-over the support graph, the solver's step table ``solver._steps`` under
-the filter's executed actions, gives each state's distance to failure up
-to the depth.  Filtering makes the task action's effect a function of the
-state, so whether failure is in reach within d steps depends on the state
-alone.  Larger games fall back to seeded random sequences.  Running it
-with the filter off is the control arm.  Each counterexample is a
-``RolloutTrace`` of its path to failure, built only for failing paths:
-monitor scores from the solution's ``scores`` table, no ground-truth
-flags.  An exhaustive counterexample is its root's first shortest path in
-step order, the path a per-root breadth-first search finds first, and
-sampled reports are bit for bit those of sequences drawn one after
-another.
+The check is exhaustive on every game, stochastic ones included: one
+backward breadth-first search from the failure states over the support
+graph, the solver's step table ``solver._steps`` under the filter's
+executed actions, gives each state's distance to failure up to the depth.
+Filtering makes the task action's effect a function of the state, so
+whether failure is in reach within d steps depends on the state alone.
+Running it with the filter off is the control arm.  Each counterexample
+is a ``RolloutTrace`` of its path to failure, built only for failing
+paths: monitor scores from the solution's ``scores`` table, no
+ground-truth flags.  A counterexample is its root's first shortest path
+in step order, the path a per-root breadth-first search finds first.
 
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
-the others).  The rollout and the sampled sequences step the game
-through one table, ``_step_rows``: a row of plain Python values per
-state, built a block of states at a time on the first visit to any of
-them, so a short walk on a large game pays only for the blocks it visits.
-One rule, ``_observation_thresholds``, picks every sampled observation,
-per block of those rows.  Every fact about the bounds of the whole game
-comes from ``spec.bound_mask``.
+the others).  The rollout steps the game through ``_step_rows``: a row
+of plain Python values per state, built a block of states at a time on
+the first visit to any of them, so a short walk on a large game pays
+only for the blocks it visits.  One rule, ``_observation_thresholds``,
+picks every observation the rollout draws, per block of those rows.
+Every fact about the bounds of the whole game comes from
+``spec.bound_mask``.
 """
 
 from __future__ import annotations
@@ -74,8 +71,6 @@ from .solver import (
 from .specfile import SpecDocument, _collector_paused, _leaf_texts
 
 DEFAULT_DEPTH = 8
-DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
-DEFAULT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -383,12 +378,12 @@ def _observation_thresholds(probs: np.ndarray) -> np.ndarray:
     """Each observation row's running sums, +inf from its last positive entry on.
 
     ``probs`` is a block of the spec's ``observation_probs``, whose last axis
-    holds the rows: ``_step_rows`` passes one block of states at a time, for
-    the rollout and for sampled verify alike.  Every row is sorted, and a
-    uniform draw ``u`` picks ``bisect_right(row, u)``: the first positive
-    entry whose running sum exceeds ``u`` (a zero entry repeats the sum
-    before it, so it is never the first), or the last positive entry when
-    rounding leaves the sum at or below ``u``.
+    holds the rows: ``_step_rows`` passes one block of states at a time, as
+    the rollout visits them.  Every row is sorted, and a uniform draw ``u``
+    picks ``bisect_right(row, u)``: the first positive entry whose running
+    sum exceeds ``u`` (a zero entry repeats the sum before it, so it is
+    never the first), or the last positive entry when rounding leaves the
+    sum at or below ``u``.
     """
     no = probs.shape[-1]
     thresholds = np.cumsum(probs, axis=-1)
@@ -407,7 +402,7 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 def _step_rows(spec: GameSpec, executed: np.ndarray):
-    """Returns ``(rows, fill)``: a row of plain Python values per state, ``None`` until ``fill(z)`` builds it.
+    """The rollout's ``(rows, fill)``: a row of plain Python values per state, ``None`` until ``fill(z)`` builds it.
 
     ``fill(z)`` builds the rows of the block of states that holds ``z`` and
     returns the row of ``z``: ``(executed_z, trans, thresholds, base,
@@ -557,7 +552,6 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
 
 @dataclass(frozen=True)
 class VerificationReport:
-    mode: str  # "exhaustive" | "sampled"
     depth: int
     filter_mode: str
     certified_states: tuple[int, ...]
@@ -569,34 +563,12 @@ class VerificationReport:
         return not self.counterexamples
 
 
-class _Budget:
-    """Expansions counted against ``max_nodes``; the first one past it raises with the partial report."""
-
-    def __init__(self, max_nodes: int | None, report):
-        self.max_nodes = max_nodes
-        self.limit = float("inf") if max_nodes is None else max_nodes
-        self.spent = 0
-        self._report = report  # spent -> report; taking the count keeps it free of a cycle through this budget
-
-    def spend(self, n: int) -> None:
-        self.spent += n
-        if self.spent > self.limit:
-            raise BudgetExceededError(f"verification exceeded max_nodes={self.max_nodes}", partial=self.report())
-
-    def report(self):
-        """The report of the expansions spent so far."""
-        return self._report(self.spent)
-
-
 @_collector_paused
 def verify_safety(
     doc: SpecDocument,
     *,
     depth: int = DEFAULT_DEPTH,
     filter_mode: str = SWITCH,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
     max_nodes: int | None = None,
     solution: ValueSolution | None = None,
 ) -> VerificationReport:
@@ -607,144 +579,76 @@ def verify_safety(
     range over the admissible bound, observations over positive-probability
     outcomes.
 
-    The mode follows from the size alone.  Exhaustive mode (games with at
-    most ``exhaustive_limit`` joint entries, whatever their observations)
-    runs one backward breadth-first search from the failure states over
-    every admissible step of positive probability of ``solver._steps``
-    under the filter's executed actions.  Layer d holds the states d steps
-    from the nearest failure state, up to ``depth``; ``expanded`` counts
-    the states the search settles, the failure states and every state that
-    can reach one within ``depth`` steps, whether certified or not.  Each
-    certified root in some layer gets one counterexample: at each state it
-    takes the first step in (state, task action, human action, observation)
-    order that lands one layer lower, so its path is the first shortest
-    path in step order.
-
-    Sampled mode, for larger games, draws ``max(1, samples //
-    len(certified))`` random sequences per root, roots in order, from one
-    SplitMix64 stream seeded with ``seed``; the first sequence that reaches
-    failure ends its root.  ``expanded`` counts the sequences started.
-    ``samples`` and ``seed`` apply to this mode only.  Observations are
-    picked as in rollout.
+    The check is exhaustive on every game, whatever its size or its
+    observations: one backward breadth-first search from the failure states
+    over every admissible step of positive probability of ``solver._steps``
+    under the filter's executed actions.  Layer d holds the states whose
+    nearest failure state is d steps away, for d up to the smaller of
+    ``depth`` and ``num_states``, since no shortest path is longer.
+    ``expanded`` counts the states the search settles, the failure states
+    and every state that can reach one within ``depth`` steps, whether
+    certified or not.  Each certified root in some layer gets one
+    counterexample: at each state it takes the first step in (state, task
+    action, human action, observation) order that lands one layer lower, so
+    its path is the first shortest path in step order.
 
     It runs with the cyclic garbage collector paused (``_collector_paused``):
-    the search's lists and the traces hold no reference cycle.
+    the search's arrays and the traces hold no reference cycle.
 
-    Raises BudgetExceededError (carrying the partial report in ``partial``)
-    if ``max_nodes`` expansions are exceeded.  Exhaustive mode checks the
-    budget after each layer, and its partial report carries the count so
-    far and no counterexamples.  Before solving, it raises
-    TypeError if ``depth``, ``samples``, ``exhaustive_limit``, ``seed`` or a
-    given ``max_nodes`` is not an integer, and ValueError if one is out of
-    range; ``seed`` is checked in either mode.
+    Raises BudgetExceededError if more than ``max_nodes`` states are
+    settled, checked after each layer; its ``partial`` report carries the
+    count so far and no counterexamples.  Before solving, it raises
+    TypeError if ``depth`` or a given ``max_nodes`` is not an integer, and
+    ValueError if one is out of range or the filter mode is unknown.
     """
     spec = doc.game
-    depth, samples = _at_least(depth, 1, "depth"), _at_least(samples, 1, "samples")
-    seed = operator.index(seed)
-    exhaustive_limit = _at_least(exhaustive_limit, 0, "exhaustive_limit")
+    depth = _at_least(depth, 1, "depth")
     if max_nodes is not None:
         max_nodes = _at_least(max_nodes, 0, "max_nodes")
     if filter_mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {filter_mode!r}")
 
     sol = solution if solution is not None else value_iteration(spec)
-    flt = perfect_filter(sol, filter_mode)
+    executed = perfect_filter(sol, filter_mode).executed
     # the rule of check_initial_condition, which on stochastic games may
     # differ from sol.safe_set by up to the final residual
     certified = tuple(np.flatnonzero(_certified(sol.scores)).tolist())
 
-    joint = spec.num_states * spec.num_ai_actions * spec.num_human_actions * spec.num_observations
-    mode = "exhaustive" if joint <= exhaustive_limit else "sampled"
-    found: list[RolloutTrace] = []
-    budget = _Budget(max_nodes, lambda spent: VerificationReport(
-        mode=mode,
-        depth=depth,
-        filter_mode=filter_mode,
-        certified_states=certified,
-        counterexamples=tuple(found),
-        expanded=spent,
-    ))
-    if mode == "exhaustive":
-        _search_exhaustive(sol, flt.executed, certified, depth, found, budget)
-    else:
-        per_state = max(1, samples // max(1, len(certified)))
-        _sample_sequences(sol, flt.executed, certified, per_state, depth, seed, found, budget)
-    return budget.report()
-
-
-def _search_exhaustive(sol, executed, roots, depth, found, budget) -> None:
-    """One backward search from the failure states, then a counterexample for each root it reaches.
-
-    Layer d holds the states whose nearest failure state is d steps away,
-    for d up to the smaller of ``depth`` and ``num_states``, since no
-    shortest path is longer.  ``budget`` spends each layer's size once it is
-    settled.  A root in layer d descends to failure in d steps, each the
-    first step of ``solver._steps`` in (z, a, b, o) order that lands one
-    layer lower: the first shortest path in step order.
-    """
-    spec = sol.spec
     nz = spec.num_states
     src, a_tasks, bs, obs, dst = _steps(spec, executed)
     horizon = min(depth, nz)
+    limit = float("inf") if max_nodes is None else max_nodes
     dist = np.where(spec.margins < 0.0, 0, horizon + 1)  # horizon + 1: not within horizon of a failure
     layer = dist == 0
-    budget.spend(int(np.count_nonzero(layer)))
-    for d in range(1, horizon + 1):
+    expanded = int(np.count_nonzero(layer))
+    d = 0
+    while d < horizon and expanded <= limit and layer.any():
+        d += 1
         reached = np.zeros_like(layer)
         reached[src[layer[dst]]] = True
         layer = reached & (dist > horizon)
-        if not layer.any():
-            break
         dist[layer] = d
-        budget.spend(int(np.count_nonzero(layer)))
+        expanded += int(np.count_nonzero(layer))
+    if expanded > limit:
+        partial = VerificationReport(depth, filter_mode, certified, (), expanded)
+        raise BudgetExceededError(f"verification exceeded max_nodes={max_nodes}", partial=partial)
 
-    down = np.flatnonzero(dist[dst] == dist[src] - 1)  # read only at states within horizon of a failure
+    # each state's first step one layer lower, read only at states within horizon of a failure
+    down = np.flatnonzero(dist[dst] == dist[src] - 1)
     states, first = np.unique(src[down], return_index=True)
     step = np.zeros(nz, dtype=np.int64)
     step[states] = down[first]
-    dist, step, src, a_tasks, bs, obs, dst = (c.tolist() for c in (dist, step, src, a_tasks, bs, obs, dst))
-    for z in roots:
+    dist, a_task, b, o, z2 = (c.tolist() for c in (dist, a_tasks[step], bs[step], obs[step], dst[step]))
+    counterexamples = []
+    for z in certified:
         if dist[z] > horizon:
             continue
         path = []
         while dist[z]:
-            k = step[z]
-            path.append((z, a_tasks[k], bs[k], obs[k]))
-            z = dst[k]
-        found.append(_counterexample(sol, executed, path, z))
-
-
-def _sample_sequences(sol, executed, roots, per_state, depth, seed, found, budget) -> None:
-    """``per_state`` sequences per root in (root, sample) order, each drawn through the scalar stream calls.
-
-    A step draws ``randint`` for the task action, ``choice`` over the bound
-    for the human action and ``uniform`` for the observation, and reads the
-    rollout's rows of ``_step_rows``.  A failure settles its root.
-    """
-    spec = sol.spec
-    num_ai, nb, no = spec.num_ai_actions, spec.num_human_actions, spec.num_observations
-    rows, fill = _step_rows(spec, executed)
-    unsafe = (spec.margins < 0.0).tolist()
-    stream = SplitMix64(seed)
-    for z0 in roots:
-        for _ in range(per_state):
-            budget.spend(1)
-            z = z0
-            path = []
-            for _ in range(depth):
-                executed_z, trans, thresholds, base, bound_z = rows[z] or fill(z)
-                a_task = stream.randint(num_ai)
-                b = stream.choice(bound_z)
-                lo = base + (executed_z[a_task] * nb + b) * no
-                k = bisect_right(thresholds, stream.uniform(), lo, lo + no)
-                path.append((z, a_task, b, k - lo))
-                z = trans[k]
-                if unsafe[z]:
-                    break
-            else:
-                continue
-            found.append(_counterexample(sol, executed, path, z))
-            break
+            path.append((z, a_task[z], b[z], o[z]))
+            z = z2[z]
+        counterexamples.append(_counterexample(sol, executed, path, z))
+    return VerificationReport(depth, filter_mode, certified, tuple(counterexamples), expanded)
 
 
 def _counterexample(sol: ValueSolution, executed: np.ndarray, path: list[tuple], final_state: int) -> RolloutTrace:

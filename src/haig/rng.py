@@ -1,11 +1,10 @@
 """Deterministic random stream used wherever the package needs randomness.
 
 Everything random in this package (scenario generation, observation
-sampling, randomized policies, sampled verification) draws from SplitMix64,
-a tiny named algorithm with a published reference implementation.  Using a
-fixed, self-contained generator keeps documents and traces byte-identical
-across platforms, interpreter versions, and reimplementations in other
-languages.
+sampling, randomized policies) draws from SplitMix64, a tiny named
+algorithm with a published reference implementation.  Using a fixed,
+self-contained generator keeps documents and traces byte-identical across
+platforms, interpreter versions, and reimplementations in other languages.
 
 SplitMix64 is counter-based: output k (from 1) of the stream seeded with s
 is ``mix(s + k * GOLDEN mod 2**64)``.  ``splitmix_block`` computes any run

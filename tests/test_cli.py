@@ -136,19 +136,17 @@ def test_verify_max_nodes(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "error: max_nodes must be >= 0, got -1\n")
 
 
-def test_verify_refuses_fewer_than_one_sample(tmp_path, capsys):
-    spec_path = _chain(tmp_path)
-    for samples in ("0", "-3"):
-        assert main(["verify", str(spec_path), "--samples", samples]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"error: samples must be >= 1, got {samples}\n"
-
-
-def test_verify_refuses_a_negative_exhaustive_limit(tmp_path, capsys):
-    spec_path = _chain(tmp_path)
+def test_verify_ignores_samples_and_seed(tmp_path, capsys):
+    """``--samples`` and ``--seed`` still parse, and change neither the output nor the exit code."""
+    path = tmp_path / "game.haig.json"
+    save_spec(random_game(7, states=30, observations=3, failure_fraction=0.05), path)
     capsys.readouterr()
-    assert main(["verify", str(spec_path), "--exhaustive-limit", "-1"]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: exhaustive_limit must be >= 0, got -1\n")
+    runs = []
+    for extra in ((), ("--samples", "10000", "--seed", "5"), ("--samples", "-3", "--seed", "0")):
+        code = main(["verify", str(path), "--depth", "8", *extra])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0][0] == EXIT_COUNTEREXAMPLE and runs[0][1].err == ""
+    assert runs[1:] == runs[:1] * 2
 
 
 def test_compare_oracle_exit_codes(tmp_path):
@@ -175,14 +173,13 @@ def test_compare_oracle_runs_horizons_past_the_recursion_limit(tmp_path, capsys)
 _PINNED_VERIFY = [
     (lambda: build_chain(5), (), EXIT_COUNTEREXAMPLE,
      "d71b24428453fbe03956300011720fd13429b0bab694cbb1dc2fc90a1b65045e"),
-    # stochastic games sampled: under the default limit they are searched exhaustively
+    # stochastic games under the ignored sampling flags: the first prints what the last entry pins
     (lambda: random_game(9, states=12, observations=3, failure_fraction=0.1),
-     ("--samples", "200", "--depth", "6", "--exhaustive-limit", "0"), EXIT_COUNTEREXAMPLE,
-     "2486d84503153b6b8fdea53d1992a3afa7bf9c5ca7eee78ece0db519609343f1"),
-    # about 3500 draws from the sampling stream
+     ("--samples", "200", "--depth", "6"), EXIT_COUNTEREXAMPLE,
+     "c73329ac48306ac9c8a47e4c4c817163216bd242417a6b95ad9e2e943eccd183"),
     (lambda: random_game(7, states=30, observations=3, failure_fraction=0.05),
-     ("--samples", "2000", "--depth", "3", "--exhaustive-limit", "0"), EXIT_COUNTEREXAMPLE,
-     "f323ceed7199cd98b21184b46e45e7c2757572fdfa10185cf368cd8659f317f4"),
+     ("--samples", "2000", "--depth", "3"), EXIT_COUNTEREXAMPLE,
+     "3592520367b22d41b276d1e59f13280a605dd4f51d8c1feadc11f9e51e4120c9"),
     # the exhaustive control arm on a 4x4 game, and on one-hot observations
     (lambda: random_game(2, states=200, ai_actions=4, human_actions=4, failure_fraction=0.05),
      ("--depth", "3"), EXIT_COUNTEREXAMPLE,

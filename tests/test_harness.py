@@ -32,8 +32,7 @@ from haig import (
     verify_safety,
 )
 from haig.filtering import InterventionRecord
-from haig.harness import DEFAULT_EXHAUSTIVE_LIMIT, RolloutStep, VerificationReport
-from haig.rng import SplitMix64, rejection_limit, splitmix_block
+from haig.harness import RolloutStep, VerificationReport
 from test_filtering import _signed_zero_chain, one_hot_observations, reference_table
 from test_rng import _ScalarSplitMix64, seed_with_draw
 
@@ -237,7 +236,7 @@ def test_jsonl_matches_the_json_module():
             cfg = RolloutConfig(document=doc, task_policy="random", human_policy=human,
                                 filter_mode=mode, initial_state=start, max_steps=60, seed=5)
             traces.append(rollout(cfg, sol))
-            report = verify_safety(doc, depth=6, filter_mode=mode, samples=100, solution=sol)
+            report = verify_safety(doc, depth=6, filter_mode=mode, solution=sol)
             traces += report.counterexamples
     for trace in traces:
         assert trace.to_jsonl() == _reference_jsonl(trace)
@@ -429,7 +428,6 @@ def test_summary_csv():
 def test_verify_certifies_the_chain():
     doc = build_chain(5)
     report = verify_safety(doc, depth=10)
-    assert report.mode == "exhaustive"
     assert report.certified_states == (1, 2, 3, 4, 5)
     assert report.ok
     assert report.expanded == 1  # the failure state: under the filter no state steps into it
@@ -462,23 +460,6 @@ def test_verify_dialogue():
     conservative = verify_safety(build_dialogue(conservative_bound=True), depth=8)
     assert conservative.certified_states == (6,)
     assert conservative.ok
-
-
-def test_verify_sampled_mode():
-    doc = build_chain(5)
-    filtered = verify_safety(doc, depth=8, exhaustive_limit=1, samples=400, seed=3)
-    assert filtered.mode == "sampled"
-    assert filtered.ok
-
-    control = verify_safety(doc, depth=8, filter_mode="none", exhaustive_limit=1, samples=400, seed=3)
-    assert control.mode == "sampled"
-    assert not control.ok
-
-    stochastic = random_game(6, states=10, observations=2, failure_fraction=0.2)
-    report = verify_safety(stochastic, depth=6, exhaustive_limit=0, samples=500, seed=0)
-    assert report.mode == "sampled"
-    # under the limit a stochastic game is searched on its support graph, whatever the samples
-    assert verify_safety(stochastic, depth=6, samples=500, seed=0).mode == "exhaustive"
 
 
 def test_verify_budget():
@@ -566,7 +547,7 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
     for layer in _reference_layers(spec, executed, depth):
         expanded += len(layer)
         if max_nodes is not None and expanded > max_nodes:
-            return VerificationReport("exhaustive", depth, filter_mode, certified, (), expanded), True
+            return VerificationReport(depth, filter_mode, certified, (), expanded), True
 
     counterexamples = []
     for z0 in certified:
@@ -596,53 +577,7 @@ def _reference_verify(doc, sol, depth, filter_mode, max_nodes):
                 path.append(parent[z])
                 z = parent[z][0]
             counterexamples.append(_reference_trace(spec, executed, scores, path[::-1], hit))
-    return VerificationReport("exhaustive", depth, filter_mode, certified, tuple(counterexamples), expanded), False
-
-
-def _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed):
-    """Seeded random sequences over ``reference_table``'s decisions.
-
-    Returns the report and whether the node budget ran out.
-    """
-    spec = doc.game
-    certified = _certified_states(sol)
-    executed, scores = reference_table(sol, filter_mode)
-    stream = SplitMix64(seed)
-    counterexamples = []
-    expanded = 0
-
-    def report():
-        return VerificationReport("sampled", depth, filter_mode, certified, tuple(counterexamples), expanded)
-
-    for z0 in certified:
-        for _ in range(max(1, samples // max(1, len(certified)))):
-            expanded += 1
-            if max_nodes is not None and expanded > max_nodes:
-                return report(), True
-            z = z0
-            path = []
-            for _ in range(depth):
-                a_task = stream.randint(spec.num_ai_actions)
-                a_exec = executed[z][a_task]
-                b = stream.choice(spec.action_bound[z])
-                draw = stream.uniform()
-                cumulative = 0.0
-                positive = [o for o in range(spec.num_observations) if spec.observation_probs[z, a_exec, b, o] > 0.0]
-                o = positive[-1]
-                for candidate in positive:
-                    cumulative += spec.observation_probs[z, a_exec, b, candidate]
-                    if draw < cumulative:
-                        o = candidate
-                        break
-                path.append((z, a_task, a_exec, b, o))
-                z = int(spec.transitions[z, a_exec, b, o])
-                if spec.margins[z] < 0.0:
-                    counterexamples.append(_reference_trace(spec, executed, scores, path, z))
-                    break
-            else:
-                continue
-            break
-    return report(), False
+    return VerificationReport(depth, filter_mode, certified, tuple(counterexamples), expanded), False
 
 
 def _narrowed_bounds(doc, seed):
@@ -724,122 +659,8 @@ def test_verify_matches_the_reference_search():
     assert observed == {0, 1, 2, 3}
 
 
-def test_sampled_verify_matches_the_reference_sequences():
-    compared = found = 0
-    for k in (0, 6, 13, 14, 24, 36):  # games with a non-empty safe set
-        doc = random_game(k, states=12, observations=2 + k % 2, failure_fraction=0.1)
-        sol = value_iteration(doc.game)
-        for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
-            for depth, max_nodes in ((3, None), (8, None), (8, 0), (8, 37)):
-                expected, exceeded = _reference_sampled(doc, sol, depth, filter_mode, max_nodes, 200, k)
-                kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes, exhaustive_limit=0,
-                              samples=200, seed=k, solution=sol)
-                if exceeded:
-                    with pytest.raises(BudgetExceededError) as info:
-                        verify_safety(doc, **kwargs)
-                    assert info.value.partial == expected
-                else:
-                    assert verify_safety(doc, **kwargs) == expected
-                found += len(expected.counterexamples)
-                compared += 1
-    assert compared == 6 * 4 * 4
-    assert found > 100
-
-
-def _compare_sampled(doc, sol, filter_mode, depth, max_nodes, samples, seed):
-    """Assert that verify_safety gives ``_reference_sampled``'s report, or its partial one when the budget runs out.
-
-    Returns the reference report.
-    """
-    expected, exceeded = _reference_sampled(doc, sol, depth, filter_mode, max_nodes, samples, seed)
-    kwargs = dict(depth=depth, filter_mode=filter_mode, max_nodes=max_nodes, exhaustive_limit=0, samples=samples,
-                  seed=seed, solution=sol)
-    if exceeded:
-        with pytest.raises(BudgetExceededError) as info:
-            verify_safety(doc, **kwargs)
-        assert info.value.partial == expected
-    else:
-        assert verify_safety(doc, **kwargs) == expected
-    return expected
-
-
-def test_sampled_verify_matches_the_reference_on_varied_games():
-    """Uneven bounds, zero-probability gaps, and about 70 sequences per root on a 30-state game."""
-    corpus = [
-        *((_narrowed_bounds(random_game(k, states=12, human_actions=3, observations=2 + k % 2,
-                                        failure_fraction=0.1), k), 600) for k in (0, 6, 13, 24)),
-        *((_zero_between_positives(random_game(k, states=12, observations=3, failure_fraction=0.1)), 600)
-          for k in (9, 13, 37, 52)),
-        (random_game(7, states=30, observations=3, failure_fraction=0.05), 2000),
-    ]
-    assert {len(row) for doc, _ in corpus[:4] for row in doc.game.action_bound} == {1, 2, 3}
-    found = 0
-    for doc, samples in corpus:
-        sol = value_iteration(doc.game)
-        for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
-            for depth, max_nodes in ((3, None), (8, None), (8, 301)):
-                expected = _compare_sampled(doc, sol, filter_mode, depth, max_nodes, samples, 3)
-                found += len(expected.counterexamples)
-    assert found > 200
-
-
-@pytest.mark.parametrize("draw, rows", [
-    pytest.param("task", None, id="task"),
-    pytest.param("human", None, id="human"),
-    pytest.param("observation", (0.06, 0.57, 0.37), id="observation"),
-    pytest.param("observation", (0.06, 0.57, 0.37, 0.0), id="observation-trailing-zero"),
-])
-def test_sampled_verify_on_a_planted_draw(draw, rows):
-    """The largest draw, planted in sequence 100, before the first failure.
-
-    ``randint(3)`` rejects it as a task or human draw, so the stream skips
-    it and every later draw moves by one.  As an observation draw it is the
-    largest uniform, 1 - 2**-53, which is the running sum of the rows
-    (0.06, 0.57, 0.37): the draw falls through to the last positive entry,
-    observation 2, also when a zero entry follows.
-    """
-    doc = random_game(9, states=30, observations=3 if rows is None else len(rows), failure_fraction=0.05)
-    if rows is not None:
-        probs = np.broadcast_to(rows, doc.game.observation_probs.shape)
-        doc = SpecDocument(game=replace(doc.game, observation_probs=probs.copy()))
-        assert (0.06 + 0.57) + 0.37 == 1.0 - 2.0**-53
-    sol = value_iteration(doc.game)
-    depth, samples, sequence = 8, 4000, 100
-    # the three draws of sequence 100's first step
-    index = sequence * depth * 3 + ("task", "human", "observation").index(draw)
-    seed = seed_with_draw(2**64 - 1, index)
-    assert max(splitmix_block(seed, index)) < 2**64 - 1  # no rejection before it
-    partial = _compare_sampled(doc, sol, "switch", depth, sequence + 1, samples, seed)
-    assert partial.counterexamples == ()  # sequences 0 to 100 of the first root run clean
-    report = _compare_sampled(doc, sol, "switch", depth, None, samples, seed)
-    assert len(report.counterexamples) >= 5
-
-
-def test_sampled_verify_cuts_at_a_kept_draw_above_the_smallest_limit():
-    """A human draw that ``randint(3)`` keeps and ``randint(6)`` would reject, at a root whose bound holds three.
-
-    Bounds hold three or six human actions.  Sequence 100 keeps the draw,
-    runs without a failure, and the sequences after it read the stream
-    from the draw that follows.
-    """
-    doc = random_game(16, states=30, human_actions=6, observations=3, failure_fraction=0.05)
-    bound = [tuple(range(6)) if z % 4 == 3 else tuple(sorted((z + k) % 6 for k in (0, 2, 4))) for z in range(30)]
-    doc = SpecDocument(game=replace(doc.game, action_bound=bound))
-    sol = value_iteration(doc.game)
-    draw = 2**64 - 3
-    assert rejection_limit(6) <= draw < rejection_limit(3)
-    depth, samples, sequence = 8, 4000, 100
-    index = sequence * depth * 3 + 1  # the human draw of sequence 100's first step
-    seed = seed_with_draw(draw, index)
-    assert max(splitmix_block(seed, index)) < rejection_limit(6)
-    partial = _compare_sampled(doc, sol, "switch", depth, sequence + 1, samples, seed)
-    assert partial.counterexamples == ()  # sequences 0 to 100 of the first root run clean
-    assert len(doc.game.action_bound[partial.certified_states[0]]) == 3
-    report = _compare_sampled(doc, sol, "switch", depth, None, samples, seed)
-    assert len(report.counterexamples) >= 5
-
-
 @pytest.mark.parametrize("rows", [
+    pytest.param((0.06, 0.57, 0.37), id="no-trailing-zero"),
     pytest.param((0.06, 0.57, 0.37, 0.0), id="one-trailing-zero"),
     pytest.param((0.06, 0.57, 0.37, 0.0, 0.0, 0.0), id="three-trailing-zeros"),
 ])
@@ -929,6 +750,22 @@ def test_verify_at_a_huge_depth_searches_to_the_fixed_point():
     assert longest == 15  # chain30's top state, two states down a step
 
 
+def test_verify_is_exhaustive_above_a_million_joint_entries():
+    """chain(120000) has 1.08 M entries; its control arm at depth 8 flags the roots that chain(40)'s does.
+
+    Both chains fail only at state 0, which the human reaches two states a
+    step, so within eight steps from the states up to 16 alone.
+    """
+    big, small = build_chain(120_000), build_chain(40)
+    game = big.game
+    assert game.num_states * game.num_ai_actions * game.num_human_actions * game.num_observations > 10**6
+    reports = [verify_safety(doc, depth=8, filter_mode="none") for doc in (big, small)]
+    assert [len(report.certified_states) for report in reports] == [120_000, 40]
+    columns = [[(ce.z, ce.a_task, ce.b, ce.o, ce.final_state) for ce in report.counterexamples] for report in reports]
+    assert columns[0] == columns[1] and len(columns[0]) == 16
+    assert reports[0].expanded == reports[1].expanded == 17
+
+
 def test_exhaustive_verify_flags_the_roots_that_a_backward_search_finds():
     """On the 30-state stochastic corpus, a certified root has a counterexample exactly when failure is in reach.
 
@@ -953,7 +790,7 @@ def test_exhaustive_verify_flags_the_roots_that_a_backward_search_finds():
         report = verify_safety(doc, depth=depth, solution=sol)
         certified = _certified_states(sol)
         starts = [ce.steps[0].state for ce in report.counterexamples]
-        assert report.mode == "exhaustive" and report.certified_states == certified
+        assert report.certified_states == certified
         assert starts == [z for z in certified if near[z]]
         games += bool(certified)
         roots += len(certified)
@@ -962,14 +799,13 @@ def test_exhaustive_verify_flags_the_roots_that_a_backward_search_finds():
 
 
 def test_counterexamples_are_traces_that_follow_the_dynamics():
-    """Every counterexample of the reference corpus passes ``to_jsonl``'s dynamics check."""
-    sampled = ((random_game(k, states=12, observations=2 + k % 2, failure_fraction=0.1), 0) for k in (0, 6, 13))
+    """Every counterexample of the reference corpus, and of three more stochastic games, passes ``to_jsonl``'s check."""
+    stochastic = (random_game(k, states=12, observations=2 + k % 2, failure_fraction=0.1) for k in (0, 6, 13))
     checked = 0
-    for doc, limit in (*((doc, DEFAULT_EXHAUSTIVE_LIMIT) for doc in _reference_games()), *sampled):
+    for doc in (*_reference_games(), *stochastic):
         sol = value_iteration(doc.game)
         for filter_mode in FILTER_MODES:
-            report = verify_safety(doc, depth=8, filter_mode=filter_mode, exhaustive_limit=limit, samples=200,
-                                   solution=sol)
+            report = verify_safety(doc, depth=8, filter_mode=filter_mode, solution=sol)
             for ce in report.counterexamples:
                 lines = ce.to_jsonl().decode().splitlines()
                 assert len(lines) == len(ce.steps)
@@ -1243,14 +1079,11 @@ def test_no_call_leaves_cyclic_garbage():
         "parse_spec": lambda: parse_spec(serialize(chain)),
         "serialize": lambda: serialize(stochastic),
         "value_iteration": lambda: value_iteration(stochastic.game),
-        "exhaustive verify": lambda: verify_safety(stochastic, filter_mode="none"),
-        "sampled verify": lambda: verify_safety(stochastic, filter_mode="none", exhaustive_limit=0, samples=200),
+        "verify": lambda: verify_safety(stochastic, filter_mode="none"),
         "rollout": lambda: rollout(_chain_cfg(task_policy="random", human_policy="uniform", max_steps=50)),
         "compare_oracle": lambda: compare_oracle(chain, 6),
     }
-    for limit, mode in ((DEFAULT_EXHAUSTIVE_LIMIT, "exhaustive"), (0, "sampled")):
-        report = verify_safety(stochastic, filter_mode="none", exhaustive_limit=limit, samples=200)
-        assert report.mode == mode and report.counterexamples
+    assert verify_safety(stochastic, filter_mode="none").counterexamples
     for call in calls.values():  # first calls may fill caches inside numpy
         call()
     gc.collect()
@@ -1367,30 +1200,6 @@ def test_rollout_blocks_are_sized_by_entries(monkeypatch):
     assert haig.harness._BLOCK_ENTRIES >= 16000
 
 
-def test_sampled_verify_in_small_state_blocks(monkeypatch):
-    """Sampled verify, forced on a deterministic and a stochastic game, in blocks of seven states.
-
-    The sequences ask ``_observation_thresholds`` for blocks only, never for the whole game's table.
-    """
-    calls = _logged_threshold_inputs(monkeypatch)
-    found = 0
-    for doc in (random_game(11, states=40, failure_fraction=0.1),
-                random_game(7, states=30, observations=3, failure_fraction=0.05)):
-        spec = doc.game
-        width = spec.transitions[0].size
-        monkeypatch.setattr(haig.harness, "_BLOCK_ENTRIES", 7 * width)
-        sol = value_iteration(spec)
-        for filter_mode in ("none", "switch", "least_restrictive", "fallback_only"):
-            for depth in (3, 8):
-                calls.clear()
-                expected, _ = _reference_sampled(doc, sol, depth, filter_mode, None, 2000, 3)
-                assert verify_safety(doc, depth=depth, filter_mode=filter_mode, exhaustive_limit=0, samples=2000,
-                                     seed=3, solution=sol) == expected
-                found += len(expected.counterexamples)
-                assert calls and max(calls) == 7 * width < spec.observation_probs.size
-    assert found > 50
-
-
 def test_initial_ground_truth_takes_the_first_pair_in_row_major_order():
     doc = build_chain(5)
     # four world states and three human states; state 2 first appears at (1, 1), and at (2, 0) after it
@@ -1421,7 +1230,6 @@ def test_each_state_is_decided_once(monkeypatch):
         calls.clear()
         report = verify_safety(doc, depth=3, filter_mode=mode, solution=sol)
         assert calls == [mode]
-        assert report.mode == "exhaustive"
         assert report.expanded == _reference_verify(doc, sol, 3, mode, None)[0].expanded
 
         calls.clear()
@@ -1434,9 +1242,6 @@ def test_each_state_is_decided_once(monkeypatch):
 def test_verify_argument_validation():
     with pytest.raises(ValueError, match="depth"):
         verify_safety(build_chain(5), depth=0)
-    for samples in (0, -3):
-        with pytest.raises(ValueError, match="samples"):
-            verify_safety(build_chain(5), samples=samples, exhaustive_limit=1)
     with pytest.raises(ValueError, match="filter mode"):
         verify_safety(build_chain(5), filter_mode="what")
     with pytest.raises(ValueError, match="max_nodes"):
@@ -1444,10 +1249,6 @@ def test_verify_argument_validation():
     for max_nodes in (2.5, 3.0):
         with pytest.raises(TypeError):
             verify_safety(build_chain(5), max_nodes=max_nodes)
-    with pytest.raises(ValueError, match="exhaustive_limit must be >= 0, got -1"):
-        verify_safety(build_chain(5), exhaustive_limit=-1)
-    with pytest.raises(TypeError):
-        verify_safety(build_chain(5), exhaustive_limit=2.5)
 
 
 def test_compare_oracle_deterministic_is_exact():
@@ -1486,7 +1287,7 @@ def test_compare_oracle_is_exact_on_stochastic_games_below_pairwise_sums():
 
 
 def test_verify_and_the_oracle_refuse_non_integral_arguments(monkeypatch):
-    """A float ``samples``, ``depth``, ``seed`` or ``horizon`` raises TypeError; verify raises it before it solves."""
+    """A float ``depth`` or ``horizon`` raises TypeError; verify raises it before it solves."""
     doc = build_chain(5)
 
     def solving(*args, **kwargs):
@@ -1494,18 +1295,12 @@ def test_verify_and_the_oracle_refuse_non_integral_arguments(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(haig.harness, "value_iteration", solving)
-        for arguments in (dict(samples=2.5), dict(depth=2.5), dict(depth=3.0)):
+        for depth in (2.5, 3.0):
             with pytest.raises(TypeError):
-                verify_safety(doc, exhaustive_limit=0, **arguments)
-        for limit in (0, DEFAULT_EXHAUSTIVE_LIMIT):  # sampled and exhaustive mode
-            for seed in (2.5, 3.0, "1"):
-                with pytest.raises(TypeError):
-                    verify_safety(doc, exhaustive_limit=limit, seed=seed)
+                verify_safety(doc, depth=depth)
     with pytest.raises(TypeError):
         compare_oracle(doc, 2.5)
-    assert verify_safety(doc, exhaustive_limit=0, samples=np.int64(40), depth=np.int64(3)) == verify_safety(
-        doc, exhaustive_limit=0, samples=40, depth=3)
-    assert verify_safety(doc, exhaustive_limit=0, seed=np.int64(7)) == verify_safety(doc, exhaustive_limit=0, seed=7)
+    assert verify_safety(doc, depth=np.int64(3)) == verify_safety(doc, depth=3)
 
 
 def test_bad_budgets_and_horizons_are_refused_before_solving(monkeypatch):
