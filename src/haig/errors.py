@@ -43,7 +43,7 @@ class PolicyResolutionError(HaigError):
 
 
 class BudgetExceededError(HaigError):
-    """A node or sample budget was exhausted. ``partial`` holds any partial result."""
+    """A node budget was exhausted. ``partial`` holds any partial result."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)

@@ -161,9 +161,9 @@ def check_initial_condition(flt: SafetyFilter, z0: int) -> bool:
     reaches a failure state.  On games with stochastic observations, the
     claim is only that the fallback keeps the expected value of the next
     state nonnegative, E[V(next)] >= 0, against every admissible human
-    action; a run may still reach failure.  On a game under its size limit,
-    ``verify_safety`` searches the support graph and reports every
-    certified state from which such a run exists within its depth.
+    action; a run may still reach failure.  ``verify_safety`` searches the
+    support graph and reports every certified state from which such a run
+    exists within its depth.
     """
     z0 = _int_index(z0, flt.solution.spec.num_states, "info state")
     return bool(_certified(flt.scores[z0]))

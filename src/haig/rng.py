@@ -99,6 +99,3 @@ class SplitMix64:
                 x = self._refill()
             if x < limit:
                 return x % n
-
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]

@@ -31,6 +31,9 @@ parser's ``SchemaError`` and before allocating any array.
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 from .model import GameSpec, GroundTruthSystem
@@ -38,12 +41,11 @@ from .rng import SplitMix64
 from .specfile import SpecDocument, check_joint_entries
 
 
-def _mirror_ground_truth(game: GameSpec, failure_margins: np.ndarray | None = None) -> GroundTruthSystem:
+def _mirror_ground_truth(game: GameSpec) -> GroundTruthSystem:
     """Ground truth for a fully observed game: the world is the info state."""
     nz, na, nb = game.num_states, game.num_ai_actions, game.num_human_actions
     ai_obs = game.observation_probs.argmax(axis=3)  # the one-hot observation
     world = np.take_along_axis(game.transitions, ai_obs[..., None], axis=3)[..., 0]
-    margins = game.margins if failure_margins is None else failure_margins
     return GroundTruthSystem(
         num_world_states=nz,
         num_human_states=1,
@@ -52,7 +54,7 @@ def _mirror_ground_truth(game: GameSpec, failure_margins: np.ndarray | None = No
         human_transitions=np.zeros((1, na, nb, 1), dtype=np.int64),
         human_observation=np.zeros(nz, dtype=np.int64),
         ai_observation=ai_obs,
-        failure=(margins < 0.0).reshape(nz, 1),
+        failure=(game.margins < 0.0).reshape(nz, 1),
         projection=np.arange(nz, dtype=np.int64).reshape(nz, 1),
     )
 
@@ -79,15 +81,13 @@ def build_chain(length: int, human_reach: int = 1, odd_reach: int | None = None)
     if not 1 <= odd_reach <= human_reach:
         raise ValueError(f"odd_reach must be in [1, {human_reach}], got {odd_reach}")
 
-    nz = length + 1
-    ai_deltas = (-1, 0, 1)
-    human_deltas = tuple(range(-human_reach, human_reach + 1))
-    check_joint_entries((nz, len(ai_deltas), len(human_deltas), 1))
-    transitions = np.empty((nz, 3, len(human_deltas), 1), dtype=np.int64)
-    for z in range(nz):
-        for ia, da in enumerate(ai_deltas):
-            for ib, db in enumerate(human_deltas):
-                transitions[z, ia, ib, 0] = min(max(z + da + db, 0), length)
+    nz = operator.index(length) + 1  # refuses a float length, which np.arange would take
+    human_deltas = range(-human_reach, human_reach + 1)
+    check_joint_entries((nz, 3, len(human_deltas), 1))
+    z = np.arange(nz, dtype=np.int64).reshape(nz, 1, 1, 1)
+    ai_delta = np.arange(-1, 2, dtype=np.int64).reshape(3, 1, 1)
+    human_delta = np.array(human_deltas, dtype=np.int64).reshape(-1, 1)
+    transitions = np.clip(z + ai_delta + human_delta, 0, length)
 
     bound_row = tuple(ib for ib, db in enumerate(human_deltas) if abs(db) <= odd_reach)
     game = GameSpec(
@@ -97,7 +97,7 @@ def build_chain(length: int, human_reach: int = 1, odd_reach: int | None = None)
         observations=("none",),
         transitions=transitions,
         observation_probs=np.ones((nz, 3, len(human_deltas), 1)),
-        margins=np.arange(nz, dtype=np.float64) - 1.0,
+        margins=z.ravel() - 1.0,
         action_bound=tuple(bound_row for _ in range(nz)),
         scenario=f"chain(length={length},human_reach={human_reach},odd_reach={odd_reach})",
     )
@@ -227,33 +227,24 @@ def random_game(
 
     shape = (states, ai_actions, human_actions, observations)
     check_joint_entries(shape)
+    entries = math.prod(shape)
     stream = SplitMix64(seed)
-    transitions = np.empty(shape, dtype=np.int64)
-    for idx in np.ndindex(shape):
-        transitions[idx] = stream.randint(states)
-
+    # the stream's order: transitions then weights, each in C order; the shuffle; margins by rank
+    transitions = np.fromiter((stream.randint(states) for _ in range(entries)), np.int64, entries).reshape(shape)
     if observations == 1:
         probs = np.ones(shape)
-    else:
-        probs = np.empty(shape)
-        for z in range(states):
-            for a in range(ai_actions):
-                for b in range(human_actions):
-                    weights = [1 + stream.randint(8) for _ in range(observations)]
-                    total = sum(weights)
-                    probs[z, a, b] = [w / total for w in weights]
+    else:  # small integer weights: the float sum is exact, so each row divides as in integers
+        probs = np.fromiter((1 + stream.randint(8) for _ in range(entries)), np.float64, entries).reshape(shape)
+        probs /= probs.sum(axis=3, keepdims=True)
 
-    num_failures = int(states * failure_fraction)
     order = list(range(states))
     for i in range(states - 1, 0, -1):  # Fisher-Yates on the seeded stream
         j = stream.randint(i + 1)
         order[i], order[j] = order[j], order[i]
     margins = np.empty(states)
-    for rank, z in enumerate(order):
-        if rank < num_failures:
-            margins[z] = -stream.uniform() - 2.0**-53
-        else:
-            margins[z] = stream.uniform() + 2.0**-53
+    # ranks below the failure count get -(u + 2**-53), which rounds exactly as -u - 2**-53
+    margins[order] = np.fromiter((stream.uniform() + 2.0**-53 for _ in range(states)), np.float64, states)
+    margins[order[: int(states * failure_fraction)]] *= -1.0
 
     game = GameSpec(
         num_states=states,

@@ -204,7 +204,7 @@ def test_criterion_5_bound_monotonicity(announce):
             for row in spec.action_bound:
                 if stream.uniform() < 0.5 and len(row) > 1:
                     keep = 1 + stream.randint(len(row) - 1)
-                    chosen = sorted(stream.choice(row) for _ in range(keep))
+                    chosen = sorted(row[stream.randint(len(row))] for _ in range(keep))
                     narrowed_rows.append(tuple(sorted(set(chosen))))
                 else:
                     narrowed_rows.append(row)

@@ -71,7 +71,7 @@ def test_interleaved_draws_match_the_scalar_definition():
             drawn.append(stream.uniform())
             expected.append((reference.next_u64() >> 11) * 2.0**-53)
         elif op == 1:
-            drawn.append(stream.choice(items))
+            drawn.append(items[stream.randint(len(items))])
             expected.append(items[_reference_randint(reference, len(items))])
         else:
             n = (3, 2**63 + 1, 10**18 + 9)[op - 2]

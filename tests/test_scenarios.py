@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from haig import (
+    SchemaError,
     build_chain,
     build_dialogue,
     parse_spec,
@@ -53,6 +54,10 @@ def test_chain_argument_validation():
         build_chain(5, 2, 3)
     with pytest.raises(ValueError, match="odd_reach"):
         build_chain(5, 2, 0)
+    with pytest.raises(TypeError):
+        build_chain(5.0)
+    with pytest.raises(SchemaError, match="more than the limit"):
+        build_chain(5, 2**40)  # refused before any action range is built
 
 
 def test_chain_ground_truth_is_consistent():
@@ -145,6 +150,8 @@ def test_random_game_argument_validation():
         random_game(0, states=0)
     with pytest.raises(ValueError, match="failure_fraction"):
         random_game(0, failure_fraction=1.5)
+    with pytest.raises(TypeError):
+        random_game(0, states=5.0)
 
 
 def test_random_game_round_trips():
@@ -163,8 +170,10 @@ def test_mirror_ground_truth_matches_the_loop():
             assert gt.world_transitions[z, a, b] == game.transitions[z, a, b, o]
 
 
-# sha256 of serialize() for the scenarios the README describes, pinned so
-# that a rewrite of a builder or of the ground-truth mirror keeps every byte
+# sha256 of serialize() for the scenarios the README describes, the bench's
+# chain and random games of every kind of draw (observation weights, no
+# failure state, all failure states), pinned so that a rewrite of a builder,
+# of its draw order or of the ground-truth mirror keeps every byte
 _PINNED_DOCUMENTS = [
     (lambda: build_chain(5), "c7a575e826f0a247435c8d421254e75bef1131fc476455d115df796d8f1a5efc"),
     (lambda: build_chain(5, human_reach=2), "4163f338ddb3f9737a04c1fe0c56202ba92a4072d23398fe1972f2514e39cbf5"),
@@ -173,6 +182,16 @@ _PINNED_DOCUMENTS = [
     (build_dialogue, "bbf634d02ddf9c8fd7113a1a797e3d2b587a9254d05fac38e26af526cc10c92a"),
     (lambda: build_dialogue(conservative_bound=True),
      "624da674d83d978104794ad47ea441460ab4648d8b30c96a4b8df67f70157261"),
+    (lambda: build_chain(200), "83fa304c55d14eb35aa652a67d376b4009a0394e9aaafc86a7b7649d48e0322a"),
+    (lambda: random_game(0), "e4cfc8ec1d61ba77937ca758659c4bb8db86cd073ceadcbd9784bc6c8c08559f"),
+    (lambda: random_game(3, states=30, observations=3, failure_fraction=0.05),
+     "db2d7d2b5bfc5b2478884f9fc2541453bae114662352b4c363d9d382ae5f3920"),
+    (lambda: random_game(5, states=10, ai_actions=2, human_actions=4, observations=9, failure_fraction=0.5),
+     "aa66d6d9c4d85e51645db904f7ad29bf91980d2ce6c64ef8efd9f991b5cff3e1"),
+    (lambda: random_game(1, states=5, failure_fraction=0.0),
+     "406fb5d295d696cd227f7005957e4f7dcb19d3e766dfb7a01f372d3a6e1a74b9"),
+    (lambda: random_game(1, states=5, failure_fraction=1.0),
+     "32294a6fd07c22b68fab475c4157c9addd8203789c3a3205b927a6cda62c0e47"),
 ]
 
 
