@@ -34,12 +34,19 @@ in step order, the path a per-root breadth-first search finds first.
 ``rollout`` and ``verify_safety`` each build one filter for their mode
 and read its executed-action table (``"none"`` is a filter mode like
 the others).  The rollout steps the game through ``_step_rows``: a row
-of plain Python values per state, built a block of states at a time on
-the first visit to any of them, so a short walk on a large game pays
-only for the blocks it visits.  One rule, ``_observation_thresholds``,
-picks every observation the rollout draws, per block of those rows.
-Every fact about the bounds of the whole game comes from
-``spec.bound_mask``.
+per state, built with array code a block of states at a time on the
+first visit to any of them, so a short walk on a large game pays only
+for the blocks it visits.  A row holds the entry offset of every pair of
+task draw and human draw, with the policies' choices and the filter's
+executed action built in.  So a step does only what is sequential: it
+looks up its state's row, reads the offset at its draw index, bisects
+that entry's observation thresholds with its uniform draw (one rule,
+``_observation_thresholds``, picks every observation) and reads the
+successor.  Array code computes each window's draw indices before the
+walk, and the task action, human action and observation columns from
+the recorded entries after it; a ground truth's ``(s, h)`` chain is
+walked last, from those columns.  Every fact about the bounds of the
+whole game comes from ``spec.bound_mask``.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -324,20 +332,43 @@ def _task_chooser(doc: SpecDocument, selector: str):
 
 
 def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution):
-    """Returns ``(script, row)``: a scripted policy's action cycle, or fn(z) -> the human's row at ``z``.
+    """Returns ``(script, width, choose)`` for a human policy.
 
-    A row is the human action per executed AI action.  "uniform", which
-    draws, has neither.
+    ``choose(states, executed)`` gives the human's action per state of the
+    slice ``states``, per task draw and per human draw, as an array that
+    broadcasts to that shape: ``executed`` holds the executed AI action per
+    state and task draw.  The ``width`` human draws are "uniform"'s residue
+    modulo the state's bound length, a script's action, or one draw for a
+    policy the state decides.  An action that a compliant policy would play
+    outside the bound reads -1; "off_odd" plays it.  ``script`` is a
+    scripted policy's action cycle, and ``None`` for the others.
     """
     spec = doc.game
-    na = spec.num_ai_actions
+    nh = spec.num_human_actions
+
+    def compliant(states, b):
+        inside = (b >= 0) & (b < nh)
+        mask = spec.bound_mask[states]
+        return np.where(inside & mask[np.arange(len(mask))[:, None, None], np.where(inside, b, 0)], b, -1)
+
     if selector == "worst_case":
-        return None, lambda z: sol.adversary_policy[z].tolist()
+        return None, 1, lambda states, executed: compliant(
+            states, np.take_along_axis(sol.adversary_policy[states], executed, axis=1)[:, :, None])
     if selector == "uniform":
-        return None, None
+        width = int(np.count_nonzero(spec.bound_mask, axis=1).max())
+
+        def padded(states, executed):
+            """Each state's bound, in its order, padded to ``width`` with its last action, which no residue picks."""
+            rows = spec.action_bound[states]
+            lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+            flat = np.fromiter(chain.from_iterable(rows), np.int64, int(lengths.sum()))
+            starts = np.cumsum(lengths) - lengths
+            return flat[starts[:, None] + np.minimum(np.arange(width), lengths[:, None] - 1)][:, None, :]
+
+        return None, width, padded
     if selector == "off_odd":
         # argmin: the first action outside the bound, or action 0 when the bound holds every action
-        return None, lambda z: [int(spec.bound_mask[z].argmin())] * na
+        return None, 1, lambda states, executed: spec.bound_mask[states].argmin(axis=1)[:, None, None]
     if selector.startswith("scripted:"):
         script = [
             _resolve_action(spec.human_actions, item.strip(), "human")
@@ -346,10 +377,11 @@ def _human_chooser(doc: SpecDocument, selector: str, sol: ValueSolution):
         ]
         if not script:
             raise PolicyResolutionError("scripted human policy needs at least one action")
-        return script, None
+        return script, nh, lambda states, executed: compliant(states, np.arange(nh)[None, None, :])
     if selector in doc.human_policies:
         table = doc.human_policies[selector]
-        return None, lambda z: [table[z]] * na
+        return None, 1, lambda states, executed: compliant(
+            states, np.array([b if 0 <= b < nh else -1 for b in table[states]])[:, None, None])
     raise PolicyResolutionError(f"unknown human policy {selector!r}")
 
 
@@ -401,31 +433,63 @@ _WINDOW_STEPS = 1024
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _step_rows(spec: GameSpec, executed: np.ndarray):
-    """The rollout's ``(rows, fill)``: a row of plain Python values per state, ``None`` until ``fill(z)`` builds it.
+def _step_rows(spec: GameSpec, executed: np.ndarray, task, choose, indices: list[list[int]]):
+    """The rollout's ``(rows, fill)``: a row per state, ``None`` until ``fill(z)`` builds it.
 
-    ``fill(z)`` builds the rows of the block of states that holds ``z`` and
-    returns the row of ``z``: ``(executed_z, trans, thresholds, base,
-    bound_z)``, its executed action per task action, the block's transitions
-    and observation thresholds as flat lists, its offset in those, and its
-    bound.  Entry ``(a, b, o)`` is at ``base + (a * nb + b) * no + o``.
+    ``fill(z)`` builds the rows of the block of states that holds ``z``,
+    with array code, and returns the row of ``z``: ``(offsets, draw, trans,
+    thresholds)``.  ``trans`` and ``thresholds`` are the block's transitions
+    and observation thresholds as flat lists, where the state's entry
+    ``(a, b, o)`` is at ``base + (a * nb + b) * no + o``.  A step's draw
+    index is ``j = task_draw * width + human_draw``, over ``width`` human
+    draws, and the step starts at ``offsets[j]``: the ``base + (a * nb +
+    b) * no`` of the executed action ``a`` and the human action ``b`` that
+    those draws give, or -1 where a compliant human would leave the bound.
+    The task draw is the action itself for "random" (``task`` is
+    ``None``), and 0 for a task policy ``task(z)``; ``choose`` is
+    ``_human_chooser``'s.  ``draw`` is ``indices[len(bound_z)]``, the list
+    of each step's ``j`` that the rollout refills for the states of that
+    bound length.
+
+    A state whose task policy raises keeps no row, so that ``fill`` runs
+    again when the walk enters it, and raises there what ``task(z)`` raises.
     """
     nz, na, nb, no = spec.transitions.shape
-    width = na * nb * no
-    block = max(1, _BLOCK_ENTRIES // width)  # states per block
+    per_state = na * nb * no
+    block = max(1, _BLOCK_ENTRIES // per_state)  # states per block
     rows = [None] * nz
 
     def fill(z):
-        states = slice(z // block * block, (z // block + 1) * block)
+        start = z // block * block
+        states = slice(start, start + block)
+        executed_block = executed[states]
+        here = np.arange(len(executed_block))
+        if task is None:
+            executed_a = executed_block  # a task draw per action
+        else:
+            actions = np.array([_or_missing(task, y) for y in range(start, start + len(here))])
+            executed_a = executed_block[here, np.maximum(actions, 0)][:, None]
+        b = choose(states, executed_a)
+        entry = (here * per_state)[:, None, None] + (executed_a[:, :, None] * nb + b) * no
+        offsets = np.where(b >= 0, entry, -1).reshape(len(here), -1).tolist()
         trans = spec.transitions[states].ravel().tolist()
         thresholds = _observation_thresholds(spec.observation_probs[states]).ravel().tolist()
-        rows[states] = [
-            (executed_z, trans, thresholds, i * width, bound_z)
-            for i, (executed_z, bound_z) in enumerate(zip(executed[states].tolist(), spec.action_bound[states]))
-        ]
-        return rows[z]
+        rows[states] = zip(offsets, map(indices.__getitem__, map(len, spec.action_bound[states])),
+                           repeat(trans), repeat(thresholds))
+        if task is not None:
+            for i in np.flatnonzero(actions < 0).tolist():
+                rows[start + i] = None
+        return rows[z] or task(z)  # a state left without a row raises its task policy's error here
 
     return rows, fill
+
+
+def _or_missing(task, z: int) -> int:
+    """``task(z)``, or -1 where the task policy raises IndexError."""
+    try:
+        return task(z)
+    except IndexError:
+        return -1
 
 
 @_collector_paused
@@ -437,7 +501,22 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     step.  A window ends before its first task or human draw at or above
     the smallest rejection limit that draw could meet; that step takes its
     draws through the scalar stream calls, which skip a rejected draw as
-    ``randint`` does, and the next window starts at that stream's counter.
+    ``randint`` does, and runs as a window of one step.  The next window
+    starts at that stream's counter.
+
+    Array code turns a window's draws into each step's draw index ``j``,
+    one list per bound length, and its observation draws ``u``.  What a
+    step then computes is sequential: it finds the row of its state
+    (``_step_rows``), reads the offset of its entry at ``j``, bisects the
+    entry's observation thresholds with ``u``, and moves to the successor
+    that the observation gives.  It records the state and the entry's
+    index ``k``.  After the walk, array code reads the executed action, the
+    human action and the observation off ``k``, and the task action off
+    the task draws or the policy; a ground truth's ``(s, h)`` chain then
+    follows from the executed and human actions.  An offset of -1, where a
+    compliant human policy would leave the bound, makes ``bisect_right``
+    refuse its negative start, and the rollout raises ValueError naming
+    the step.
 
     It runs with the cyclic garbage collector paused (``_collector_paused``):
     it builds a row per state of each block it visits, none of them in a
@@ -456,23 +535,17 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     sol = solution if solution is not None else value_iteration(spec)
     flt = perfect_filter(sol, config.filter_mode)
     task = _task_chooser(doc, config.task_policy)
-    script, human = _human_chooser(doc, config.human_policy, sol)
+    script, width, choose = _human_chooser(doc, config.human_policy, sol)
     uniform = config.human_policy == "uniform"
-    off_odd = config.human_policy == "off_odd"
     bound, num_ai, nh, no = spec.action_bound, spec.num_ai_actions, spec.num_human_actions, spec.num_observations
-    rows, fill = _step_rows(spec, flt.executed)
-    tasks_at = None if task is None else _PerState(task)
-    humans_at = None if human is None else _PerState(human)
+    # each step's draw index j, one list per bound length for "uniform", else one list for all
+    indices = [[] for _ in range(nh + 1)] if uniform else [[]] * (nh + 1)
+    rows, fill = _step_rows(spec, flt.executed, task, choose, indices)
 
     z = _resolve_state(spec, config.initial_state)
-    gt, gt_state = doc.ground_truth, None
+    gt = doc.ground_truth
     if gt is not None:
         gt_state = _initial_ground_truth(doc, z)
-        # per-state rows as lists, built on first visit: [s][h], [s], [s][a][b], [h][a][b][o]
-        gt_failure = _PerState(lambda s: gt.failure[s].tolist())
-        gt_observation = gt.human_observation.tolist()
-        gt_world = _PerState(lambda s: gt.world_transitions[s].tolist())
-        gt_human = _PerState(lambda h: gt.human_transitions[h].tolist())
 
     # a step's draws: the task draw if it draws, the human draw if it draws, the observation draw;
     # a draw above its column's largest kept value may be rejected
@@ -480,67 +553,83 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     if uniform:
         lengths = np.flatnonzero(np.bincount(np.count_nonzero(spec.bound_mask, axis=1))).tolist()  # distinct, in order
         largest.append(min(map(rejection_limit, lengths)) - 1)
-    largest = np.array(largest + [(1 << 64) - 1], dtype=np.uint64)
+    largest.append((1 << 64) - 1)
     draws = len(largest)
+    limits = np.tile(np.array(largest, dtype=np.uint64), min(_WINDOW_STEPS, max_steps))  # a window's, in stream order
+    cycle = None if script is None else np.array(script, dtype=np.uint64)
     counter = SplitMix64(seed).counter
-    zs, task_actions, human_actions, observations = [], [], [], []
-    gt_failures = None if gt_state is None else []
-    t = 0
+    zs, ks, task_draws = [], [], []
+    t = lo = 0
     cut = False  # whether the next step takes its draws through the scalar stream calls
     while t < max_steps:
         if cut:
             stream = SplitMix64(counter)
-            tasks = [stream.randint(num_ai)] if task is None else None
+            tasks = np.array([stream.randint(num_ai)] if task is None else [0], dtype=np.uint64)
             if uniform:
-                residues = {len(bound[z]): [stream.randint(len(bound[z]))]}
+                residues = {len(bound[z]): np.uint64(stream.randint(len(bound[z])))}
             us = [stream.uniform()]
             counter, n, cut = stream.counter, 1, False
         else:
             n = min(_WINDOW_STEPS, max_steps - t)
-            raw = splitmix_block(counter, n * draws).reshape(n, draws)
-            rejected = np.flatnonzero((raw > largest).any(axis=1))
+            raw = splitmix_block(counter, n * draws)
+            rejected = np.flatnonzero(raw > limits[:len(raw)])
             if len(rejected):
-                n, cut = int(rejected[0]), True
+                n, cut = int(rejected[0]) // draws, True
             counter = advance(counter, n * draws)
-            columns = raw[:n].T
-            tasks = (columns[0] % np.uint64(num_ai)).tolist() if task is None else None
+            columns = raw[:n * draws].reshape(n, draws).T
+            tasks = columns[0] % np.uint64(num_ai) if task is None else np.zeros(n, dtype=np.uint64)
             if uniform:
-                residues = {m: (columns[-2] % np.uint64(m)).tolist() for m in lengths}
+                residues = {m: columns[-2] % np.uint64(m) for m in lengths}
             us = ((columns[-1] >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+        task_draws.append(tasks)
+        j = tasks * np.uint64(width)
+        if uniform:
+            for m, residue in residues.items():
+                indices[m][:] = (j + residue).tolist()
+        else:
+            indices[0][:] = (j if cycle is None else j + cycle[np.arange(t, t + n) % len(cycle)]).tolist()
 
-        for i in range(n):
-            executed_z, trans, thresholds_z, base, bound_z = rows[z] or fill(z)
-            a_task = tasks[i] if task is None else tasks_at[z]
-            executed = executed_z[a_task]
-            if uniform:
-                b = bound_z[residues[len(bound_z)][i]]
-            elif script:
-                b = script[t % len(script)]
-            else:
-                b = humans_at[z][executed]
-            if not off_odd and b not in bound_z:
-                raise ValueError(
-                    f"human policy {config.human_policy!r} left the admissible bound at t={t}; "
-                    "use the off_odd policy to simulate non-compliant humans"
-                )
+        try:
+            for i in range(n):
+                offsets, draw, trans, thresholds = rows[z] or fill(z)
+                lo = offsets[draw[i]]
+                k = bisect_right(thresholds, us[i], lo, lo + no)  # ValueError at lo = -1
+                zs.append(z)
+                ks.append(k)
+                z = trans[k]
+        except ValueError:
+            if lo >= 0:
+                raise
+            raise ValueError(
+                f"human policy {config.human_policy!r} left the admissible bound at t={t + i}; "
+                "use the off_odd policy to simulate non-compliant humans"
+            ) from None
+        t += n
 
-            lo = base + (executed * nh + b) * no
-            k = bisect_right(thresholds_z, us[i], lo, lo + no)
-            if gt_state is not None:
-                s, h = gt_state
-                gt_failures.append(gt_failure[s][h])
-                gt_state = gt_world[s][executed][b], gt_human[h][executed][b][gt_observation[s]]
-            zs.append(z)
-            task_actions.append(a_task)
-            human_actions.append(b)
-            observations.append(k - lo)
-            z = trans[k]
-            t += 1
+    # an entry's index in its block is ((local state * na + executed) * nh + b) * no + o
+    entries, o = np.divmod(np.fromiter(ks, np.int64, len(ks)), no)
+    entries, b = np.divmod(entries, nh)
+    if task is None:
+        a_task = np.concatenate(task_draws).tolist()
+    else:  # the policy's action once per visited state
+        visited, index = np.unique(np.fromiter(zs, np.int64, len(zs)), return_inverse=True)
+        a_task = np.array([task(y) for y in visited.tolist()])[index].tolist()
+    b = b.tolist()
 
-    final_gt_failure = None
-    if gt_state is not None:
-        final_gt_failure = gt_failure[gt_state[0]][gt_state[1]]
-    return RolloutTrace(spec=spec, z=zs, a_task=task_actions, b=human_actions, o=observations,
+    gt_failures = final_gt_failure = None
+    if gt is not None:
+        # per-state rows as lists, built on first visit: [s][h], [s], [s][a][b], [h][a][b][o]
+        gt_failure = _PerState(lambda s: gt.failure[s].tolist())
+        gt_observation = gt.human_observation.tolist()
+        gt_world = _PerState(lambda s: gt.world_transitions[s].tolist())
+        gt_human = _PerState(lambda h: gt.human_transitions[h].tolist())
+        s, h = gt_state
+        gt_failures = []
+        for executed_t, b_t in zip((entries % num_ai).tolist(), b):
+            gt_failures.append(gt_failure[s][h])
+            s, h = gt_world[s][executed_t][b_t], gt_human[h][executed_t][b_t][gt_observation[s]]
+        final_gt_failure = gt_failure[s][h]
+    return RolloutTrace(spec=spec, z=zs, a_task=a_task, b=b, o=o.tolist(),
                         gt_failure=gt_failures, final_state=z, final_gt_failure=final_gt_failure,
                         executed=flt.executed, scores=flt.scores)
 

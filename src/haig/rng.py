@@ -14,7 +14,7 @@ The outputs are bit-identical to the scalar definition, one state advance
 and one mix per draw.  Since the stream seeded with ``counter`` continues
 any stream at that counter, a caller may read draws off the counter in
 bulk and resume the scalar calls anywhere, at the counter ``advance``
-gives.
+gives; ``randint_block`` takes a run of ``randint`` draws that way.
 
 Reference: Steele, Lea, Flood, "Fast splittable pseudorandom number
 generators" (the java.util.SplittableRandom mixing constants).
@@ -55,6 +55,24 @@ def rejection_limit(n: int) -> int:
     if n <= 0:
         raise ValueError(f"randint needs a positive bound, got {n}")
     return ((1 << 64) // n) * n
+
+
+def randint_block(counter: int, n: int, count: int) -> tuple[np.ndarray, int]:
+    """The next ``count`` draws of ``randint(n)`` at ``counter``, as ``uint64``, and the counter after them.
+
+    The raw draws below ``rejection_limit(n)`` are kept in stream order, and
+    the shortfall that rejected ones leave is drawn after them until
+    ``count`` are kept, so the draws and the counter are the ones ``count``
+    scalar calls give.  Every operand is ``uint64``, as in ``splitmix_block``.
+    """
+    largest = np.uint64(rejection_limit(n) - 1)
+    kept, got = [np.empty(0, dtype=np.uint64)], 0
+    while got < count:
+        raw = splitmix_block(counter, count - got)
+        counter = advance(counter, count - got)
+        kept.append(raw[raw <= largest])
+        got += len(kept[-1])
+    return np.concatenate(kept) % np.uint64(n), counter
 
 
 class SplitMix64:

@@ -37,7 +37,7 @@ import operator
 import numpy as np
 
 from .model import GameSpec, GroundTruthSystem
-from .rng import SplitMix64
+from .rng import SplitMix64, randint_block
 from .specfile import SpecDocument, check_joint_entries
 
 
@@ -76,8 +76,7 @@ def build_chain(length: int, human_reach: int = 1, odd_reach: int | None = None)
         raise ValueError(f"chain needs length >= 2, got {length}")
     if human_reach < 1:
         raise ValueError(f"human_reach must be >= 1, got {human_reach}")
-    if odd_reach is None:
-        odd_reach = human_reach
+    odd_reach = human_reach if odd_reach is None else operator.index(odd_reach)  # refuses a float, as length does
     if not 1 <= odd_reach <= human_reach:
         raise ValueError(f"odd_reach must be in [1, {human_reach}], got {odd_reach}")
 
@@ -220,6 +219,8 @@ def random_game(
     probabilities are random small-integer weights normalized by their sum,
     so rows sum to one up to float rounding.
     """
+    sizes = states, ai_actions, human_actions, observations
+    states, ai_actions, human_actions, observations = map(operator.index, sizes)  # refuses a float size
     if states < 1 or ai_actions < 1 or human_actions < 1 or observations < 1:
         raise ValueError("all sizes must be positive")
     if not 0.0 <= failure_fraction <= 1.0:
@@ -228,15 +229,17 @@ def random_game(
     shape = (states, ai_actions, human_actions, observations)
     check_joint_entries(shape)
     entries = math.prod(shape)
-    stream = SplitMix64(seed)
-    # the stream's order: transitions then weights, each in C order; the shuffle; margins by rank
-    transitions = np.fromiter((stream.randint(states) for _ in range(entries)), np.int64, entries).reshape(shape)
+    # the stream's order: transitions then weights, each in C order and drawn in bulk; the shuffle; margins by rank
+    draws, counter = randint_block(SplitMix64(seed).counter, states, entries)
+    transitions = draws.astype(np.int64).reshape(shape)
     if observations == 1:
         probs = np.ones(shape)
     else:  # small integer weights: the float sum is exact, so each row divides as in integers
-        probs = np.fromiter((1 + stream.randint(8) for _ in range(entries)), np.float64, entries).reshape(shape)
+        draws, counter = randint_block(counter, 8, entries)
+        probs = (draws + np.uint64(1)).astype(np.float64).reshape(shape)
         probs /= probs.sum(axis=3, keepdims=True)
 
+    stream = SplitMix64(counter)
     order = list(range(states))
     for i in range(states - 1, 0, -1):  # Fisher-Yates on the seeded stream
         j = stream.randint(i + 1)

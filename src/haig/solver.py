@@ -258,6 +258,7 @@ def _sweeps(spec, ell, deterministic, epsilon, max_iters, record_sweeps):
     rows[0] = ell
     products = np.empty(weight.shape)
     q = np.empty((spec.num_human_actions, spec.num_ai_actions, nz))
+    ell_q = np.ascontiguousarray(np.broadcast_to(ell, q.shape))  # the margins broadcast once, not per sweep
     worst = np.empty(q.shape[1:])
     history = [ell.copy()] if record_sweeps else None
     iterations = 0
@@ -268,7 +269,7 @@ def _sweeps(spec, ell, deterministic, epsilon, max_iters, record_sweeps):
         for k in range(count):
             np.multiply(weight, rows[k][succ], out=products)
             np.add.reduce(products, axis=axis, out=q)
-            np.minimum(ell, q, out=q)
+            np.minimum(ell_q, q, out=q)
             np.minimum.reduce(q, axis=0, out=worst)
             np.maximum.reduce(worst, axis=0, out=rows[k + 1])
         drops = rows[:count] - rows[1:count + 1]

@@ -887,9 +887,10 @@ def _reference_rollout(cfg, sol, rejections=None):
     A step draws the task action if it is "random", the human action if it
     is "uniform", then the observation; each integer draw skips raw draws
     at or above ``rejection_limit``, and the step of each skipped draw is
-    appended to ``rejections``.  Start states are indices.  Returns the
-    steps as records, not a ``RolloutTrace``: ``_reference_jsonl`` writes
-    them one ``json.dumps`` at a time.
+    appended to ``rejections``.  Constant, named and scripted policies are
+    table lookups, their actions given by label or index.  Start states are
+    indices.  Returns the steps as records, not a ``RolloutTrace``:
+    ``_reference_jsonl`` writes them one ``json.dumps`` at a time.
     """
     doc = cfg.document
     spec, gt = doc.game, doc.ground_truth
@@ -904,6 +905,9 @@ def _reference_rollout(cfg, sol, rejections=None):
             if rejections is not None:
                 rejections.append(t)
 
+    def action(labels, x):
+        return labels.index(x) if x in labels else int(x)
+
     kind, _, items = cfg.human_policy.partition(":")
     z = cfg.initial_state
     if gt is not None:
@@ -911,7 +915,12 @@ def _reference_rollout(cfg, sol, rejections=None):
                     if gt.projection[s, h] == z)
     steps = []
     for t in range(cfg.max_steps):
-        a_task = randint(spec.num_ai_actions) if cfg.task_policy == "random" else int(cfg.task_policy[9:])
+        if cfg.task_policy == "random":
+            a_task = randint(spec.num_ai_actions)
+        elif cfg.task_policy in doc.task_policies:
+            a_task = doc.task_policies[cfg.task_policy][z]
+        else:
+            a_task = action(spec.ai_actions, cfg.task_policy[len("constant:"):])
         a_exec = executed[z][a_task]
         bound = spec.action_bound[z]
         if kind == "uniform":
@@ -920,8 +929,10 @@ def _reference_rollout(cfg, sol, rejections=None):
             b = int(sol.adversary_policy[z, a_exec])
         elif kind == "off_odd":
             b = next((b for b in range(spec.num_human_actions) if b not in bound), bound[0])
+        elif kind in doc.human_policies:
+            b = doc.human_policies[kind][z]
         else:
-            script = [spec.human_actions.index(x) if x in spec.human_actions else int(x) for x in items.split(",")]
+            script = [action(spec.human_actions, x) for x in items.split(",")]
             b = script[t % len(script)]
         u = (stream.next_u64() >> 11) * 2.0**-53
         probs = spec.observation_probs[z, a_exec, b]
@@ -941,6 +952,35 @@ def _reference_rollout(cfg, sol, rejections=None):
                                  b, o, float(spec.margins[z]), b not in bound, gt_failed))
         z = int(spec.transitions[z, a_exec, b, o])
     return _ReferenceTrace(tuple(steps), z, None if gt is None else bool(gt.failure[s, h]))
+
+
+@pytest.mark.parametrize("window", [None, 7])
+def test_constant_and_named_policies_match_the_scalar_reference(monkeypatch, window):
+    """Every filter and human policy under constant and named task policies, on the chain and the dialogue."""
+    if window is not None:
+        monkeypatch.setattr(haig.harness, "_WINDOW_STEPS", window)
+    games = [
+        (build_chain(5), 3, ("constant:-1", "constant:+1", "constant:1", "press_on"),
+         ("uniform", "worst_case", "off_odd", "scripted:+1,-1,0", "hold")),
+        (build_dialogue(), 0, ("constant:say_wait", "constant:0", "eager_helper"),
+         ("uniform", "worst_case", "off_odd", "scripted:wait,grab_glass", "patient")),
+        # tables that vary by state, where the ones above hold one action everywhere
+        (replace(build_chain(5, 2), task_policies={"zigzag": (0, 1, 2, 0, 1, 2)},
+                 human_policies={"sway": (0, 4, 1, 3, 2, 2)}), 3, ("constant:0", "zigzag"),
+         ("uniform", "worst_case", "off_odd", "scripted:-2,+2,0", "sway")),
+    ]
+    compared = 0
+    for doc, start, tasks, humans in games:
+        sol = value_iteration(doc.game)
+        for mode in FILTER_MODES:
+            for task in tasks:
+                for human in humans:
+                    for seed in (3, seed_with_draw(2**64 - 1, 0)):
+                        cfg = RolloutConfig(document=doc, task_policy=task, human_policy=human, filter_mode=mode,
+                                            initial_state=start, max_steps=30, seed=seed)
+                        assert rollout(cfg, sol).to_jsonl() == _reference_jsonl(_reference_rollout(cfg, sol))
+                        compared += 1
+    assert compared == len(FILTER_MODES) * (4 * 5 + 3 * 5 + 2 * 5) * 2
 
 
 def _three_action_game():

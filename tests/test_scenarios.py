@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import haig.rng
 from haig import (
     SchemaError,
     build_chain,
@@ -15,6 +16,7 @@ from haig import (
     validate_model,
 )
 from haig.scenarios import _mirror_ground_truth
+from test_rng import _ScalarSplitMix64
 
 
 def test_chain_structure():
@@ -56,6 +58,10 @@ def test_chain_argument_validation():
         build_chain(5, 2, 0)
     with pytest.raises(TypeError):
         build_chain(5.0)
+    with pytest.raises(TypeError):
+        build_chain(5, 1, 1.0)
+    assert build_chain(5, 2, None).game.scenario == "chain(length=5,human_reach=2,odd_reach=2)"
+    assert build_chain(5, 2, None).game.action_bound == build_chain(5, 2, 2).game.action_bound
     with pytest.raises(SchemaError, match="more than the limit"):
         build_chain(5, 2**40)  # refused before any action range is built
 
@@ -152,6 +158,66 @@ def test_random_game_argument_validation():
         random_game(0, failure_fraction=1.5)
     with pytest.raises(TypeError):
         random_game(0, states=5.0)
+
+
+def _reference_random_game(seed, states, ai_actions, human_actions, observations, failure_fraction):
+    """``random_game``'s arrays from the scalar stream definition, one draw at a time."""
+    stream = _ScalarSplitMix64(seed)
+
+    def randint(n):
+        while True:
+            x = stream.next_u64()
+            if x < haig.rng.rejection_limit(n):
+                return x % n
+
+    shape = (states, ai_actions, human_actions, observations)
+    transitions = np.array([randint(states) for _ in range(np.prod(shape))]).reshape(shape)
+    probs = np.ones(shape)
+    if observations > 1:
+        weights = [1 + randint(8) for _ in range(np.prod(shape))]
+        rows = [weights[i:i + observations] for i in range(0, len(weights), observations)]
+        probs = np.array([[w / sum(row) for w in row] for row in rows]).reshape(shape)
+    order = list(range(states))
+    for i in range(states - 1, 0, -1):
+        j = randint(i + 1)
+        order[i], order[j] = order[j], order[i]
+    margins = [0.0] * states
+    for z in order:
+        u = (stream.next_u64() >> 11) * 2.0**-53
+        margins[z] = u + 2.0**-53
+    for z in order[:int(states * failure_fraction)]:
+        margins[z] = -margins[z]
+    return transitions, probs, np.array(margins)
+
+
+def test_random_games_match_the_scalar_stream(monkeypatch):
+    """Bulk draws equal the scalar stream's, also at a limit that rejects a quarter of all raw draws."""
+    sizes = [(0, 30, 3, 3, 3, 0.05), (7, 13, 2, 4, 1, 0.2), (2**64 + 5, 4, 2, 2, 5, 1.0), (-3, 50, 1, 2, 2, 0.5)]
+
+    def check():
+        for seed, *shape, failure in sizes:
+            game = random_game(seed, states=shape[0], ai_actions=shape[1], human_actions=shape[2],
+                               observations=shape[3], failure_fraction=failure).game
+            transitions, probs, margins = _reference_random_game(seed, *shape, failure)
+            assert np.array_equal(game.transitions, transitions)
+            assert np.array_equal(game.observation_probs, probs)
+            assert game.margins.tobytes() == margins.tobytes()
+
+    blocks = []  # the sizes of the bulk draws, not the scalar stream's refills of _BLOCK
+    block = haig.rng.splitmix_block
+
+    def logged(counter, count):
+        if count != haig.rng._BLOCK:
+            blocks.append(count)
+        return block(counter, count)
+
+    monkeypatch.setattr(haig.rng, "splitmix_block", logged)
+    check()
+    assert len(blocks) == 7  # transitions, and weights where there are observations: nothing rejected
+    monkeypatch.setattr(haig.rng, "rejection_limit", lambda n: (3 << 62) // n * n)
+    blocks.clear()
+    check()
+    assert len(blocks) > 4 * 7  # each top-up draws the shortfall, about a quarter of the block before it
 
 
 def test_random_game_round_trips():
