@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PolicyResolutionError
 from .filtering import FILTER_MODES, SWITCH, InterventionRecord, _certified, perfect_filter
-from .model import GameSpec, _at_least, _fields_equal, _int_index
+from .model import GameSpec, _at_least, _differing_field, _fields_equal, _int_index
 from .rng import SplitMix64, advance, rejection_limit, splitmix_block
 from .solver import (
     DEFAULT_EPSILON,
@@ -492,6 +492,20 @@ def _or_missing(task, z: int) -> int:
         return -1
 
 
+def _solution_for(spec: GameSpec, solution: ValueSolution | None) -> ValueSolution:
+    """``solution``, or the game solved when it is None; ValueError if it solves another game than ``spec``.
+
+    The same spec object passes at once; another one must equal it field by field.
+    """
+    if solution is None:
+        return value_iteration(spec)
+    if solution.spec is not spec:
+        differing = _differing_field(spec, solution.spec)
+        if differing is not None:
+            raise ValueError(f"solution is of another game: its spec and the document's differ in {differing}")
+    return solution
+
+
 @_collector_paused
 def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> RolloutTrace:
     """Run one seeded rollout and return its trace.
@@ -524,7 +538,8 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
 
     Before solving, it raises TypeError if ``max_steps`` or ``seed`` is not
     an integer, and ValueError if ``max_steps`` is below 1 or the filter
-    mode is unknown.
+    mode is unknown.  A given ``solution`` of another game than the
+    document's is refused with ValueError before any work (``_solution_for``).
     """
     doc = config.document
     spec = doc.game
@@ -532,7 +547,7 @@ def rollout(config: RolloutConfig, solution: ValueSolution | None = None) -> Rol
     if config.filter_mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {config.filter_mode!r}")
 
-    sol = solution if solution is not None else value_iteration(spec)
+    sol = _solution_for(spec, solution)
     flt = perfect_filter(sol, config.filter_mode)
     task = _task_chooser(doc, config.task_policy)
     script, width, choose = _human_chooser(doc, config.human_policy, sol)
@@ -688,7 +703,9 @@ def verify_safety(
     settled, checked after each layer; its ``partial`` report carries the
     count so far and no counterexamples.  Before solving, it raises
     TypeError if ``depth`` or a given ``max_nodes`` is not an integer, and
-    ValueError if one is out of range or the filter mode is unknown.
+    ValueError if one is out of range or the filter mode is unknown.  A
+    given ``solution`` of another game than the document's is refused with
+    ValueError before any work (``_solution_for``).
     """
     spec = doc.game
     depth = _at_least(depth, 1, "depth")
@@ -697,7 +714,7 @@ def verify_safety(
     if filter_mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {filter_mode!r}")
 
-    sol = solution if solution is not None else value_iteration(spec)
+    sol = _solution_for(spec, solution)
     executed = perfect_filter(sol, filter_mode).executed
     # the rule of check_initial_condition, which on stochastic games may
     # differ from sol.safe_set by up to the final residual

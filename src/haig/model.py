@@ -60,15 +60,20 @@ def _at_least(value, least: int, name: str) -> int:
     return value
 
 
+def _differing_field(self, other) -> str | None:
+    """The name of the first field in which two records of one type differ, arrays compared by value; else None."""
+    for f in fields(self):
+        mine, theirs = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
+            return f.name
+    return None
+
+
 def _fields_equal(self, other) -> bool:
     """Field-wise ``__eq__`` for the frozen records: arrays compare by value."""
     if type(other) is not type(self):
         return NotImplemented
-    for f in fields(self):
-        mine, theirs = getattr(self, f.name), getattr(other, f.name)
-        if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
-            return False
-    return True
+    return _differing_field(self, other) is None
 
 
 def _readonly(arr: np.ndarray, dtype) -> np.ndarray:

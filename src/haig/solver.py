@@ -16,20 +16,21 @@ margins.  Two routes compute it, chosen by a fixed rule on the game:
   positive observation probability is exactly 1.0 and no margin is -0.0.
   There every value is one of the margins, and V(z) >= c exactly when the
   AI can keep the play in {margin >= c} forever, the classical safety
-  game (Zielonka 1998; Graedel, Thomas and Wilke, LNCS 2500, ch. 2).  ``_threshold_attractor`` grows the human's
-  attractor of {margin < c} as c rises through the distinct margins, in
-  O(Z*A*B + Z log Z) where the sweeps take up to one O(Z*A*B) pass per
-  state.  A rank pass then gives the exact number of sweeps the sweep
-  route would take; each fall of a state's rank in it revisits the
-  state's predecessor edges (about once per state on random games and
-  corridors).  So ``iterations``, ``converged`` and ``residual`` (0.0)
-  are those of the sweep.
+  game (Zielonka 1998; Graedel, Thomas and Wilke, LNCS 2500, ch. 2).
+  ``_threshold_attractor`` grows the human's attractor of {margin < c}
+  as c rises through the distinct margins, in O(Z*A*B + Z log Z) where
+  the sweeps take up to one O(Z*A*B) pass per state.  ``converged`` and
+  ``residual`` (0.0) are those of the sweep, and so is ``iterations``:
+  ``_sweep_count``, a rank pass over the values, gives the exact number
+  of sweeps the sweep route would take when it is first read.
 * Synchronous sweeps of the backup, for everything else: stochastic
   games, one-hot rows whose 1.0 is only approximate (such as 1 - 4e-13,
   which validation accepts, and where the values are not margins), -0.0
   margins (the sign of a zero value depends on the order of reduction),
-  ``record_sweeps=True``, and a ``max_iters`` below the sweep's count.
-  The sweep is also the reference the attractor is tested against.
+  ``record_sweeps=True``, and a ``max_iters`` below the sweep's count
+  (only a ``max_iters`` of at most ``num_states`` can be, so only such a
+  budget has the count computed during the solve).  The sweep is also
+  the reference the attractor is tested against.
 
 Sweeps read only the previous iterate, so per-state updates are
 order-independent and the run is reproducible bit for bit.  The iteration
@@ -71,11 +72,13 @@ least one, so its buffer adds at most about 512 KB.
 Both routes end in the same tables.  The (Z, A) ``scores``, the worst
 admissible Q of each action, are computed once here: the fallback is
 their argmax, the adversary's responses attain them, and every filter
-built from the solution uses them as its monitor.  For deterministic
-games the adversary breaks ties between equally bad responses by how
-soon they realize the bad outcome.  ``_attainment_steps``
-finds those step counts with one breadth-first search backwards from the
-states whose margin equals their value.
+built from the solution uses them as its monitor.  The adversary table
+is computed from them on first read, as the attractor's ``iterations``
+is, so verify and a rollout that does not play the worst-case human pay
+for neither.  For deterministic games the adversary breaks ties between
+equally bad responses by how soon they realize the bad outcome.
+``_attainment_steps`` finds those step counts with one breadth-first
+search backwards from the states whose margin equals their value.
 
 One step table.  The loop between AI and human is one relation: the
 state each admissible (state, AI action, human action) step reaches under
@@ -97,7 +100,8 @@ bounded by its node budget alone.  It shares no code with either route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,9 +136,12 @@ class ValueSolution:
         adversary_policy: (Z, A) worst-case human response to each AI action:
             an admissible action whose Q value equals the score, the lowest
             one (on deterministic games the soonest to realize it first).
+            Computed from the tables above on first read, then kept.
         iterations: sweeps the sweep route takes, counting the final
             no-change sweep.  On the attractor route this is the exact
-            count the sweep would take, computed without sweeping.
+            count the sweep would take, found by ``_sweep_count`` from the
+            values on first read (or during the solve, when a ``max_iters``
+            of at most ``num_states`` needs it to pick the route), then kept.
         residual: max-norm change of the last sweep (0.0 when a
             deterministic game converged).
         sweeps: per-sweep value arrays when requested, else None.
@@ -146,12 +153,23 @@ class ValueSolution:
     scores: np.ndarray
     safe_set: frozenset[int]
     fallback_policy: np.ndarray
-    adversary_policy: np.ndarray
-    iterations: int
     converged: bool
     epsilon: float
     residual: float
     sweeps: tuple[np.ndarray, ...] | None = None
+    _iterations: int | None = field(default=None, repr=False)  # None: the attractor's count, not yet computed
+
+    @cached_property
+    def iterations(self) -> int:
+        if self._iterations is not None:
+            return self._iterations
+        return _sweep_count(self.spec, self.values)
+
+    @cached_property
+    def adversary_policy(self) -> np.ndarray:
+        table = _adversary_table(self.spec, self.values, self.q_values, self.scores, self.fallback_policy)
+        table.setflags(write=False)
+        return table
 
 
 def value_iteration(
@@ -201,11 +219,14 @@ def value_iteration(
     if max_iters is None:
         max_iters = spec.num_states + 1 if deterministic else DEFAULT_MAX_SWEEPS_STOCHASTIC
 
-    exact = None
+    values = iterations = None
     if deterministic and not record_sweeps and _strictly_deterministic(spec, ell):
-        exact = _threshold_attractor(spec, ell)
-    if exact is not None and exact[1] <= max_iters:
-        values, iterations = exact
+        values = _threshold_attractor(spec, ell)
+        if max_iters <= spec.num_states:  # the count is at most num_states, so only such a budget can cut it
+            iterations = _sweep_count(spec, values)
+            if iterations > max_iters:
+                values = iterations = None
+    if values is not None:
         converged, residual, history = True, 0.0, None
     else:
         values, iterations, converged, residual, history = _sweeps(
@@ -215,10 +236,9 @@ def value_iteration(
     q_values = _q_table(ell, trans, probs, values)
     scores = np.where(spec.bound_mask[:, None, :], q_values, np.inf).min(axis=2)
     fallback = scores.argmax(axis=1).astype(np.int64)
-    adversary = _adversary_table(spec, ell, values, q_values, scores, fallback, deterministic)
     safe = frozenset(int(z) for z in np.flatnonzero(values >= 0.0))
 
-    for table in (values, q_values, scores, fallback, adversary):
+    for table in (values, q_values, scores, fallback):
         table.setflags(write=False)
     return ValueSolution(
         spec=spec,
@@ -227,12 +247,11 @@ def value_iteration(
         scores=scores,
         safe_set=safe,
         fallback_policy=fallback,
-        adversary_policy=adversary,
-        iterations=iterations,
         converged=converged,
         epsilon=epsilon,
         residual=residual,
         sweeps=tuple(history) if history is not None else None,
+        _iterations=iterations,
     )
 
 
@@ -364,44 +383,43 @@ def _grouped(keys, items, n) -> list[list[int]]:
     return [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
-def _threshold_attractor(spec: GameSpec, ell) -> tuple[np.ndarray, int]:
-    """Values and the sweep's exact count on a game where ``_strictly_deterministic`` holds.
+def _predecessors(spec: GameSpec) -> list[list[int]]:
+    """Per w, each (z, a) with an admissible step to w, as z * na + a: ``_grouped`` from ``_steps`` under every AI action."""
+    nz, na = spec.num_states, spec.num_ai_actions
+    z, a, _, _, w = _steps(spec, np.broadcast_to(np.arange(na), (nz, na)))
+    return _grouped(w, z * na + a, nz)
+
+
+def _margin_levels(ell) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """States in margin order, their sorted margins, the margin level of each, and where each level's run ends."""
+    order = np.argsort(ell, kind="stable")
+    sorted_ell = ell[order]
+    rises = sorted_ell[1:] != sorted_ell[:-1]
+    levels = np.concatenate(([0], np.cumsum(rises)))
+    level_ends = np.append(np.flatnonzero(rises) + 1, len(ell))
+    return order, sorted_ell, levels, level_ends
+
+
+def _threshold_attractor(spec: GameSpec, ell) -> np.ndarray:
+    """Values on a game where ``_strictly_deterministic`` holds.
 
     V(z) >= c exactly when the AI can keep the play inside {margin >= c}
     forever, so V(z) is the margin level at which z enters the human
     attractor of {margin < c} as c rises through the distinct margins.
-    The attractor grows over predecessor lists of the distinct admissible
-    (z, a) <- w edges, ``_grouped`` from ``_steps`` under every AI action:
-    an edge marks (z, a) losing once w is attracted, and z is attracted
-    when its last live action turns losing.
-
-    Sweep k computes the least margin the AI can guarantee over k steps, so
-    z holds its final value from sweep t(z) on, where t(z) is its rank (the
-    number of steps the human needs) in the attractor of {margin <= V(z)}.
-    The sweep stops one no-change sweep after the last state settles:
-    ``1 + max t(z)``.  A state whose value is its own margin has t = 0.
-    Ranks only fall as the target set grows, so one bucket pass per value
-    that some other state holds, keeping each (z, a)'s least successor
-    rank, carries them from one such value to the next.
+    The attractor grows over ``_predecessors``, the distinct admissible
+    (z, a) <- w edges: an edge marks (z, a) losing once w is attracted, and
+    z is attracted when its last live action turns losing.
     """
     nz, na = spec.num_states, spec.num_ai_actions
-    z, a, _, _, w = _steps(spec, np.broadcast_to(np.arange(na), (nz, na)))
-    preds = _grouped(w, z * na + a, nz)  # per w, each (z, a) that steps to it, as z * na + a
-
-    order = np.argsort(ell, kind="stable")
-    sorted_ell = ell[order]
-    rises = sorted_ell[1:] != sorted_ell[:-1]
-    levels = np.concatenate(([0], np.cumsum(rises))).tolist()  # margin level of order[i]
-    level_ends = [*(np.flatnonzero(rises) + 1).tolist(), nz]
-    order = order.tolist()
+    preds = _predecessors(spec)
+    order, sorted_ell, levels, level_ends = _margin_levels(ell)
 
     # Attractor of {margin < c} as c rises: each state, taken in margin
     # order, is a target at its own level unless already attracted.
     live = [na] * nz
     losing = [False] * (nz * na)
     entry = [-1] * nz  # margin level at which each state is attracted
-    pulled: dict[int, list[int]] = {}  # level -> states attracted above their own margin
-    for target, level in zip(order, levels):
+    for target, level in zip(order.tolist(), levels.tolist()):
         if entry[target] >= 0:
             continue
         entry[target] = level
@@ -416,7 +434,38 @@ def _threshold_attractor(spec: GameSpec, ell) -> tuple[np.ndarray, int]:
                 if not live[z] and entry[z] < 0:
                     entry[z] = level
                     queue.append(z)
-                    pulled.setdefault(level, []).append(z)
+
+    return sorted_ell[np.append(0, level_ends[:-1])][entry]
+
+
+def _sweep_count(spec: GameSpec, values) -> int:
+    """The exact number of sweeps the sweep route takes to ``values``, on a game where ``_strictly_deterministic`` holds.
+
+    Sweep k computes the least margin the AI can guarantee over k steps, so
+    z holds its final value from sweep t(z) on, where t(z) is its rank (the
+    number of steps the human needs) in the attractor of {margin <= V(z)}.
+    The sweep stops one no-change sweep after the last state settles:
+    ``1 + max t(z)``.  A state whose value is its own margin has t = 0, so
+    only the states pulled below their margin, grouped by the level of
+    their value, need a rank.  Ranks only fall as the target set grows, so
+    one bucket pass per such value, keeping each (z, a)'s least successor
+    rank over ``_predecessors``, carries them from one such value to the
+    next; each fall of a state's rank revisits its predecessor edges (about
+    once per state on random games and corridors).
+    """
+    nz, na = spec.num_states, spec.num_ai_actions
+    ell = spec.margins
+    pulled = np.flatnonzero(values < ell)
+    if not pulled.size:
+        return 1
+    preds = _predecessors(spec)
+    order, sorted_ell, levels, level_ends = _margin_levels(ell)
+    pulled_levels = levels[np.searchsorted(sorted_ell, values[pulled])]  # each value is some state's margin
+    by_level = np.argsort(pulled_levels, kind="stable")
+    pulled, pulled_levels = pulled[by_level], pulled_levels[by_level]
+    starts = np.flatnonzero(np.diff(pulled_levels, prepend=-1))
+    groups = zip(pulled_levels[starts].tolist(), np.split(pulled, starts[1:]))
+    order, level_ends = order.tolist(), level_ends.tolist()
 
     # Ranks in the attractor of {margin <= v}, at each value v that some
     # pulled state holds; every other state has rank 0 at its own value.
@@ -425,7 +474,7 @@ def _threshold_attractor(spec: GameSpec, ell) -> tuple[np.ndarray, int]:
     unranked = [na] * nz  # per z: actions whose least is still unreached
     deepest = 0
     targeted = 0
-    for level, states in pulled.items():
+    for level, states in groups:
         buckets = [[]]
         for z in order[targeted:level_ends[level]]:
             if rank[z]:
@@ -453,10 +502,8 @@ def _threshold_attractor(spec: GameSpec, ell) -> tuple[np.ndarray, int]:
                             while len(buckets) <= new:
                                 buckets.append([])
                             buckets[new].append(z)
-        deepest = max(deepest, *(rank[z] for z in states))
-
-    level_margins = sorted_ell[[0, *level_ends[:-1]]]
-    return level_margins[entry], 1 + deepest
+        deepest = max(deepest, *(rank[z] for z in states.tolist()))
+    return 1 + deepest
 
 
 def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback) -> np.ndarray:
@@ -489,10 +536,11 @@ def _attainment_steps(spec: GameSpec, ell, values, q_values, fallback) -> np.nda
     return np.array(steps, dtype=np.int64)
 
 
-def _adversary_table(spec, ell, values, q_values, scores, fallback, deterministic) -> np.ndarray:
+def _adversary_table(spec, values, q_values, scores, fallback) -> np.ndarray:
     # Lowest admissible b with q == score; deterministic games: lowest (tail, b) among those.
+    ell = spec.margins
     best = spec.bound_mask[:, None, :] & (q_values == scores[..., None])  # (Z, A, B)
-    if deterministic:
+    if spec.is_deterministic():
         det_succ = _det_successors(spec)
         steps = _attainment_steps(spec, ell, values, q_values, fallback)
         tail = np.where(ell[:, None, None] <= values[det_succ], 0, steps[det_succ])

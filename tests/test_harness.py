@@ -1376,3 +1376,53 @@ def test_compare_oracle_truncated_horizon_reports_the_gap():
     assert report.iterations == 6
     assert report.max_discrepancy == 5.0  # margin 4 at the top against value -1
     assert not report.ok
+
+
+def test_a_solution_of_another_game_is_refused(monkeypatch):
+    """``rollout`` and ``verify_safety`` name the field in which the solution's game differs, before any work."""
+    doc = random_game(3, states=5)
+    same_shape = value_iteration(random_game(4, states=5).game)
+    other_shape = value_iteration(random_game(4, states=6).game)
+    # with the same shape the foreign solution would certify states that the game's own does not
+    assert value_iteration(doc.game).safe_set == frozenset() and same_shape.safe_set
+    with monkeypatch.context() as patched:
+        patched.setattr(haig.harness, "perfect_filter", lambda *args: pytest.fail("filtered before the check"))
+        for sol, name in ((same_shape, "transitions"), (other_shape, "num_states")):
+            message = f"solution is of another game: its spec and the document's differ in {name}"
+            with pytest.raises(ValueError, match=message):
+                verify_safety(doc, solution=sol)
+            with pytest.raises(ValueError, match=message):
+                rollout(RolloutConfig(document=doc, max_steps=3), sol)
+
+    # an equal spec parsed again is the same game
+    chain = build_chain(5)
+    again = parse_spec(serialize(chain))
+    assert again.game is not chain.game and again.game == chain.game
+    sol = value_iteration(again.game)
+    assert verify_safety(chain, solution=sol) == verify_safety(chain)
+    cfg = _chain_cfg()
+    assert rollout(cfg, sol).to_jsonl() == rollout(cfg).to_jsonl()
+
+
+def test_verify_and_rollouts_compute_neither_deferred_table(monkeypatch):
+    """Only the ``worst_case`` human reads ``adversary_policy``; nothing here reads ``iterations``."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a deferred table was computed")
+
+    monkeypatch.setattr(haig.solver, "_sweep_count", refused)
+    monkeypatch.setattr(haig.solver, "_adversary_table", refused)
+    docs = [build_chain(5), build_chain(6, 2, 1), build_dialogue(), build_dialogue(conservative_bound=True)]
+    docs += [random_game(seed, states=20, ai_actions=2 + seed % 2, human_actions=3,
+                         observations=1 if seed % 2 else 3, failure_fraction=0.2) for seed in range(4)]
+    for doc in docs:
+        spec = doc.game
+        sol = value_iteration(spec)
+        humans = ["uniform", "off_odd", "scripted:0,1", *doc.human_policies]
+        for mode in FILTER_MODES:
+            verify_safety(doc, depth=4, filter_mode=mode)
+            verify_safety(doc, depth=4, filter_mode=mode, solution=sol)
+            for human in humans:
+                rollout(RolloutConfig(document=doc, human_policy=human, filter_mode=mode, max_steps=20), sol)
+        rollout(RolloutConfig(document=doc, human_policy="uniform", max_steps=20))
+    with pytest.raises(AssertionError, match="deferred"):
+        rollout(RolloutConfig(document=build_chain(5), human_policy="worst_case", max_steps=5))

@@ -681,6 +681,44 @@ def test_attractor_matches_the_sweep_bit_for_bit():
         _assert_same_solution(value_iteration(spec), value_iteration(spec, record_sweeps=True))
 
 
+def test_deferred_tables_match_a_direct_computation(monkeypatch):
+    """``iterations`` and ``adversary_policy`` are computed on first read, once, and equal a direct computation.
+
+    The count is that of the sweep, which ``record_sweeps`` always runs,
+    and the adversary is ``_adversary_table`` of the solution's own tables.
+    A solve computes neither unless a ``max_iters`` of at most
+    ``num_states`` needs the count to pick the route.
+    """
+    calls = []
+    count, table = solver._sweep_count, solver._adversary_table
+    monkeypatch.setattr(solver, "_sweep_count", lambda *args: calls.append("count") or count(*args))
+    monkeypatch.setattr(solver, "_adversary_table", lambda *args: calls.append("adversary") or table(*args))
+
+    def check(sol, strict, iterations):
+        assert calls == []
+        assert sol.iterations == iterations
+        assert calls == (["count"] if strict else [])
+        direct = table(sol.spec, sol.values, sol.q_values, sol.scores, sol.fallback_policy)
+        assert sol.adversary_policy.tobytes() == direct.tobytes()
+        assert sol.adversary_policy is sol.adversary_policy and not sol.adversary_policy.flags.writeable
+        assert (sol.iterations, calls.count("count"), calls.count("adversary")) == (iterations, strict, 1)
+        calls.clear()
+
+    signed_zero = replace(build_chain(5).game, margins=np.array([-1.0, -0.0, 0.0, 1.0, 2.0, 3.0]))
+    specs = [spec for spec in _attractor_corpus() if spec.num_observations == 1]
+    for spec in specs + [signed_zero]:
+        strict = solver._strictly_deterministic(spec, spec.margins)
+        swept = value_iteration(spec, record_sweeps=True)
+        calls.clear()
+        check(value_iteration(spec), strict, swept.iterations)
+        check(swept, False, swept.iterations)
+        short = value_iteration(spec, max_iters=swept.iterations - 1)  # the count is computed to pick the sweeps
+        assert calls == (["count"] if strict else [])
+        calls.clear()
+        check(short, False, swept.iterations - 1)
+        assert not short.converged
+
+
 def test_step_table_matches_plain_loops():
     """``_steps`` lists the admissible steps of positive probability in (z, a, b, o) order.
 
