@@ -34,12 +34,12 @@ from itertools import chain
 
 import numpy as np
 
-from .rng import SplitMix64
-
 OBS_ROW_TOLERANCE = 1e-12
-COMMUTATION_EXHAUSTIVE_LIMIT = 10_000
-COMMUTATION_SAMPLES = 10_000
-COMMUTATION_SEED = 2024
+# Largest number of (state, ai action, human action, observation) entries a
+# game may declare, and of (world state, human state, ai action, human
+# action) tuples a ground truth's commutation check may cover.  Each such
+# array takes 8 bytes per entry, about 34 MB at the limit.
+MAX_JOINT_ENTRIES = 1 << 22
 
 
 def _int_index(value, size: int, name: str) -> int:
@@ -212,9 +212,9 @@ def validate_model(spec: GameSpec, ground_truth: GroundTruthSystem | None = None
     smell rather than a malformed document.
 
     Commutation between ground truth and model dynamics is checked on every
-    (world state, human state, ai action, human action) tuple when their
-    product is at most ``COMMUTATION_EXHAUSTIVE_LIMIT``, otherwise on
-    ``COMMUTATION_SAMPLES`` random tuples drawn with ``COMMUTATION_SEED``.
+    (world state, human state, ai action, human action) tuple.  A ground
+    truth with more than ``MAX_JOINT_ENTRIES`` such tuples is a ``size``
+    error, reported before any tuple array is built.
     """
     items: list[ValidationItem] = []
 
@@ -334,22 +334,22 @@ def _validate_ground_truth(spec, gt, items, err, warn):
     if any(i.severity == "error" for i in items):
         return
 
-    # the checked (world state, human state, ai action, human action) tuples, one column each
-    if ns * nh * na * nb <= COMMUTATION_EXHAUSTIVE_LIMIT:
-        s, h, a, b = np.indices((ns, nh, na, nb)).reshape(4, -1)
-    else:
-        stream = SplitMix64(COMMUTATION_SEED)
-        s, h, a, b = np.array([
-            (stream.randint(ns), stream.randint(nh), stream.randint(na), stream.randint(nb))
-            for _ in range(COMMUTATION_SAMPLES)
-        ], dtype=np.int64).reshape(-1, 4).T
+    tuples = ns * nh * na * nb
+    if tuples > MAX_JOINT_ENTRIES:
+        err("size", f"ground truth has {tuples} (world state, human state, ai action, human action) "
+                    f"tuples, more than the limit of {MAX_JOINT_ENTRIES}")
+        return
 
+    # every (world state, human state, ai action, human action) tuple, one broadcast axis each
+    s, h, a, b = np.ogrid[:ns, :nh, :na, :nb]
     z = gt.projection[s, h]
     o = gt.ai_observation[s, a, b]
     unseen = spec.observation_probs[z, a, b, o] <= 0.0
     projected = gt.projection[gt.world_transitions[s, a, b], gt.human_transitions[h, a, b, gt.human_observation[s]]]
     modeled = spec.transitions[z, a, b, o]
-    failing = np.stack([s, h, a, b, z, o, projected, modeled, unseen], axis=1)[unseen | (projected != modeled)]
+    bad = np.nonzero(unseen | (projected != modeled))  # in C order, as the tuples are listed
+    columns = [np.broadcast_to(x, unseen.shape)[bad] for x in (z, o, projected, modeled, unseen)]
+    failing = np.stack([*bad, *columns], axis=1)
     for s, h, a, b, z, o, projected, modeled, unseen in failing.tolist():
         if unseen:
             err(

@@ -92,13 +92,9 @@ from .errors import (
     SpecReferenceError,
     SpecSyntaxError,
 )
-from .model import GameSpec, GroundTruthSystem, _bad_bound_rows, _fields_equal, validate_model
+from .model import MAX_JOINT_ENTRIES, GameSpec, GroundTruthSystem, _bad_bound_rows, _fields_equal, validate_model
 
 FORMAT_VERSION = "1"
-# Largest number of (state, ai action, human action, observation) entries a
-# game may declare.  Each (Z, A, B, O) tensor takes 8 bytes per entry, about
-# 34 MB at the limit, and the check runs before any of them is allocated.
-MAX_JOINT_ENTRIES = 1 << 22
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # Leaf types whose JSON text the C encoder writes exactly as the indenting one does.
 _LEAF_TYPES = {int, float, bool}

@@ -14,7 +14,7 @@ import pytest
 
 import haig
 from haig import (
-    GameSpec, SpecDocument, build_chain, build_dialogue, load_spec, parse_spec, random_game, save_spec,
+    GameSpec, SpecDocument, build_chain, build_dialogue, load_spec, parse_spec, random_game, save_spec, serialize,
 )
 from haig.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, main
 from test_filtering import one_hot_observations
@@ -310,6 +310,23 @@ def test_generate_refuses_a_game_the_parser_refuses(tmp_path, capsys, argv, entr
         f"entries, more than the limit of {haig.specfile.MAX_JOINT_ENTRIES}\n"
     )
     assert not out.exists()
+
+
+def test_a_single_non_commuting_tuple_is_refused(tmp_path, capsys):
+    """One corrupted world_dynamics entry among 36,009 tuples, one that a 10,000-tuple sample skips."""
+    doc = build_chain(4000)
+    world = doc.ground_truth.world_transitions.copy()
+    world[2000, 1, 2] = 0
+    bad = dataclasses.replace(doc, ground_truth=dataclasses.replace(doc.ground_truth, world_transitions=world))
+    errors = haig.validate_model(bad.game, bad.ground_truth).errors
+    assert [e.code for e in errors] == ["commutation"]
+    assert "(s=2000, zh=0, a_ai=1, a_h=2)" in errors[0].message
+    with pytest.raises(haig.SchemaError, match="does not commute"):
+        parse_spec(serialize(bad))
+    path = tmp_path / "bad.haig.json"
+    path.write_bytes(serialize(bad))
+    assert main(["verify", str(path)]) == EXIT_INPUT
+    assert "does not commute at (s=2000, zh=0, a_ai=1, a_h=2)" in capsys.readouterr().err
 
 
 def test_input_errors(tmp_path, capsys):

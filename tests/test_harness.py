@@ -14,6 +14,8 @@ import haig.rng
 from haig import (
     BudgetExceededError,
     FILTER_MODES,
+    GameSpec,
+    GroundTruthSystem,
     PolicyResolutionError,
     RolloutConfig,
     RolloutTrace,
@@ -28,6 +30,7 @@ from haig import (
     rollout,
     serialize,
     summary_csv,
+    validate_model,
     value_iteration,
     verify_safety,
 )
@@ -77,6 +80,39 @@ def test_unfiltered_rollout_fails_fast():
     # the mirrored ground truth fails exactly where the margin does
     assert trace.gt_failure_count == trace.violation_count
     assert trace.final_gt_failure is True
+
+
+def test_an_unsound_privileged_failure_is_reachable_from_a_certified_start():
+    """Without a privileged-failure-unsound warning a certified start has no privileged failure; with one it may.
+
+    One game state, safe and certified; its ground truth has two human states, the second a privileged
+    failure that projects onto the safe state, and every step moves the human into it.
+    """
+    game = GameSpec(
+        num_states=1, ai_actions=("wait",), human_actions=("act",), observations=("none",),
+        transitions=np.zeros((1, 1, 1, 1), dtype=np.int64), observation_probs=np.ones((1, 1, 1, 1)),
+        margins=np.array([1.0]), action_bound=((0,),),
+    )
+    gt = GroundTruthSystem(
+        num_world_states=1, num_human_states=2, num_human_observations=1,
+        world_transitions=np.zeros((1, 1, 1), dtype=np.int64),
+        human_transitions=np.ones((2, 1, 1, 1), dtype=np.int64),
+        human_observation=np.zeros(1, dtype=np.int64), ai_observation=np.zeros((1, 1, 1), dtype=np.int64),
+        failure=np.array([[False, True]]), projection=np.zeros((1, 2), dtype=np.int64),
+    )
+    report = validate_model(game, gt)
+    assert report.ok
+    assert [(w.code, w.message) for w in report.warnings] == [(
+        "privileged-failure-unsound",
+        "privileged failure (s=0, zh=1) projects to state 0 with non-negative margin",
+    )]
+    doc = SpecDocument(game=game, ground_truth=gt)
+    assert value_iteration(game).safe_set == {0}
+    trace = rollout(RolloutConfig(document=doc, task_policy="constant:0", human_policy="uniform",
+                                  initial_state=0, max_steps=2))
+    assert trace.violation_count == 0
+    assert [step.gt_failure for step in trace.steps] == [False, True]
+    assert b'"gt_failure": true' in trace.to_jsonl()
 
 
 def test_fallback_only_rollout():

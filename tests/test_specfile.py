@@ -13,6 +13,7 @@ import pytest
 from haig import (
     DistributionError,
     GameSpec,
+    GroundTruthSystem,
     HaigError,
     SchemaError,
     SerializationError,
@@ -395,6 +396,48 @@ def test_oversized_game_is_refused_before_allocation():
     with pytest.raises(SchemaError, match=f"limit of {MAX_JOINT_ENTRIES}"):
         _parse(payload)
     assert time.perf_counter() - start < 1.0
+
+
+def _wide_ground_truth_doc(size):
+    """A one-state game with 8x8 actions and a ground truth of ``size`` world and ``size`` human states."""
+    game = GameSpec(
+        num_states=1,
+        ai_actions=tuple(f"a{i}" for i in range(8)),
+        human_actions=tuple(f"b{i}" for i in range(8)),
+        observations=("none",),
+        transitions=np.zeros((1, 8, 8, 1), dtype=np.int64),
+        observation_probs=np.ones((1, 8, 8, 1)),
+        margins=np.array([1.0]),
+        action_bound=(tuple(range(8)),),
+    )
+    steps = np.arange(size * 64).reshape(size, 8, 8) % size
+    gt = GroundTruthSystem(
+        num_world_states=size,
+        num_human_states=size,
+        num_human_observations=1,
+        world_transitions=steps,
+        human_transitions=steps[..., None],
+        human_observation=np.zeros(size, dtype=np.int64),
+        ai_observation=np.zeros((size, 8, 8), dtype=np.int64),
+        failure=np.zeros((size, size), dtype=bool),
+        projection=np.zeros((size, size), dtype=np.int64),
+    )
+    return SpecDocument(game=game, ground_truth=gt)
+
+
+def test_ground_truth_above_the_tuple_limit_is_refused():
+    """The commutation check covers every tuple; past the limit it is a size error, not a MemoryError."""
+    doc = _wide_ground_truth_doc(257)
+    assert 257 * 257 * 64 == 4_227_136 > MAX_JOINT_ENTRIES
+    items = validate_model(doc.game, doc.ground_truth).items
+    assert [(i.severity, i.code) for i in items] == [("error", "size")]
+    assert "4227136" in items[0].message and f"limit of {MAX_JOINT_ENTRIES}" in items[0].message
+    with pytest.raises(SchemaError, match=f"4227136 .* limit of {MAX_JOINT_ENTRIES}"):
+        parse_spec(serialize(doc))
+
+    doc = _wide_ground_truth_doc(256)
+    assert 256 * 256 * 64 == MAX_JOINT_ENTRIES
+    assert parse_spec(serialize(doc)) == doc
 
 
 def test_serialize_rejects_non_finite():
