@@ -321,10 +321,11 @@ def test_a_single_non_commuting_tuple_is_refused(tmp_path, capsys):
     errors = haig.validate_model(bad.game, bad.ground_truth).errors
     assert [e.code for e in errors] == ["commutation"]
     assert "(s=2000, zh=0, a_ai=1, a_h=2)" in errors[0].message
+    data = serialize(bad)
     with pytest.raises(haig.SchemaError, match="does not commute"):
-        parse_spec(serialize(bad))
+        parse_spec(data)
     path = tmp_path / "bad.haig.json"
-    path.write_bytes(serialize(bad))
+    path.write_bytes(data)
     assert main(["verify", str(path)]) == EXIT_INPUT
     assert "does not commute at (s=2000, zh=0, a_ai=1, a_h=2)" in capsys.readouterr().err
 
