@@ -70,7 +70,6 @@ from .rng import SplitMix64, advance, rejection_limit, splitmix_block
 from .solver import (
     DEFAULT_EPSILON,
     DEFAULT_NODE_BUDGET,
-    _LEFT_TO_RIGHT_SUMS,
     ValueSolution,
     _steps,
     brute_force_values,
@@ -799,12 +798,11 @@ def compare_oracle(
     The oracle checks the k-step value at the horizon k, not the distance
     to the fixed point.  The declared tolerance is zero where the solver
     and ``brute_force_values`` compute identical floating-point values: on
-    deterministic-observation games, and at horizon ``iterations`` on games
-    with fewer than ``solver._LEFT_TO_RIGHT_SUMS`` observations, where both
-    add the same terms in the same order.  Otherwise it is ``max(1e-7,
-    epsilon * iterations)``, a heuristic allowance for rounding and for
-    stopping at the residual ``epsilon``, not a proven bound on the error.
-    A non-integral or negative ``horizon``
+    deterministic-observation games, and at horizon ``iterations`` on every
+    game, where both add the same terms in the same order.  Otherwise it is
+    ``max(1e-7, epsilon * iterations)``, a heuristic allowance for rounding
+    and for stopping at the residual ``epsilon``, not a proven bound on the
+    error.  A non-integral or negative ``horizon``
     or ``node_budget`` raises TypeError or ValueError before solving.  Any
     horizon runs whose nodes fit ``node_budget`` per root; a root that
     needs more raises BudgetExceededError before its nodes are evaluated.
@@ -819,8 +817,7 @@ def compare_oracle(
     worst = 0.0
     for z, reference in enumerate(brute_force_values(spec, horizon, node_budget=node_budget)):
         worst = max(worst, abs(reference - float(sol.values[z])))
-    same_sums = spec.num_observations < _LEFT_TO_RIGHT_SUMS and horizon == sol.iterations
-    tolerance = 0.0 if spec.is_deterministic() or same_sums else max(1e-7, epsilon * sol.iterations)
+    tolerance = 0.0 if spec.is_deterministic() or horizon == sol.iterations else max(1e-7, epsilon * sol.iterations)
     return OracleReport(
         horizon=horizon,
         iterations=sol.iterations,

@@ -47,11 +47,9 @@ arrays.  A sweep is then a gather of the values and a product, a reduce
 over the leading O axis, a min with the margins and reduces over B and A,
 each written into a buffer allocated once.  On small games a sweep costs
 about what these few numpy calls cost, whatever their arithmetic.  The O
-reduce adds the observation terms left to right, as the (Z, A, B, O) Q
-table's ``.sum(axis=-1)`` does over a contiguous axis of fewer than eight
-terms, so both give the same bits.  From eight terms on numpy sums a
-contiguous axis pairwise, so a game with eight or more observations keeps
-the (B, A, Z, O) order and sums its last axis as the Q table does.  Each
+reduce adds the observation terms left to right to +0.0, at every
+observation count, and the Q table sums an observation-first copy with
+the same call, so both give the same bits as the oracle.  Each
 inadmissible human column holds a copy of the state's last admissible
 column, so the min over human actions needs no mask: a duplicate of an
 admissible entry cannot change a min, and numpy's ``minimum`` keeps its
@@ -112,9 +110,6 @@ DEFAULT_EPSILON = 1e-9
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_MAX_SWEEPS_STOCHASTIC = 100_000
 _UNREACHED = int(np.iinfo(np.int64).max)
-# numpy adds a contiguous axis of fewer than 8 terms left to right, as a
-# reduce over a leading axis does; from 8 terms on it sums pairwise.
-_LEFT_TO_RIGHT_SUMS = 8
 _BLOCK_SWEEPS = 32  # most sweeps between two residual checks
 _BLOCK_VALUES = 1 << 16  # most values a block writes, unless one sweep writes more
 
@@ -270,7 +265,7 @@ def _sweeps(spec, ell, deterministic, epsilon, max_iters, record_sweeps):
     then taken again from the last two 1-D rows, whose max gives a zero
     residual the same sign as a check after each sweep did.
     """
-    succ, weight, axis = _sweep_layout(spec)
+    succ, weight = _sweep_layout(spec)
     nz = spec.num_states
     block = max(1, min(_BLOCK_SWEEPS, _BLOCK_VALUES // nz))
     rows = np.empty((block + 1, nz))
@@ -287,7 +282,7 @@ def _sweeps(spec, ell, deterministic, epsilon, max_iters, record_sweeps):
         count = min(block, max_iters - iterations)
         for k in range(count):
             np.multiply(weight, rows[k][succ], out=products)
-            np.add.reduce(products, axis=axis, out=q)
+            np.add.reduce(products, axis=0, out=q)
             np.minimum(ell_q, q, out=q)
             np.minimum.reduce(q, axis=0, out=worst)
             np.maximum.reduce(worst, axis=0, out=rows[k + 1])
@@ -309,31 +304,26 @@ def _sweeps(spec, ell, deterministic, epsilon, max_iters, record_sweeps):
 
 
 def _q_table(ell, trans, probs, values) -> np.ndarray:
-    expected = (probs * values[trans]).sum(axis=3)
-    return np.minimum(ell[:, None, None], expected)
+    terms = np.ascontiguousarray(np.moveaxis(probs * values[trans], 3, 0))  # observation-first, as the sweep sums
+    return np.minimum(ell[:, None, None], np.add.reduce(terms, axis=0))
 
 
-def _sweep_layout(spec: GameSpec) -> tuple[np.ndarray, np.ndarray, int]:
-    """Successors, observation weights and the axis to sum them over.
+def _sweep_layout(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Successors and observation weights, as C-contiguous (O, B, A, Z) arrays.
 
-    The arrays are C-contiguous (O, B, A, Z) when O < ``_LEFT_TO_RIGHT_SUMS``
-    and (B, A, Z, O) otherwise; the axis is that of O.  The entries of an
-    inadmissible human action b at state z copy those of b_last, the last
-    admissible action at z; see the module docstring for why the last one.
+    The entries of an inadmissible human action b at state z copy those of
+    b_last, the last admissible action at z; see the module docstring for
+    why the last one.
     """
     nz, na, nb, no = spec.transitions.shape
     mask = spec.bound_mask
     last = nb - 1 - mask[:, ::-1].argmax(axis=1)
     cols = np.where(mask, np.arange(nb), last[:, None]).T.copy()  # (B, Z) in C order
-    z, a, o = np.arange(nz), np.arange(na), np.arange(no)
-    if no < _LEFT_TO_RIGHT_SUMS:
-        index, axis = (z, a[:, None], cols[:, None, :], o[:, None, None, None]), 0
-    else:
-        index, axis = (z[:, None], a[:, None, None], cols[:, None, :, None], o), -1
+    index = (np.arange(nz), np.arange(na)[:, None], cols[:, None, :], np.arange(no)[:, None, None, None])
     # numpy lays out a fancy-indexed result in the order of its index
     # arrays' strides, C order with these; ascontiguousarray only guards it.
     succ, weight = (np.ascontiguousarray(t[index]) for t in (spec.transitions, spec.observation_probs))
-    return succ, weight, axis
+    return succ, weight
 
 
 def _strictly_deterministic(spec: GameSpec, ell) -> bool:

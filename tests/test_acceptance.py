@@ -32,6 +32,8 @@ from haig import (
     value_iteration,
     verify_safety,
 )
+from haig.filtering import _certified
+from haig.solver import _steps
 
 
 @pytest.fixture
@@ -191,6 +193,23 @@ def test_criterion_4_controlled_invariance(announce):
                             continue
                         successor = int(spec.transitions[z, a, b, o])
                         assert successor in sol.safe_set, (spec.scenario, z, b, o)
+
+
+def test_every_filter_keeps_play_in_the_certified_set():
+    """From a certified state, every admissible step under the executed action lands in a certified state."""
+    docs = (*_scenario_docs(), *_oracle_corpus(), *_verify_corpus(), *_bound_corpus())
+    closed = 0
+    for doc in docs:
+        spec = doc.game
+        assert spec.is_deterministic(), spec.scenario
+        sol = value_iteration(spec)
+        certified = _certified(sol.scores)
+        for mode in ("switch", "least_restrictive", "fallback_only"):
+            z, a, b, o, z2 = _steps(spec, perfect_filter(sol, mode).executed)
+            leaving = certified[z] & ~certified[z2]
+            assert not leaving.any(), (spec.scenario, mode, z[leaving][:1], a[leaving][:1], b[leaving][:1])
+            closed += 1
+    assert closed == 765
 
 
 def test_criterion_5_bound_monotonicity(announce):

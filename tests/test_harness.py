@@ -1347,9 +1347,9 @@ def test_compare_oracle_stochastic_within_tolerance():
     assert later.ok and later.tolerance == max(1e-7, 1e-9 * report.iterations)
 
 
-def test_compare_oracle_is_exact_on_stochastic_games_below_pairwise_sums():
-    """Under eight observations the sweep and the oracle add the same terms in the same order."""
-    for observations in range(2, 8):
+def test_compare_oracle_is_exact_on_stochastic_games_at_every_observation_count():
+    """The sweep and the oracle add the same terms in the same order, also from eight observations on."""
+    for observations in range(2, 13):
         for seed in range(0, 25, 3):
             doc = random_game(seed, states=10, ai_actions=3, human_actions=3, observations=observations,
                               failure_fraction=0.1)

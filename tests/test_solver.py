@@ -249,10 +249,26 @@ def test_solution_payload_shape():
 
 
 def _masked_backup(spec, values):
-    """One backup over (Z, A, B) arrays, inadmissible responses masked to +inf."""
-    expected = (spec.observation_probs * values[spec.transitions]).sum(axis=3)
+    """One backup over (Z, A, B) arrays, inadmissible responses masked to +inf.
+
+    The observation terms are added left to right, as the oracle adds them: a reduce over the leading
+    axis of an observation-first copy.
+    """
+    terms = np.ascontiguousarray(np.moveaxis(spec.observation_probs * values[spec.transitions], 3, 0))
+    expected = np.add.reduce(terms, axis=0)
     q = np.minimum(spec.margins[:, None, None], expected)
     return np.where(spec.bound_mask[:, None, :], q, np.inf).min(axis=2).max(axis=1)
+
+
+def test_a_leading_axis_reduce_adds_left_to_right():
+    """The sweeps and the Q table rest on this: a leading-axis reduce adds its terms in order, at any count."""
+    for n in (3, 10):
+        column = [1e16] + [1.0] * (n - 1)  # 1e16 + 1 rounds back to 1e16; 1 + 1 does not
+        sequential = 0.0
+        for term in column:
+            sequential += term
+        terms = np.ascontiguousarray(np.repeat(np.array(column)[:, None], 4, axis=1))
+        assert np.add.reduce(terms, axis=0).tolist() == [sequential] * 4, n
 
 
 def _random_bounds(rng, spec):
@@ -360,7 +376,7 @@ def test_sweeps_match_the_masked_backup_bit_for_bit():
                            failure_fraction=0.05).game
         assert _assert_matches_the_reference(spec).converged
 
-    # Seven observations are summed in the leading axis, eight in the trailing one.
+    # Seven and eight observations: numpy would sum a contiguous axis of eight terms pairwise.
     for obs in (7, 8):
         for seed in range(3):
             spec = random_game(seed, states=20, ai_actions=2, human_actions=3, observations=obs,
@@ -381,8 +397,8 @@ def test_a_backup_that_raises_a_value_is_refused(monkeypatch):
     layout = solver._sweep_layout
 
     def negated(spec):
-        succ, weight, axis = layout(spec)
-        return succ, -weight, axis
+        succ, weight = layout(spec)
+        return succ, -weight
 
     monkeypatch.setattr(solver, "_sweep_layout", negated)
     games = [random_game(seed, states=30, observations=3, failure_fraction=0.05).game for seed in (1, 2)]
@@ -407,10 +423,10 @@ def test_a_backup_that_raises_a_value_is_refused(monkeypatch):
     )
 
     def state_zero_negated(spec):
-        succ, weight, axis = layout(spec)
+        succ, weight = layout(spec)
         weight = weight.copy()
         weight[..., 0] = -weight[..., 0]  # the last axis is Z in the (O, B, A, Z) layout
-        return succ, weight, axis
+        return succ, weight
 
     monkeypatch.setattr(solver, "_sweep_layout", state_zero_negated)
     with pytest.raises(RuntimeError, match="increased a state value"):
